@@ -25,7 +25,6 @@ import (
 	"testing"
 
 	"elpc"
-	"elpc/internal/adapt"
 	"elpc/internal/core"
 	"elpc/internal/fleet"
 	"elpc/internal/gen"
@@ -35,7 +34,6 @@ import (
 	"elpc/internal/refine"
 	"elpc/internal/sim"
 	"elpc/internal/wal"
-	"elpc/internal/workflow"
 )
 
 // suiteProblems lazily builds the 20 evaluation instances once.
@@ -293,63 +291,6 @@ func BenchmarkEstimateNetwork(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := measure.EstimateNetwork(net, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWorkflowHEFT measures the Section 5 DAG-extension scheduler on
-// growing layered workflows over a 60-node network.
-func BenchmarkWorkflowHEFT(b *testing.B) {
-	net, err := gen.Network(60, 500, gen.DefaultRanges(), gen.RNG(123))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, layers := range []int{3, 6, 12} {
-		wf, err := workflow.RandomDAG(layers, 4, 3, gen.DefaultRanges(), gen.RNG(uint64(layers)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := &workflow.Problem{Net: net, Flow: wf, Src: 0, Dst: 59}
-		b.Run(fmt.Sprintf("layers=%d/tasks=%d", layers, wf.N()), func(b *testing.B) {
-			var makespan float64
-			for i := 0; i < b.N; i++ {
-				_, sched, err := workflow.HEFT(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				makespan = sched.Makespan
-			}
-			b.ReportMetric(makespan, "ms_makespan")
-		})
-	}
-}
-
-// BenchmarkAdaptEpoch measures one monitor-and-replan epoch of the
-// self-adaptive controller (probe + plan amortized out; epoch = simulate +
-// compare).
-func BenchmarkAdaptEpoch(b *testing.B) {
-	truth, err := gen.Network(20, 120, gen.DefaultRanges(), gen.RNG(77))
-	if err != nil {
-		b.Fatal(err)
-	}
-	pipe, err := gen.Pipeline(8, gen.DefaultRanges(), gen.RNG(78))
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := adapt.New(truth, pipe, 0, 19, adapt.Config{
-		Objective: model.MaxFrameRate,
-		Probe: measure.ProbeConfig{
-			Sizes:   measure.DefaultProbeSizes(),
-			Repeats: 2,
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Step(); err != nil {
 			b.Fatal(err)
 		}
 	}

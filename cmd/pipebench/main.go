@@ -189,7 +189,7 @@ func run(cfg runConfig) error {
 		cs := gen.DefaultChurnSpec()
 		cs.Events = 6
 		var err error
-		crashRes, err = harness.RunCrashScenario(gen.Suite20()[1], cs, 14, 2026)
+		crashRes, err = harness.RunCrashScenario(gen.Suite20()[1], cs, 14, 1, 2026)
 		if err != nil {
 			return err
 		}

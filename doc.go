@@ -38,7 +38,7 @@
 // # Fleet — multi-tenant placement
 //
 // The paper's algorithms map one pipeline onto an uncontended network; the
-// fleet manager makes the network stateful shared infrastructure. A Fleet
+// fleet manager makes the network stateful shared infrastructure. A fleet
 // tracks per-node and per-link residual capacity across many concurrent
 // deployments and solves every new request against a scaled residual
 // snapshot of the network (the solvers run unchanged), so multi-tenant
@@ -59,13 +59,13 @@
 // At scale one fleet lock throttles every operation, so the fleet shards:
 // PartitionNetwork splits the network into K connected regions with an
 // explicit cross-region boundary-link set, and NewShardedFleet runs one
-// independently locked fleet per region. Same-region deployments take
+// independently locked region per shard. Same-region deployments take
 // only their shard's lock and solve on the region's sub-network (K×
-// smaller); cross-region deployments go through a coordinator that
+// smaller); cross-region deployments go through a coordinator region that
 // two-phase-reserves boundary links; churn events route to the owning
-// shard so repair stays regional. A one-shard ShardedFleet is
-// behaviorally identical to a plain Fleet. Both satisfy FleetManager, and
-// elpcd installs either via the shards option of POST /v1/fleet/network.
+// shard so repair stays regional. NewFleet is the one-shard case: the
+// same ShardedFleet, the only FleetManager, which elpcd installs with the
+// shards option of POST /v1/fleet/network.
 //
 //	sf, _ := elpc.NewShardedFleet(net, 8)
 //	d, _ = sf.Deploy(elpc.FleetRequest{Pipeline: pl, Src: 0, Dst: 9})
@@ -93,7 +93,7 @@
 // degrade, capacity drifts. ChurnEvent models those mutations (NodeDown,
 // NodeUp, LinkDegrade, LinkRestore, CapacityDrift), applied
 // transactionally to a ResidualNetwork's capacity factors, and a
-// Reconciler (NewReconciler) keeps a Fleet consistent with them through
+// Reconciler (NewReconciler) keeps a fleet consistent with them through
 // incremental repair: each event batch re-solves only the deployments
 // whose placements touch the mutated elements, migrates what still fits,
 // parks what does not, and re-queues parked deployments when capacity

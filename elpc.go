@@ -296,12 +296,7 @@ func CanonicalProblemHash(p *Problem) (string, error) { return service.Hash(p) }
 // Fleet manager (multi-tenant placement), embeddable pieces.
 
 type (
-	// Fleet is the stateful multi-tenant placement manager: it admits many
-	// pipelines onto one shared network, solving each against the residual
-	// capacity left by earlier tenants, and supports release and live
-	// rebalancing. Safe for concurrent use.
-	Fleet = fleet.Fleet
-	// FleetRequest asks a Fleet to place one pipeline.
+	// FleetRequest asks a fleet to place one pipeline.
 	FleetRequest = fleet.Request
 	// FleetSLO states a deployment's admission constraints.
 	FleetSLO = fleet.SLO
@@ -310,12 +305,12 @@ type (
 	Deployment = fleet.Deployment
 	// FleetStats snapshots fleet counters and utilization gauges.
 	FleetStats = fleet.Stats
-	// RebalanceOptions tunes a Fleet.Rebalance pass (move cap, migration-
+	// RebalanceOptions tunes a fleet Rebalance pass (move cap, migration-
 	// cost guard).
 	RebalanceOptions = fleet.RebalanceOptions
 	// RebalanceReport summarizes one rebalance pass.
 	RebalanceReport = fleet.Report
-	// ResidualNetwork is the shared capacity view behind a Fleet: per-node
+	// ResidualNetwork is the shared capacity view behind a fleet: per-node
 	// and per-link outstanding load over a base Network, materializable as
 	// a scaled Network snapshot.
 	ResidualNetwork = model.ResidualNetwork
@@ -328,7 +323,7 @@ type (
 	// SLOClass is a deployment's admission class (guaranteed, standard, or
 	// best-effort), ordering batch placement and preemption eligibility.
 	SLOClass = fleet.Class
-	// BatchOutcome is one request's result from Fleet.DeployBatch: the
+	// BatchOutcome is one request's result from a fleet's DeployBatch: the
 	// admitted deployment or the per-request admission error, tagged with the
 	// request's index in the submitted batch.
 	BatchOutcome = fleet.BatchOutcome
@@ -361,19 +356,24 @@ const (
 // declines a deployment.
 var ErrFleetRejected = fleet.ErrRejected
 
-// NewFleet builds an empty fleet over the shared base network.
-func NewFleet(net *Network) (*Fleet, error) { return fleet.New(net) }
+// NewFleet builds an empty one-shard fleet over the shared base network: it
+// admits many pipelines onto one shared network, solving each against the
+// residual capacity left by earlier tenants, and supports release, live
+// rebalancing, and churn repair. Safe for concurrent use.
+func NewFleet(net *Network) (*ShardedFleet, error) { return fleet.New(net) }
 
 // Sharded fleet (region-partitioned placement), embeddable pieces.
 
 type (
-	// FleetManager is the placement-management surface shared by Fleet and
-	// ShardedFleet (deploy/release/list/stats/rebalance/churn/repair).
+	// FleetManager is the fleet's placement-management surface
+	// (deploy/release/list/stats/rebalance/churn/repair), implemented by
+	// ShardedFleet.
 	FleetManager = fleet.Manager
-	// ShardedFleet partitions the shared network into regions, one
-	// independently locked fleet each: same-region deployments never
-	// contend, cross-region ones two-phase-reserve boundary links through a
-	// coordinator. One shard is behaviorally identical to a plain Fleet.
+	// ShardedFleet is the fleet manager. It partitions the shared network
+	// into regions, one independently locked region each: same-region
+	// deployments never contend, cross-region ones two-phase-reserve
+	// boundary links through a coordinator. NewFleet builds it with one
+	// shard.
 	ShardedFleet = fleet.ShardedFleet
 	// ShardStat is one region's gauge block in ShardedStats.
 	ShardStat = fleet.ShardStat
@@ -444,11 +444,11 @@ func GenerateArrivals(spec ArrivalSpec, net *Network, r Ranges, rng *rand.Rand) 
 type (
 	// ChurnEvent is one network mutation: node failure/recovery, link
 	// degradation/restoration, or capacity drift, applied transactionally
-	// to a ResidualNetwork or a Fleet.
+	// to a ResidualNetwork or a fleet.
 	ChurnEvent = model.ChurnEvent
 	// ChurnKind names a churn event kind.
 	ChurnKind = model.ChurnKind
-	// Reconciler applies churn events to a Fleet and repairs incrementally:
+	// Reconciler applies churn events to a fleet and repairs incrementally:
 	// only deployments touching mutated elements are re-solved; what no
 	// longer fits is parked and re-queued when capacity returns.
 	Reconciler = churn.Reconciler
@@ -464,9 +464,9 @@ type (
 	ChurnSpec = gen.ChurnSpec
 	// TimedChurnEvent is one timed event of a generated churn trace.
 	TimedChurnEvent = gen.ChurnEvent
-	// RepairReport summarizes one incremental Fleet.Repair pass.
+	// RepairReport summarizes one incremental fleet Repair pass.
 	RepairReport = fleet.RepairReport
-	// RepairOptions tunes a Fleet.Repair pass.
+	// RepairOptions tunes a fleet Repair pass.
 	RepairOptions = fleet.RepairOptions
 )
 
@@ -494,7 +494,7 @@ var (
 )
 
 // NewReconciler builds a churn reconciler over the fleet.
-func NewReconciler(f *Fleet, opt ReconcilerOptions) *Reconciler { return churn.New(f, opt) }
+func NewReconciler(f FleetManager, opt ReconcilerOptions) *Reconciler { return churn.New(f, opt) }
 
 // GenerateChurn draws a deterministic, state-consistent timed churn trace
 // over net; replaying it in order always applies cleanly.

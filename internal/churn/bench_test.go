@@ -16,7 +16,7 @@ import (
 // /v1/events endpoint pays.
 func BenchmarkChurnRepair(b *testing.B) {
 	// Pick a victim node some (not all) deployments touch.
-	pick := func(f *fleet.Fleet) model.NodeID {
+	pick := func(f *fleet.ShardedFleet) model.NodeID {
 		n := f.Network().N()
 		counts := make([]int, n)
 		deps := f.List()

@@ -388,14 +388,14 @@ func (r *Reconciler) Restore(parked []fleet.ParkedDeployment, st *wal.ChurnState
 }
 
 // CaptureSnapshot captures a compacted snapshot of the whole control
-// plane's durable state: the fleet's scopes (via fleet.CaptureSnapshot),
+// plane's durable state: the fleet's scopes (via Manager.CaptureSnapshot),
 // the full parked pool — the reconciler's queue first, then any
 // not-yet-adopted preemption victims still in the fleet's queue — and the
 // reconciler's counter block.
 func (r *Reconciler) CaptureSnapshot(l *wal.Log) *wal.Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	snap := fleet.CaptureSnapshot(r.f, l)
+	snap := r.f.CaptureSnapshot(l)
 	snap.Parked = append(fleet.ParkedStates(r.parked), snap.Parked...)
 	snap.Churn = r.churnStateLocked()
 	return snap

@@ -11,7 +11,7 @@ import (
 	"elpc/internal/model"
 )
 
-func testFleet(t testing.TB) *fleet.Fleet {
+func testFleet(t testing.TB) *fleet.ShardedFleet {
 	t.Helper()
 	net, err := gen.Network(10, 60, gen.DefaultRanges(), gen.RNG(42))
 	if err != nil {
@@ -24,7 +24,7 @@ func testFleet(t testing.TB) *fleet.Fleet {
 	return f
 }
 
-func deployN(t testing.TB, f *fleet.Fleet, n int) []fleet.Deployment {
+func deployN(t testing.TB, f *fleet.ShardedFleet, n int) []fleet.Deployment {
 	t.Helper()
 	out := make([]fleet.Deployment, 0, n)
 	for i := 0; i < n; i++ {

@@ -50,7 +50,7 @@ func TestClassValidation(t *testing.T) {
 // saturate deploys best-effort streaming sessions until admission control
 // declines one, returning the admitted deployments with their requests and
 // the rejected request.
-func saturate(t *testing.T, f *Fleet) ([]Deployment, []Request, Request) {
+func saturate(t *testing.T, f *ShardedFleet) ([]Deployment, []Request, Request) {
 	t.Helper()
 	var live []Deployment
 	var admitted []Request

@@ -1,11 +1,13 @@
-// Package fleet is the multi-tenant placement subsystem: a Fleet owns one
-// shared transport network and admits many concurrently deployed pipelines
-// onto it, each solved by the paper's single-pipeline algorithms against the
-// *residual* network (node powers and link bandwidths scaled down by the
-// capacity already reserved by earlier tenants — model.ResidualNetwork).
+// Package fleet is the multi-tenant placement subsystem: a fleet manager
+// owns one shared transport network and admits many concurrently deployed
+// pipelines onto it, each solved by the paper's single-pipeline algorithms
+// against the *residual* network (node powers and link bandwidths scaled
+// down by the capacity already reserved by earlier tenants —
+// model.ResidualNetwork).
 //
 // The paper maps one pipeline onto an uncontended network; a production
-// service must colocate many. Fleet closes that gap with three mechanisms:
+// service must colocate many. The fleet closes that gap with these
+// mechanisms:
 //
 //   - Admission control: Deploy solves the request's objective on the
 //     residual network and rejects it (ErrRejected) when no mapping meets
@@ -24,6 +26,11 @@
 //     broken ones — migrating what fits, parking (evicting with a
 //     reusable admission request) what does not. internal/churn drives
 //     this cycle and re-queues parked deployments when capacity returns.
+//
+// ShardedFleet is the one manager (New builds it with one shard). It runs
+// one region per shard of a network partition plus a coordinator region for
+// cross-region deployments; every region admits, repairs, logs, and
+// recovers through the same code.
 package fleet
 
 import (
@@ -234,10 +241,13 @@ type Stats struct {
 	MaxLinkUtil  float64 `json:"max_link_util"`
 }
 
-// Fleet is the stateful multi-tenant placement manager. All methods are safe
-// for concurrent use; admission is serialized internally so the solve and
-// the reservation it justifies are atomic.
-type Fleet struct {
+// region is one independently locked placement scope: the deployments it
+// owns, its residual view of the shared network, its counters, and its WAL
+// epochs. ShardedFleet runs one region per shard plus a coordinator region
+// for cross-region deployments. All methods are safe for concurrent use;
+// admission is serialized internally so the solve and the reservation it
+// justifies are atomic.
+type region struct {
 	mu       sync.Mutex
 	base     *model.Network
 	residual *model.ResidualNetwork
@@ -246,30 +256,40 @@ type Fleet struct {
 	seq      uint64
 	pool     *engine.Pool // shared parallel substrate for rebalance re-solves
 
-	// idPrefix namespaces deployment IDs ("s3-" on shard 3 of a
-	// ShardedFleet) so IDs stay unique and routable across shards; empty for
-	// a standalone fleet — and for shard 0 of a one-shard fleet, which keeps
-	// K=1 byte-identical to a plain Fleet.
+	// scope names the region in the WAL ("s3" on shard 3, wal.ScopeCross on
+	// the coordinator, "" on the only shard of a one-shard fleet); idPrefix
+	// namespaces its deployment IDs the same way ("s3-", "x-", "") so IDs
+	// stay unique and routable across regions.
+	scope    string
 	idPrefix string
-	// region, when non-nil, restricts every solve to the region's
+	// actor is the journal layer stamped on the region's events
+	// (journal.ActorFleet on shards, journal.ActorCoordinator on the
+	// coordinator).
+	actor string
+	// view, when non-nil, restricts every solve to the region's
 	// sub-network: the solver runs on an extraction of the residual snapshot
 	// holding only region nodes and internal links, and the winning mapping
-	// is translated back to global node IDs. Set only by ShardedFleet.
-	region *model.RegionView
-	// external is a static load overlay (the sharded coordinator's summed
+	// is translated back to global node IDs. Nil solves on the whole
+	// network (a one-shard fleet's shard, and the coordinator).
+	view *model.RegionView
+	// external is a static load overlay (the coordinator's summed
 	// cross-region reservations) re-added on every recompute; a zero-length
 	// reservation means none.
 	external model.Reservation
+	// refresh, set on the coordinator only, replaces the load recompute: the
+	// coordinator's residual is the composed view of the whole network,
+	// rebuilt from the shards (ShardedFleet.refreshLocked), so every shard
+	// lock must be held wherever the coordinator recomputes.
+	refresh func()
 	// jr, when non-nil, receives one typed event per state transition
 	// (admission, rejection, release, repair outcome, rebalance move) —
 	// the same sites the WAL appends at. Nil (the default, and the
 	// benchmark configuration) makes every record a single pointer check.
 	jr *journal.Journal
 	// wal, when non-nil, durably logs one wal.Record per mutating lock
-	// epoch before the operation is acknowledged; walScope labels the
-	// records ("" standalone, "s<i>" on shard i). See wal.go.
-	wal      *wal.Log
-	walScope string
+	// epoch, labeled with scope, before the operation is acknowledged. See
+	// wal.go.
+	wal *wal.Log
 	// txn is the record under construction for the current lock epoch
 	// (between beginTxnLocked and endTxnLocked); txnPre is the counter
 	// state at epoch start, so counter-only epochs still log.
@@ -284,6 +304,14 @@ type Fleet struct {
 	repairMoves uint64
 	parkEvicts  uint64
 	preempts    uint64
+	// fallbacks counts regional rejections retried through the coordinator;
+	// tpcRetries counts phase-2 validation failures that forced a re-solve;
+	// tpcAborts counts admissions abandoned after exhausting every
+	// two-phase round (the health engine's abort-rate signal). Only the
+	// coordinator moves them.
+	fallbacks  uint64
+	tpcRetries uint64
+	tpcAborts  uint64
 
 	// preemptedQ holds deployments displaced by guaranteed admissions until
 	// the owner drains them (TakePreempted) into the re-queue loop.
@@ -303,7 +331,8 @@ type Fleet struct {
 	// zero value keeps it on. Warm solves are byte-identical to cold ones —
 	// the differential equivalence suite runs the same trace both ways and
 	// asserts identical mappings and stats — so the toggle only trades CPU
-	// for retained-grid memory.
+	// for retained-grid memory. The coordinator is built with it set and
+	// never toggled: its solves always run cold.
 	warmOff bool
 	// Warm solve outcome counters (see core.WarmOutcome), atomic for the
 	// same reason as solves.
@@ -313,32 +342,33 @@ type Fleet struct {
 	warmBypasses atomic.Uint64
 
 	// lockWait is the per-shard Deploy lock-wait histogram, resolved lazily
-	// because idPrefix is assigned after construction (see lockWaitHist).
+	// on first use (see lockWaitHist).
 	lockWaitOnce sync.Once
 	lockWait     *telemetry.Histogram
 }
 
-// New builds an empty fleet over the shared base network.
-func New(base *model.Network) (*Fleet, error) {
-	if base == nil {
-		return nil, fmt.Errorf("fleet: nil network")
-	}
-	return &Fleet{
+// newRegion builds an empty region over the shared base network, named by
+// its WAL scope ("" for the only shard of a one-shard fleet).
+func newRegion(base *model.Network, scope string) *region {
+	f := &region{
 		base:     base,
 		residual: model.NewResidualNetwork(base),
 		deps:     make(map[string]*Deployment),
-	}, nil
+		scope:    scope,
+		actor:    journal.ActorFleet,
+	}
+	if scope != "" {
+		f.idPrefix = scope + "-"
+	}
+	return f
 }
-
-// Network returns the shared base network (full nominal capacity).
-func (f *Fleet) Network() *model.Network { return f.base }
 
 // UsePool installs the engine pool that parallel rebalance passes fan their
 // re-solves out over. Sharing the planning service's pool keeps fleet and
 // planning solves on one bounded concurrency budget, so neither can starve
 // the other. A nil pool (the default) makes parallel passes spin up a
 // transient pool per call.
-func (f *Fleet) UsePool(p *engine.Pool) {
+func (f *region) UsePool(p *engine.Pool) {
 	f.mu.Lock()
 	f.pool = p
 	f.mu.Unlock()
@@ -346,20 +376,20 @@ func (f *Fleet) UsePool(p *engine.Pool) {
 
 // UseJournal installs the event journal every state transition is recorded
 // into. A nil journal (the default) disables recording.
-func (f *Fleet) UseJournal(j *journal.Journal) {
+func (f *region) UseJournal(j *journal.Journal) {
 	f.mu.Lock()
 	f.jr = j
 	f.mu.Unlock()
 }
 
-// record appends one event to the installed journal, stamping the fleet's
+// record appends one event to the installed journal, stamping the region's
 // actor layer and shard label; it is a no-op without a journal.
-func (f *Fleet) record(ev journal.Event) {
+func (f *region) record(ev journal.Event) {
 	if f.jr == nil {
 		return
 	}
 	if ev.Actor == "" {
-		ev.Actor = journal.ActorFleet
+		ev.Actor = f.actor
 	}
 	if ev.Shard == "" {
 		ev.Shard = shardLabel(f.idPrefix)
@@ -368,9 +398,14 @@ func (f *Fleet) record(ev journal.Event) {
 }
 
 // recomputeLocked rebuilds the residual loads as the exact ordered sum of
-// outstanding reservations. Caller holds f.mu. The reservation-header
-// scratch is reused across calls (SetLoad retains nothing).
-func (f *Fleet) recomputeLocked() {
+// outstanding reservations. Caller holds f.mu (on the coordinator: every
+// lock, see refresh). The reservation-header scratch is reused across calls
+// (SetLoad retains nothing).
+func (f *region) recomputeLocked() {
+	if f.refresh != nil {
+		f.refresh()
+		return
+	}
 	outstanding := f.resScratch[:0]
 	for _, id := range f.order {
 		outstanding = append(outstanding, f.deps[id].reservation)
@@ -390,7 +425,7 @@ func (f *Fleet) recomputeLocked() {
 
 // reject records and wraps an admission failure, journaling the rejection
 // with the requesting tenant.
-func (f *Fleet) reject(req Request, format string, args ...any) error {
+func (f *region) reject(req Request, format string, args ...any) error {
 	f.rejected++
 	rejectedTotal.Inc()
 	reason := fmt.Sprintf(format, args...)
@@ -443,12 +478,12 @@ func solve(snap *model.Network, req Request, cost model.CostOptions, ws *core.Wa
 // bandwidths are scaled bit-identically to a full snapshot, so the returned
 // delay and rate match a full-network evaluation of the same mapping, and
 // the mapping comes back in global node IDs.
-func (f *Fleet) solveCounted(rn *model.ResidualNetwork, req Request, cost model.CostOptions, ws *core.WarmState) (*model.Mapping, float64, float64, error) {
+func (f *region) solveCounted(rn *model.ResidualNetwork, req Request, cost model.CostOptions, ws *core.WarmState) (*model.Mapping, float64, float64, error) {
 	f.solves.Add(1)
 	if f.warmOff {
 		ws = nil
 	}
-	if f.region == nil {
+	if f.view == nil {
 		var snap *model.Network
 		if ws != nil {
 			// Materialize into the warm state's free snapshot buffer: the
@@ -463,30 +498,30 @@ func (f *Fleet) solveCounted(rn *model.ResidualNetwork, req Request, cost model.
 		f.noteWarm(ws)
 		return m, delay, rate, err
 	}
-	ls, ld := f.region.LocalNode[req.Src], f.region.LocalNode[req.Dst]
+	ls, ld := f.view.LocalNode[req.Src], f.view.LocalNode[req.Dst]
 	if ls < 0 || ld < 0 {
-		return nil, 0, 0, fmt.Errorf("fleet: %w: endpoints %d -> %d leave region %d", model.ErrInfeasible, req.Src, req.Dst, f.region.Region)
+		return nil, 0, 0, fmt.Errorf("fleet: %w: endpoints %d -> %d leave region %d", model.ErrInfeasible, req.Src, req.Dst, f.view.Region)
 	}
 	local := req
 	local.Src, local.Dst = model.NodeID(ls), model.NodeID(ld)
 	var snap *model.Network
 	if ws != nil {
-		snap = rn.RegionSnapshotInto(f.region, ws.SnapshotScratch())
+		snap = rn.RegionSnapshotInto(f.view, ws.SnapshotScratch())
 		ws.TrackSnapshot(snap)
 	} else {
-		snap = rn.RegionSnapshot(f.region)
+		snap = rn.RegionSnapshot(f.view)
 	}
 	m, delay, rate, err := solve(snap, local, cost, ws)
 	f.noteWarm(ws)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return f.region.ToGlobal(m), delay, rate, nil
+	return f.view.ToGlobal(m), delay, rate, nil
 }
 
 // noteWarm folds the outcome of the warm solve that just ran into the
 // fleet's counters; a nil ws (cold solve) is a no-op.
-func (f *Fleet) noteWarm(ws *core.WarmState) {
+func (f *region) noteWarm(ws *core.WarmState) {
 	if ws == nil {
 		return
 	}
@@ -506,7 +541,7 @@ func (f *Fleet) noteWarm(ws *core.WarmState) {
 // when warm-start is enabled. Deployments recovered from the WAL and
 // coordinator-admitted cross-region deployments start without grids; they
 // re-warm on their first repair or rebalance re-solve.
-func (f *Fleet) warmFor(d *Deployment) *core.WarmState {
+func (f *region) warmFor(d *Deployment) *core.WarmState {
 	if f.warmOff {
 		return nil
 	}
@@ -528,14 +563,14 @@ func recycleWarm(ws *core.WarmState) {
 // SetWarmStart toggles warm-start incremental solving (on by default).
 // Turning it off detaches nothing: retained grids stay with their
 // deployments, they are just bypassed until re-enabled.
-func (f *Fleet) SetWarmStart(on bool) {
+func (f *region) SetWarmStart(on bool) {
 	f.mu.Lock()
 	f.warmOff = !on
 	f.mu.Unlock()
 }
 
 // WarmSolveStats snapshots the warm-start outcome counters.
-func (f *Fleet) WarmSolveStats() WarmSolveStats {
+func (f *region) WarmSolveStats() WarmSolveStats {
 	return WarmSolveStats{
 		Rebuilds: f.warmRebuilds.Load(),
 		Partials: f.warmPartials.Load(),
@@ -577,7 +612,7 @@ func (w WarmSolveStats) HitRatio() float64 {
 
 // SolveCount returns the number of objective solves the fleet has run
 // (admission, rebalance proposals, repair re-solves).
-func (f *Fleet) SolveCount() uint64 { return f.solves.Load() }
+func (f *region) SolveCount() uint64 { return f.solves.Load() }
 
 // admissionRate resolves the frame rate a deployment reserves capacity for
 // given its achieved sustainable rate.
@@ -593,7 +628,7 @@ func admissionRate(req Request, rateFPS float64) float64 {
 
 // validateRequest runs the lock-free structural checks a request must pass
 // before admission is attempted. Structural errors never wrap ErrRejected.
-func (f *Fleet) validateRequest(req Request) error {
+func (f *region) validateRequest(req Request) error {
 	if req.Pipeline == nil {
 		return fmt.Errorf("fleet: request missing pipeline")
 	}
@@ -615,7 +650,7 @@ func (f *Fleet) validateRequest(req Request) error {
 // counting or journaling the rejection, so callers (Deploy, DeployBatch,
 // the preemption retry loop) decide whether a given attempt is final — and
 // (zero, "", err) on a structural or solver error. Caller holds f.mu.
-func (f *Fleet) tryAdmitLocked(req Request, cost model.CostOptions) (Deployment, string, error) {
+func (f *region) tryAdmitLocked(req Request, cost model.CostOptions) (Deployment, string, error) {
 	// Solve warm: a requeued request brings the parked deployment's grids
 	// back; a fresh request warms a pooled state so post-churn repairs of
 	// this deployment recompute only invalidated cells. Declined or failed
@@ -638,6 +673,22 @@ func (f *Fleet) tryAdmitLocked(req Request, cost model.CostOptions) (Deployment,
 		}
 		return Deployment{}, "", err
 	}
+	d, reason, _, err := f.admitLocked(req, cost, m, delay, rate, ws)
+	if reason == "" && err == nil {
+		retained = true // the admitted deployment owns ws now
+	}
+	return d, reason, err
+}
+
+// admitLocked is admission control's guard-and-commit step for a solved
+// mapping m, scored (delay, rate) on the region's current residual view: it
+// declines mappings that use a down node, miss the delay SLO, or cannot
+// sustain the reserved rate, and commits the reservation when it fits.
+// A decline returns its reason, with overcommit set when the failing guard
+// was the fit — the one decline a fresher view can cure, which the
+// coordinator's two-phase path retries. The committed deployment keeps ws
+// (nil for none). Caller holds f.mu (the coordinator: every lock).
+func (f *region) admitLocked(req Request, cost model.CostOptions, m *model.Mapping, delay, rate float64, ws *core.WarmState) (dep Deployment, reason string, overcommit bool, err error) {
 	// The solver can still route zero-cost modules (the pinned source or
 	// sink, in particular) through a down node — the residual snapshot
 	// floors it at MinResidualFraction rather than removing it, and a
@@ -647,23 +698,23 @@ func (f *Fleet) tryAdmitLocked(req Request, cost model.CostOptions) (Deployment,
 	// repair, rebalance, requeue, and deploy agree.
 	for _, v := range m.Assign {
 		if f.residual.NodeIsDown(v) {
-			return Deployment{}, fmt.Sprintf("no feasible placement: node v%d is down", v), nil
+			return Deployment{}, fmt.Sprintf("no feasible placement: node v%d is down", v), false, nil
 		}
 	}
 	if req.SLO.MaxDelayMs > 0 && delay > req.SLO.MaxDelayMs {
-		return Deployment{}, fmt.Sprintf("delay %.3f ms exceeds SLO %.3f ms", delay, req.SLO.MaxDelayMs), nil
+		return Deployment{}, fmt.Sprintf("delay %.3f ms exceeds SLO %.3f ms", delay, req.SLO.MaxDelayMs), false, nil
 	}
 	reserved := admissionRate(req, rate)
 	if rate < reserved || math.IsInf(delay, 1) {
-		return Deployment{}, fmt.Sprintf("sustainable rate %.3f fps below demand %.3f fps", rate, reserved), nil
+		return Deployment{}, fmt.Sprintf("sustainable rate %.3f fps below demand %.3f fps", rate, reserved), false, nil
 	}
 	res, err := model.MappingReservation(f.base, req.Pipeline, m, reserved)
 	if err != nil {
-		return Deployment{}, "", err
+		return Deployment{}, "", false, err
 	}
 	res.Class = string(req.SLO.Class.Canon())
 	if !f.residual.Fits(res) {
-		return Deployment{}, fmt.Sprintf("reservation at %.3f fps overcommits the network", reserved), nil
+		return Deployment{}, fmt.Sprintf("reservation at %.3f fps overcommits the network", reserved), true, nil
 	}
 
 	f.seq++
@@ -685,7 +736,6 @@ func (f *Fleet) tryAdmitLocked(req Request, cost model.CostOptions) (Deployment,
 		reservation: res,
 		warm:        ws,
 	}
-	retained = true
 	f.deps[d.ID] = d
 	f.order = append(f.order, d.ID)
 	f.recomputeLocked()
@@ -701,7 +751,7 @@ func (f *Fleet) tryAdmitLocked(req Request, cost model.CostOptions) (Deployment,
 		RateFPS:    rate,
 	})
 	f.txnDeploy(d, req.RequeueOf)
-	return d.clone(), "", nil
+	return d.clone(), "", false, nil
 }
 
 // MaxPreemptionVictims bounds how many best-effort deployments one
@@ -715,7 +765,7 @@ const MaxPreemptionVictims = 4
 // re-admission (TakePreempted); on exhaustion the fleet state is restored
 // exactly (the residual recompute is an ordered sum, so restoration is
 // bit-identical) and ok is false. Caller holds f.mu.
-func (f *Fleet) preemptLocked(req Request, cost model.CostOptions) (Deployment, bool) {
+func (f *region) preemptLocked(req Request, cost model.CostOptions) (Deployment, bool) {
 	var victims []*Deployment
 	for i := len(f.order) - 1; i >= 0 && len(victims) < MaxPreemptionVictims; i-- {
 		if d := f.deps[f.order[i]]; d.SLO.Class == ClassBestEffort {
@@ -729,12 +779,7 @@ func (f *Fleet) preemptLocked(req Request, cost model.CostOptions) (Deployment, 
 	var removed []*Deployment
 	for _, v := range victims {
 		delete(f.deps, v.ID)
-		for i, oid := range f.order {
-			if oid == v.ID {
-				f.order = append(f.order[:i], f.order[i+1:]...)
-				break
-			}
-		}
+		f.order = removeID(f.order, v.ID)
 		removed = append(removed, v)
 		f.recomputeLocked()
 		d, reason, err := f.tryAdmitLocked(req, cost)
@@ -780,7 +825,7 @@ func (f *Fleet) preemptLocked(req Request, cost model.CostOptions) (Deployment, 
 // (parked and journaled, recoverable via TakePreempted) when that frees
 // enough residual to admit. Rejections wrap ErrRejected; structural errors
 // (bad request) do not.
-func (f *Fleet) Deploy(req Request) (Deployment, error) {
+func (f *region) Deploy(req Request) (Deployment, error) {
 	if err := f.validateRequest(req); err != nil {
 		return Deployment{}, err
 	}
@@ -804,7 +849,7 @@ func (f *Fleet) Deploy(req Request) (Deployment, error) {
 
 // deployLocked is the admission attempt plus the guaranteed-class preemption
 // fallback, with rejection accounting. Caller holds f.mu.
-func (f *Fleet) deployLocked(req Request, cost model.CostOptions) (Deployment, error) {
+func (f *region) deployLocked(req Request, cost model.CostOptions) (Deployment, error) {
 	d, reason, err := f.tryAdmitLocked(req, cost)
 	if err != nil {
 		return Deployment{}, err
@@ -878,7 +923,7 @@ func sortByPriority(reqs []Request, order []int) {
 // Outcomes are reported at each request's original index. The class-ordered
 // single pass is why a batch admits at least as much guaranteed/high-demand
 // traffic as the same requests deployed sequentially in arrival order.
-func (f *Fleet) DeployBatch(reqs []Request) []BatchOutcome {
+func (f *region) DeployBatch(reqs []Request) []BatchOutcome {
 	out := make([]BatchOutcome, len(reqs))
 	for i := range reqs {
 		out[i].Index = i
@@ -914,7 +959,7 @@ func (f *Fleet) DeployBatch(reqs []Request) []BatchOutcome {
 // TakePreempted drains and returns the deployments displaced by guaranteed
 // admissions since the last call, oldest first. The owner (internal/churn's
 // reconciler, via the service layer) re-queues them when capacity returns.
-func (f *Fleet) TakePreempted() []ParkedDeployment {
+func (f *region) TakePreempted() []ParkedDeployment {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := f.preemptedQ
@@ -923,7 +968,7 @@ func (f *Fleet) TakePreempted() []ParkedDeployment {
 }
 
 // Release returns a deployment's capacity to the fleet.
-func (f *Fleet) Release(id string) error {
+func (f *region) Release(id string) error {
 	f.mu.Lock()
 	f.beginTxnLocked(wal.KindRelease)
 	err := f.releaseLocked(id)
@@ -935,7 +980,7 @@ func (f *Fleet) Release(id string) error {
 
 // releaseLocked removes the deployment and recomputes the residual loads.
 // Caller holds f.mu inside a WAL epoch.
-func (f *Fleet) releaseLocked(id string) error {
+func (f *region) releaseLocked(id string) error {
 	d, ok := f.deps[id]
 	if !ok {
 		return fmt.Errorf("fleet: %w: %q", ErrNotFound, id)
@@ -943,12 +988,7 @@ func (f *Fleet) releaseLocked(id string) error {
 	delete(f.deps, id)
 	recycleWarm(d.warm)
 	d.warm = nil
-	for i, oid := range f.order {
-		if oid == id {
-			f.order = append(f.order[:i], f.order[i+1:]...)
-			break
-		}
-	}
+	f.order = removeID(f.order, id)
 	f.recomputeLocked()
 	f.released++
 	f.record(journal.Event{Kind: journal.ReleaseDone, Deployment: id, Tenant: d.Tenant})
@@ -957,7 +997,7 @@ func (f *Fleet) releaseLocked(id string) error {
 }
 
 // Describe returns a copy of one deployment.
-func (f *Fleet) Describe(id string) (Deployment, bool) {
+func (f *region) Describe(id string) (Deployment, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	d, ok := f.deps[id]
@@ -968,7 +1008,7 @@ func (f *Fleet) Describe(id string) (Deployment, bool) {
 }
 
 // List returns copies of all deployments in admission order.
-func (f *Fleet) List() []Deployment {
+func (f *region) List() []Deployment {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make([]Deployment, 0, len(f.order))
@@ -978,73 +1018,58 @@ func (f *Fleet) List() []Deployment {
 	return out
 }
 
-// Stats snapshots counters and utilization gauges.
-func (f *Fleet) Stats() Stats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s := Stats{
-		Deployments:   len(f.deps),
-		Admitted:      f.admitted,
-		Rejected:      f.rejected,
-		Released:      f.released,
-		Moves:         f.moves,
-		Repaired:      f.repaired,
-		RepairMoves:   f.repairMoves,
-		ParkEvictions: f.parkEvicts,
-		Preemptions:   f.preempts,
-		SolverCalls:   f.solves.Load(),
-	}
-	// Sum in admission order so the gauge is deterministic (map iteration
-	// order would reorder the float additions run to run).
+// addStatsLocked adds the region's counters and its live deployments'
+// reserved rate and class tallies (summed in admission order, so the gauge
+// is deterministic) into st. Caller holds f.mu.
+func (f *region) addStatsLocked(st *Stats) {
+	st.Deployments += len(f.deps)
+	st.Admitted += f.admitted
+	st.Rejected += f.rejected
+	st.Released += f.released
+	st.Moves += f.moves
+	st.Repaired += f.repaired
+	st.RepairMoves += f.repairMoves
+	st.ParkEvictions += f.parkEvicts
+	st.Preemptions += f.preempts
+	st.SolverCalls += f.solves.Load()
 	for _, id := range f.order {
 		d := f.deps[id]
-		s.ReservedFPS += d.ReservedFPS
+		st.ReservedFPS += d.ReservedFPS
 		switch d.SLO.Class.Canon() {
 		case ClassGuaranteed:
-			s.GuaranteedActive++
+			st.GuaranteedActive++
 		case ClassBestEffort:
-			s.BestEffortActive++
+			st.BestEffortActive++
 		default:
-			s.StandardActive++
+			st.StandardActive++
 		}
 	}
-	for v := 0; v < f.base.N(); v++ {
-		u := f.residual.NodeLoad(model.NodeID(v))
-		s.MeanNodeUtil += u
-		if u > s.MaxNodeUtil {
-			s.MaxNodeUtil = u
-		}
-	}
-	if n := f.base.N(); n > 0 {
-		s.MeanNodeUtil /= float64(n)
-	}
-	for l := 0; l < f.base.M(); l++ {
-		u := f.residual.LinkLoad(l)
-		s.MeanLinkUtil += u
-		if u > s.MaxLinkUtil {
-			s.MaxLinkUtil = u
-		}
-	}
-	if m := f.base.M(); m > 0 {
-		s.MeanLinkUtil /= float64(m)
-	}
-	return s
 }
 
-// Utilization returns the outstanding load fraction per node and per link
-// (copies; indices match the base network's node and link IDs).
-func (f *Fleet) Utilization() (node, link []float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	node = make([]float64, f.base.N())
-	for v := range node {
-		node[v] = f.residual.NodeLoad(model.NodeID(v))
+// setUtilization gauges the mean and peak load fraction over every node and
+// link of the residual view rn.
+func (st *Stats) setUtilization(rn *model.ResidualNetwork) {
+	base := rn.Base()
+	for v := 0; v < base.N(); v++ {
+		u := rn.NodeLoad(model.NodeID(v))
+		st.MeanNodeUtil += u
+		if u > st.MaxNodeUtil {
+			st.MaxNodeUtil = u
+		}
 	}
-	link = make([]float64, f.base.M())
-	for l := range link {
-		link[l] = f.residual.LinkLoad(l)
+	if n := base.N(); n > 0 {
+		st.MeanNodeUtil /= float64(n)
 	}
-	return node, link
+	for l := 0; l < base.M(); l++ {
+		u := rn.LinkLoad(l)
+		st.MeanLinkUtil += u
+		if u > st.MaxLinkUtil {
+			st.MaxLinkUtil = u
+		}
+	}
+	if m := base.M(); m > 0 {
+		st.MeanLinkUtil /= float64(m)
+	}
 }
 
 // RebalanceOptions tunes a rebalance pass.
@@ -1119,7 +1144,7 @@ type proposal struct {
 // inside the workers safe: nothing can mutate deployments or reservations
 // while the chunk solves. Per-goroutine snapshots and solver scratch make
 // the chunk embarrassingly parallel.
-func (f *Fleet) proposeLocked(ids []string, out []proposal, start, end, width int, pool *engine.Pool) {
+func (f *region) proposeLocked(ids []string, out []proposal, start, end, width int, pool *engine.Pool) {
 	pool.ParallelForN(width, end-start, func(i int) {
 		i += start
 		d := f.deps[ids[i]]
@@ -1166,7 +1191,7 @@ func (f *Fleet) proposeLocked(ids []string, out []proposal, start, end, width in
 // sequential and every guard — gain, SLO, reserved rate, fit — is evaluated
 // against the live residual network at application time, so a stale
 // proposal can be skipped but never corrupt capacity accounting.
-func (f *Fleet) Rebalance(opt RebalanceOptions) Report {
+func (f *region) Rebalance(opt RebalanceOptions) Report {
 	if opt.MaxMoves <= 0 {
 		opt.MaxMoves = DefaultMaxMoves
 	}
@@ -1186,7 +1211,7 @@ func (f *Fleet) Rebalance(opt RebalanceOptions) Report {
 
 // rebalanceLocked is the rebalance pass body. Caller holds f.mu inside a
 // WAL epoch.
-func (f *Fleet) rebalanceLocked(opt RebalanceOptions) Report {
+func (f *region) rebalanceLocked(opt RebalanceOptions) Report {
 	// Higher SLO classes are considered first; within a class, deployments
 	// admitted latest first — they were solved against the most contended
 	// network, so freed capacity helps them most.

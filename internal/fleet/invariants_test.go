@@ -13,7 +13,7 @@ import (
 // point of any deploy/release interleaving: no resource is overcommitted
 // (residual power and bandwidth never go negative) and utilization is never
 // negative.
-func checkInvariants(t *testing.T, f *Fleet) {
+func checkInvariants(t *testing.T, f *ShardedFleet) {
 	t.Helper()
 	node, link := f.Utilization()
 	for v, u := range node {

@@ -11,7 +11,7 @@ import (
 // contendedFleet builds a fleet with enough streaming tenants that the early
 // releases leave real room to rebalance into, mirroring
 // TestRebalanceImprovesAfterRelease's setup.
-func contendedFleet(t *testing.T) *Fleet {
+func contendedFleet(t *testing.T) *ShardedFleet {
 	t.Helper()
 	f, err := New(testNetwork(t))
 	if err != nil {

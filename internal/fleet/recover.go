@@ -20,7 +20,7 @@ import (
 type Recovered struct {
 	// Manager is the rebuilt fleet manager (nil when the log contained no
 	// install — a server that never took traffic).
-	Manager Manager
+	Manager *ShardedFleet
 	// Parked is the recovered parked pool, in requeue order.
 	Parked []ParkedDeployment
 	// Churn is the reconciler's last logged counter state, if any.
@@ -29,54 +29,46 @@ type Recovered struct {
 	Install *wal.InstallState
 }
 
-// Builder constructs a fleet manager from a durable install record. The
-// default builder covers New and NewSharded; services that partition with
-// NewShardedWithPartition supply their own.
-type Builder func(*wal.InstallState) (Manager, error)
-
-// defaultBuild rebuilds the manager exactly as the service's install path
-// does: a sharded fleet for Shards > 1 (partitioning is deterministic from
-// the network and count), a plain fleet otherwise.
-func defaultBuild(ins *wal.InstallState) (Manager, error) {
+// rebuild constructs the manager a durable install record describes,
+// exactly as the service's install path does (partitioning is
+// deterministic from the network and shard count).
+func rebuild(ins *wal.InstallState) (*ShardedFleet, error) {
 	if ins.Network == nil {
 		return nil, fmt.Errorf("fleet: install record has no network")
 	}
-	if ins.Shards > 1 {
-		return NewSharded(ins.Network, ins.Shards)
-	}
-	return New(ins.Network)
+	return NewSharded(ins.Network, ins.Shards)
 }
 
 // Recover rebuilds fleet state from a wal.Recovery: it restores the
 // snapshot (if any), replays every log record after it in sequence order,
-// and recomputes the residual loads once at the end. A nil build uses
-// defaultBuild.
-func Recover(rec *wal.Recovery, build Builder) (*Recovered, error) {
-	if build == nil {
-		build = defaultBuild
-	}
+// and recomputes the residual loads once at the end.
+func Recover(rec *wal.Recovery) (*Recovered, error) {
 	out := &Recovered{}
 	if rec.Snapshot != nil {
-		if err := restoreSnapshot(out, rec.Snapshot, build); err != nil {
+		if err := restoreSnapshot(out, rec.Snapshot); err != nil {
 			return nil, err
 		}
 	}
 	for i := range rec.Records {
-		if err := applyRecord(out, &rec.Records[i], build); err != nil {
+		if err := applyRecord(out, &rec.Records[i]); err != nil {
 			return nil, fmt.Errorf("fleet: replay record %d: %w", rec.Records[i].Seq, err)
 		}
 	}
-	if out.Manager != nil {
-		finishReplay(out.Manager)
+	if s := out.Manager; s != nil {
+		// Recompute every load once, with the same ordered accumulation the
+		// live path maintains incrementally.
+		s.lockAll()
+		s.refreshLocked()
+		s.unlockAll()
 	}
 	return out, nil
 }
 
 // applyRecord redoes one logged transition against the partially-rebuilt
 // state.
-func applyRecord(out *Recovered, r *wal.Record, build Builder) error {
+func applyRecord(out *Recovered, r *wal.Record) error {
 	if r.Install != nil {
-		m, err := build(r.Install)
+		m, err := rebuild(r.Install)
 		if err != nil {
 			return err
 		}
@@ -95,7 +87,7 @@ func applyRecord(out *Recovered, r *wal.Record, build Builder) error {
 	}
 	// Churn ops replay through the live ApplyChurn path (the WAL is not yet
 	// installed on the rebuilt manager, so nothing re-logs); placement ops
-	// and counters apply scope-by-scope below.
+	// and counters apply to the record's scope below.
 	mutating := false
 	for _, op := range r.Ops {
 		if op.Churn != nil {
@@ -109,22 +101,16 @@ func applyRecord(out *Recovered, r *wal.Record, build Builder) error {
 	if !mutating && r.Counters == nil {
 		return nil
 	}
-	switch m := out.Manager.(type) {
-	case *Fleet:
-		if r.Scope != "" {
-			return fmt.Errorf("scope %q on an unsharded fleet", r.Scope)
-		}
-		return m.applyWALRecord(r, out)
-	case *ShardedFleet:
-		return m.applyWALRecord(r, out)
-	default:
-		return fmt.Errorf("unknown manager type %T", out.Manager)
+	f, err := out.Manager.scopeRegion(r.Scope)
+	if err != nil {
+		return err
 	}
+	return f.applyWALRecord(r, out)
 }
 
-// applyWALRecord redoes one fleet-scoped record: ordered ops, then the
+// applyWALRecord redoes one region-scoped record: ordered ops, then the
 // scope's counter block.
-func (f *Fleet) applyWALRecord(r *wal.Record, out *Recovered) error {
+func (f *region) applyWALRecord(r *wal.Record, out *Recovered) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.applyOpsLocked(r.Ops, out); err != nil {
@@ -138,7 +124,7 @@ func (f *Fleet) applyWALRecord(r *wal.Record, out *Recovered) error {
 
 // applyOpsLocked redoes a record's placement ops in order. Churn ops were
 // already applied by the caller. Caller holds f.mu.
-func (f *Fleet) applyOpsLocked(ops []wal.Op, out *Recovered) error {
+func (f *region) applyOpsLocked(ops []wal.Op, out *Recovered) error {
 	for _, op := range ops {
 		switch {
 		case op.Deploy != nil:
@@ -156,10 +142,10 @@ func (f *Fleet) applyOpsLocked(ops []wal.Op, out *Recovered) error {
 }
 
 // restoreDeployLocked redoes one admission or placement update. Residual
-// loads are not touched here — finishReplay recomputes them once, in
+// loads are not touched here — Recover recomputes them once, in
 // admission order, exactly like the live path's recompute. Caller holds
 // f.mu.
-func (f *Fleet) restoreDeployLocked(ds *wal.DeploymentState, out *Recovered) error {
+func (f *region) restoreDeployLocked(ds *wal.DeploymentState, out *Recovered) error {
 	if ds.Update {
 		d, ok := f.deps[ds.ID]
 		if !ok {
@@ -223,9 +209,9 @@ func deploymentFromState(base *model.Network, ds *wal.DeploymentState) (*Deploym
 	}, nil
 }
 
-// applyCountersLocked overwrites the fleet's counter state with a record's
+// applyCountersLocked overwrites the region's counter state with a record's
 // block (last record wins). Caller holds f.mu.
-func (f *Fleet) applyCountersLocked(c wal.Counters) {
+func (f *region) applyCountersLocked(c wal.Counters) {
 	f.admitted = c.Admitted
 	f.rejected = c.Rejected
 	f.released = c.Released
@@ -236,114 +222,18 @@ func (f *Fleet) applyCountersLocked(c wal.Counters) {
 	f.preempts = c.Preemptions
 	f.solves.Store(c.Solves)
 	f.seq = c.Seq
-}
-
-// applyWALRecord routes one record to the owning scope: the coordinator for
-// "x", a shard fleet otherwise.
-func (s *ShardedFleet) applyWALRecord(r *wal.Record, out *Recovered) error {
-	if r.Scope == wal.ScopeCross {
-		return s.applyCrossRecord(r, out)
-	}
-	f, err := s.scopeFleet(r.Scope)
-	if err != nil {
-		return err
-	}
-	return f.applyWALRecord(r, out)
-}
-
-// applyCrossRecord redoes one coordinator record.
-func (s *ShardedFleet) applyCrossRecord(r *wal.Record, out *Recovered) error {
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	for _, op := range r.Ops {
-		switch {
-		case op.Deploy != nil:
-			ds := op.Deploy
-			if ds.Update {
-				d, ok := s.crossDeps[ds.ID]
-				if !ok {
-					return fmt.Errorf("update for unknown deployment %q", ds.ID)
-				}
-				res, err := model.MappingReservation(s.base, d.pipe, model.NewMapping(ds.Assignment), ds.ReservedFPS)
-				if err != nil {
-					return fmt.Errorf("reservation for %q: %w", ds.ID, err)
-				}
-				res.Class = ds.ResClass
-				d.Assignment = append([]model.NodeID(nil), ds.Assignment...)
-				d.Mapping = ds.Mapping
-				d.DelayMs = ds.DelayMs
-				d.RateFPS = ds.RateFPS
-				d.reservation = res
-				continue
-			}
-			d, err := deploymentFromState(s.base, ds)
-			if err != nil {
-				return err
-			}
-			s.crossDeps[d.ID] = d
-			s.crossOrder = append(s.crossOrder, d.ID)
-			if ds.RequeueOf != "" {
-				out.Parked = removeParked(out.Parked, ds.RequeueOf)
-			}
-		case op.Remove != "":
-			delete(s.crossDeps, op.Remove)
-			s.crossOrder = removeID(s.crossOrder, op.Remove)
-		case op.Park != nil:
-			out.Parked = append(out.Parked, parkedFromState(*op.Park))
-		}
-	}
-	if r.Counters != nil {
-		s.applyCrossCountersLocked(*r.Counters)
-	}
-	return nil
-}
-
-// applyCrossCountersLocked overwrites the coordinator's counter state with
-// a record's block. Caller holds s.cmu.
-func (s *ShardedFleet) applyCrossCountersLocked(c wal.Counters) {
-	s.crossAdmitted = c.Admitted
-	s.crossRejected = c.Rejected
-	s.crossReleased = c.Released
-	s.crossRepaired = c.Repaired
-	s.crossMoves = c.RepairMoves
-	s.crossParks = c.ParkEvictions
-	s.crossSolves.Store(c.Solves)
-	s.crossSeq = c.Seq
-	s.fallbacks = c.Fallbacks
-	s.tpcRetries = c.TPCRetries
-	s.tpcAborts = c.TPCAborts
-}
-
-// finishReplay recomputes residual loads once after every record applied —
-// the same ordered accumulation the live path maintains incrementally.
-func finishReplay(m Manager) {
-	switch t := m.(type) {
-	case *Fleet:
-		t.mu.Lock()
-		t.recomputeLocked()
-		t.mu.Unlock()
-	case *ShardedFleet:
-		t.cmu.Lock()
-		t.lockShards()
-		if t.part.K == 1 && len(t.crossDeps) == 0 {
-			// Keep the K=1 fast path byte-identical to a plain fleet: no
-			// cross overlay exists, so leave external zero-length.
-			t.shards[0].recomputeLocked()
-		} else {
-			t.rebuildCrossLocked("")
-		}
-		t.unlockShards()
-		t.cmu.Unlock()
-	}
+	f.fallbacks = c.Fallbacks
+	f.tpcRetries = c.TPCRetries
+	f.tpcAborts = c.TPCAborts
 }
 
 // restoreSnapshot rebuilds the manager and every scope's state from a
 // compacted snapshot.
-func restoreSnapshot(out *Recovered, snap *wal.Snapshot, build Builder) error {
+func restoreSnapshot(out *Recovered, snap *wal.Snapshot) error {
 	if snap.Install == nil {
 		return fmt.Errorf("fleet: snapshot %d has no install", snap.Seq)
 	}
-	m, err := build(snap.Install)
+	m, err := rebuild(snap.Install)
 	if err != nil {
 		return err
 	}
@@ -353,39 +243,20 @@ func restoreSnapshot(out *Recovered, snap *wal.Snapshot, build Builder) error {
 	out.Churn = snap.Churn
 	for i := range snap.Scopes {
 		sc := &snap.Scopes[i]
-		switch t := m.(type) {
-		case *Fleet:
-			if sc.Scope != "" {
-				return fmt.Errorf("fleet: snapshot scope %q on an unsharded fleet", sc.Scope)
-			}
-			if err := t.restoreScopeState(sc); err != nil {
-				return err
-			}
-		case *ShardedFleet:
-			if sc.Scope == wal.ScopeCross {
-				if err := t.restoreCrossState(sc); err != nil {
-					return err
-				}
-				continue
-			}
-			f, err := t.scopeFleet(sc.Scope)
-			if err != nil {
-				return err
-			}
-			if err := f.restoreScopeState(sc); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("fleet: unknown manager type %T", m)
+		f, err := m.scopeRegion(sc.Scope)
+		if err != nil {
+			return err
+		}
+		if err := f.restoreScopeState(sc); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// restoreScopeState rebuilds one shard (or the standalone fleet) from its
-// snapshot block: churn capacity factors, counters, and deployments in
-// admission order.
-func (f *Fleet) restoreScopeState(sc *wal.ScopeState) error {
+// restoreScopeState rebuilds one region from its snapshot block: churn
+// capacity factors, counters, and deployments in admission order.
+func (f *region) restoreScopeState(sc *wal.ScopeState) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if len(sc.NodeFactors) > 0 || len(sc.LinkFactors) > 0 {
@@ -405,33 +276,12 @@ func (f *Fleet) restoreScopeState(sc *wal.ScopeState) error {
 	return nil
 }
 
-// restoreCrossState rebuilds the coordinator from its snapshot block.
-func (s *ShardedFleet) restoreCrossState(sc *wal.ScopeState) error {
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	if len(sc.NodeFactors) > 0 || len(sc.LinkFactors) > 0 {
-		if err := s.cres.SetCapacityFactors(sc.NodeFactors, sc.LinkFactors); err != nil {
-			return fmt.Errorf("fleet: snapshot coordinator factors: %w", err)
-		}
-	}
-	s.applyCrossCountersLocked(sc.Counters)
-	for i := range sc.Deploys {
-		d, err := deploymentFromState(s.base, &sc.Deploys[i])
-		if err != nil {
-			return fmt.Errorf("fleet: snapshot coordinator: %w", err)
-		}
-		s.crossDeps[d.ID] = d
-		s.crossOrder = append(s.crossOrder, d.ID)
-	}
-	return nil
-}
-
-// captureScopeLocked snapshots the fleet's durable state: churn factors,
+// captureScopeLocked snapshots the region's durable state: churn factors,
 // counters, and deployments in admission order. Caller holds f.mu.
-func (f *Fleet) captureScopeLocked(scope string) wal.ScopeState {
+func (f *region) captureScopeLocked() wal.ScopeState {
 	node, link := f.residual.CapacityFactors()
 	sc := wal.ScopeState{
-		Scope:       scope,
+		Scope:       f.scope,
 		NodeFactors: node,
 		LinkFactors: link,
 		Counters:    f.countersLocked(),
@@ -442,59 +292,30 @@ func (f *Fleet) captureScopeLocked(scope string) wal.ScopeState {
 	return sc
 }
 
-// captureCrossLocked snapshots the coordinator's durable state. Caller
-// holds s.cmu.
-func (s *ShardedFleet) captureCrossLocked() wal.ScopeState {
-	node, link := s.cres.CapacityFactors()
-	sc := wal.ScopeState{
-		Scope:       wal.ScopeCross,
-		NodeFactors: node,
-		LinkFactors: link,
-		Counters:    s.crossCountersLocked(),
-	}
-	for _, id := range s.crossOrder {
-		sc.Deploys = append(sc.Deploys, *deployState(s.crossDeps[id], ""))
-	}
-	return sc
-}
-
 // CaptureSnapshot captures a consistent compacted snapshot of the manager's
 // durable state, stamped with the log's last assigned sequence number. It
-// holds every fleet lock for the duration, so the snapshot sits at a record
+// holds every lock for the duration, so the snapshot sits at a record
 // boundary: every record with Seq <= snapshot.Seq is fully reflected,
 // nothing after it is. Pending preemption-queue entries are captured (not
 // drained) so a concurrent snapshot never loses them; internal/churn's
-// CaptureSnapshot prepends the reconciler's own parked pool.
-func CaptureSnapshot(m Manager, l *wal.Log) *wal.Snapshot {
-	snap := &wal.Snapshot{}
-	switch t := m.(type) {
-	case *Fleet:
-		t.mu.Lock()
-		snap.Seq = l.LastSeq()
-		snap.Install = &wal.InstallState{Network: t.base}
-		snap.Scopes = []wal.ScopeState{t.captureScopeLocked("")}
-		snap.Parked = ParkedStates(t.preemptedQ)
-		t.mu.Unlock()
-	case *ShardedFleet:
-		t.cmu.Lock()
-		t.lockShards()
-		snap.Seq = l.LastSeq()
-		snap.Install = &wal.InstallState{Network: t.base, Shards: t.part.K}
-		for r, sh := range t.shards {
-			scope := ""
-			if t.part.K > 1 {
-				scope = fmt.Sprintf("s%d", r)
-			}
-			snap.Scopes = append(snap.Scopes, sh.captureScopeLocked(scope))
-		}
-		if t.part.K > 1 {
-			snap.Scopes = append(snap.Scopes, t.captureCrossLocked())
-		}
-		for _, sh := range t.shards {
-			snap.Parked = append(snap.Parked, ParkedStates(sh.preemptedQ)...)
-		}
-		t.unlockShards()
-		t.cmu.Unlock()
+// CaptureSnapshot prepends the reconciler's own parked pool. A one-shard
+// fleet's coordinator never holds state and is left out.
+func (s *ShardedFleet) CaptureSnapshot(l *wal.Log) *wal.Snapshot {
+	s.lockAll()
+	defer s.unlockAll()
+	snap := &wal.Snapshot{
+		Seq:     l.LastSeq(),
+		Install: &wal.InstallState{Network: s.base, Shards: s.part.K},
+	}
+	scoped := s.regions
+	if s.part.K == 1 {
+		scoped = s.shards
+	}
+	for _, f := range scoped {
+		snap.Scopes = append(snap.Scopes, f.captureScopeLocked())
+	}
+	for _, sh := range s.shards {
+		snap.Parked = append(snap.Parked, ParkedStates(sh.preemptedQ)...)
 	}
 	return snap
 }

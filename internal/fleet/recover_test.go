@@ -20,12 +20,6 @@ import (
 // together: the same seeded workload on two identical managers produces the
 // same live state, so snapshot-at-K + suffix == pure replay == live.
 
-// residualSnapshotter is the accessor both managers expose for the residual
-// network (it is not part of the Manager surface).
-type residualSnapshotter interface {
-	Snapshot() *model.Network
-}
-
 // managerView is the full externally observable state of a manager, each
 // piece pre-marshaled so a mismatch reports which surface diverged.
 type managerView map[string]string
@@ -34,14 +28,14 @@ type managerView map[string]string
 // canonical JSON. The parked pool is compared separately: live managers
 // hand parked deployments to their caller (the preempted queue and repair
 // reports), recovery surfaces them through Recovered.Parked.
-func viewOf(t *testing.T, m Manager) managerView {
+func viewOf(t *testing.T, m *ShardedFleet) managerView {
 	t.Helper()
 	view := managerView{}
 	for name, v := range map[string]any{
 		"stats":    m.Stats(),
 		"list":     m.List(),
 		"slo":      m.SLOReport(),
-		"residual": m.(residualSnapshotter).Snapshot(),
+		"residual": m.Snapshot(),
 	} {
 		data, err := json.Marshal(v)
 		if err != nil {
@@ -65,10 +59,12 @@ func mustMatch(t *testing.T, label string, want, got managerView) {
 // runRecoveryWorkload drives a deterministic mixed workload — single
 // deploys across all three SLO classes (guaranteed ones sized to force
 // preemptions), a batch admission, releases, a churn trace with repairs,
-// late deploys, and a rebalance pass — against m. mid, when non-nil, runs
-// between the release phase and the churn phase (the snapshot point). The
-// returned slice holds the deployments the repair passes evicted, which the
-// live manager hands to its caller rather than keeping.
+// a heal followed by requeues of the evicted deployments (RequeueOf set,
+// as the reconciler does), late deploys, and a rebalance pass — against m.
+// mid, when non-nil, runs between the release phase and the churn phase
+// (the snapshot point). The returned slice holds the deployments the repair
+// passes evicted and the requeues did not re-admit, which the live manager
+// hands to its caller rather than keeping.
 func runRecoveryWorkload(t *testing.T, m Manager, net *model.Network, seed uint64, mid func()) []ParkedDeployment {
 	t.Helper()
 	rng := gen.RNG(seed)
@@ -175,6 +171,21 @@ func runRecoveryWorkload(t *testing.T, m Manager, net *model.Network, seed uint6
 		rep := m.Repair(affected, RepairOptions{})
 		evicted = append(evicted, rep.Parked...)
 	}
+	if err := m.ApplyChurn(gen.Heal(trace)); err != nil {
+		t.Fatalf("heal: %v", err)
+	}
+	kept := evicted[:0]
+	for _, p := range evicted {
+		req := p.Req
+		req.RequeueOf = p.ID
+		if _, err := m.Deploy(req); err != nil {
+			if !errors.Is(err, ErrRejected) {
+				t.Fatalf("requeue %s: %v", p.ID, err)
+			}
+			kept = append(kept, p)
+		}
+	}
+	evicted = kept
 
 	for i := 16; i < 20; i++ {
 		deploy(i, classes[i%len(classes)])
@@ -183,10 +194,10 @@ func runRecoveryWorkload(t *testing.T, m Manager, net *model.Network, seed uint6
 	return evicted
 }
 
-// newWALManager opens a fresh log in dir, builds a manager over net (plain
-// when shards <= 1... shards == 0 means a plain Fleet; shards >= 1 a
-// ShardedFleet), logs the install record, and wires the WAL in.
-func newWALManager(t *testing.T, dir string, net *model.Network, shards int) (Manager, *wal.Log) {
+// newWALManager opens a fresh log in dir, builds a manager over net
+// (shards == 0 means New, shards >= 1 NewSharded), logs the install record,
+// and wires the WAL in.
+func newWALManager(t *testing.T, dir string, net *model.Network, shards int) (*ShardedFleet, *wal.Log) {
 	t.Helper()
 	l, rec, err := wal.Open(dir, wal.Options{})
 	if err != nil {
@@ -195,7 +206,7 @@ func newWALManager(t *testing.T, dir string, net *model.Network, shards int) (Ma
 	if rec.Snapshot != nil || len(rec.Records) != 0 {
 		t.Fatalf("fresh dir %s recovered state: %+v", dir, rec)
 	}
-	var m Manager
+	var m *ShardedFleet
 	if shards == 0 {
 		m, err = New(net)
 	} else {
@@ -204,11 +215,7 @@ func newWALManager(t *testing.T, dir string, net *model.Network, shards int) (Ma
 	if err != nil {
 		t.Fatal(err)
 	}
-	installShards := shards
-	if installShards == 0 {
-		installShards = 1
-	}
-	if err := AppendInstall(l, net, installShards); err != nil {
+	if err := AppendInstall(l, net, m.Shards()); err != nil {
 		t.Fatal(err)
 	}
 	m.UseWAL(l)
@@ -227,7 +234,7 @@ func recoverDir(t *testing.T, dir string) (*Recovered, *wal.Recovery) {
 	if rec.TruncatedTail {
 		t.Fatalf("gracefully closed log recovered with a torn tail")
 	}
-	r, err := Recover(rec, nil)
+	r, err := Recover(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +317,7 @@ func TestRecoverPropertyReplayEqualsLive(t *testing.T) {
 				dirB := t.TempDir()
 				mB, lB := newWALManager(t, dirB, net, shape.shards)
 				evictedB := runRecoveryWorkload(t, mB, net, seed, func() {
-					snap := CaptureSnapshot(mB, lB)
+					snap := mB.CaptureSnapshot(lB)
 					if snap.Seq == 0 {
 						t.Fatal("mid-workload snapshot covers no records")
 					}
@@ -357,10 +364,7 @@ func TestRecoverEmptyLogYieldsInstallOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, _ := recoverDir(t, dir)
-	sh, ok := r.Manager.(*ShardedFleet)
-	if !ok {
-		t.Fatalf("recovered manager is %T, want *ShardedFleet", r.Manager)
-	}
+	sh := r.Manager
 	if sh.Shards() != 2 {
 		t.Fatalf("recovered %d shards, want 2", sh.Shards())
 	}

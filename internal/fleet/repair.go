@@ -12,52 +12,11 @@ import (
 	"elpc/internal/wal"
 )
 
-// This file is the fleet's churn-facing surface: applying network-mutation
-// events to the shared residual view, identifying which deployments a batch
-// of events touches, and the incremental Repair pass that re-solves only
-// those — the mechanism internal/churn's reconciliation loop is built on.
-
-// ApplyChurn applies the events to the fleet's residual capacity view
-// transactionally (all or nothing; see model.ResidualNetwork.ApplyChurn).
-// It changes only what the network can carry: outstanding reservations are
-// untouched, so after a capacity-reducing batch the touching deployments
-// may be over capacity until Repair migrates or parks them.
-func (f *Fleet) ApplyChurn(events []model.ChurnEvent) error {
-	f.mu.Lock()
-	f.beginTxnLocked(wal.KindChurn)
-	err := f.residual.ApplyChurn(events)
-	if err == nil {
-		f.txnChurn(events)
-	}
-	commit := f.endTxnLocked()
-	f.mu.Unlock()
-	commit()
-	return err
-}
-
-// Snapshot materializes the current residual network (loads and churn
-// capacity factors applied) as a standalone Network.
-func (f *Fleet) Snapshot() *model.Network {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.residual.Snapshot()
-}
-
-// Capacity returns the churn capacity factor per node and per link (copies;
-// 1 = nominal, 0 = down; indices match the base network).
-func (f *Fleet) Capacity() (node, link []float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	node = make([]float64, f.base.N())
-	for v := range node {
-		node[v] = f.residual.NodeCapacity(model.NodeID(v))
-	}
-	link = make([]float64, f.base.M())
-	for l := range link {
-		link[l] = f.residual.LinkCapacity(l)
-	}
-	return node, link
-}
+// This file is a region's churn-facing surface: identifying which
+// deployments a batch of network-mutation events touches, and the
+// incremental Repair pass that re-solves only those — the mechanism
+// internal/churn's reconciliation loop is built on (ShardedFleet.ApplyChurn
+// applies the events themselves).
 
 // Affected returns, in admission order, the IDs of deployments whose
 // placements touch any node or link named by the events: a node is touched
@@ -66,7 +25,7 @@ func (f *Fleet) Capacity() (node, link []float64) {
 // it. This is the incremental-repair frontier: deployments not in the set
 // are provably unaffected by the batch (their placements use no mutated
 // element), so Repair never needs to look at them.
-func (f *Fleet) Affected(events []model.ChurnEvent) []string {
+func (f *region) Affected(events []model.ChurnEvent) []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	nodes, links := churnTargets(events)
@@ -94,8 +53,7 @@ func churnTargets(events []model.ChurnEvent) (nodes map[model.NodeID]bool, links
 }
 
 // placementTouches reports whether d's mapping uses any of the given nodes
-// or links of base. Shared by Fleet.Affected and the sharded coordinator's
-// cross-region frontier scan.
+// or links of base.
 func placementTouches(base *model.Network, d *Deployment, nodes map[model.NodeID]bool, links map[int]bool) bool {
 	groups := model.NewMapping(d.Assignment).Groups()
 	for gi, g := range groups {
@@ -135,7 +93,7 @@ func requestOf(d *Deployment) Request {
 // capacity factors, the delay SLO holds, and the reserved rate is still
 // sustainable. Caller holds f.mu with d's reservation zeroed and loads
 // recomputed; saved is the reservation under test.
-func (f *Fleet) placementScoreLocked(d *Deployment, snap *model.Network, saved model.Reservation) (delay, rate float64, valid bool) {
+func (f *region) placementScoreLocked(d *Deployment, snap *model.Network, saved model.Reservation) (delay, rate float64, valid bool) {
 	m := model.NewMapping(d.Assignment)
 	delay = model.TotalDelay(snap, d.pipe, m, d.cost)
 	rate = model.FrameRate(model.SharedBottleneck(snap, d.pipe, m))
@@ -232,7 +190,7 @@ func (r *RepairReport) Displaced() int { return r.Migrated + len(r.Parked) }
 // re-validated live at application time, so a stale proposal can park a
 // candidate a sequential pass would have re-fit (the re-queue loop recovers
 // it) but can never corrupt capacity accounting.
-func (f *Fleet) Repair(ids []string, opt RepairOptions) RepairReport {
+func (f *region) Repair(ids []string, opt RepairOptions) RepairReport {
 	t0 := time.Now()
 	defer repairSeconds.ObserveSince(t0)
 	f.mu.Lock()
@@ -245,8 +203,8 @@ func (f *Fleet) Repair(ids []string, opt RepairOptions) RepairReport {
 }
 
 // repairLocked is the repair pass body. Caller holds f.mu inside a WAL
-// epoch.
-func (f *Fleet) repairLocked(ids []string, opt RepairOptions) RepairReport {
+// epoch (the coordinator: every lock, see ShardedFleet.Repair).
+func (f *region) repairLocked(ids []string, opt RepairOptions) RepairReport {
 	// Keep admission order and drop stale IDs, then lift higher SLO classes
 	// to the front: on a degraded network the candidates repaired first
 	// claim the surviving residual, so guaranteed deployments must re-fit
@@ -348,12 +306,7 @@ func (f *Fleet) repairLocked(ids []string, opt RepairOptions) RepairReport {
 		park := func(reason string) {
 			parked := ParkedDeployment{ID: id, Tenant: d.Tenant, Reason: reason, Req: requestOf(d)}
 			delete(f.deps, id)
-			for i, oid := range f.order {
-				if oid == id {
-					f.order = append(f.order[:i], f.order[i+1:]...)
-					break
-				}
-			}
+			f.order = removeID(f.order, id)
 			f.recomputeLocked()
 			f.parkEvicts++
 			parkEvictionsTotal.Inc()

@@ -9,7 +9,7 @@ import (
 
 // deployN admits n streaming deployments with modest demands and returns
 // them. Seeds vary per deployment so placements spread over the network.
-func deployN(t *testing.T, f *Fleet, n int) []Deployment {
+func deployN(t *testing.T, f *ShardedFleet, n int) []Deployment {
 	t.Helper()
 	out := make([]Deployment, 0, n)
 	for i := 0; i < n; i++ {
@@ -30,7 +30,7 @@ func deployN(t *testing.T, f *Fleet, n int) []Deployment {
 }
 
 // touching returns the deployments whose reservations touch node v.
-func touching(deps []Deployment, f *Fleet, v model.NodeID) map[string]bool {
+func touching(deps []Deployment, f *ShardedFleet, v model.NodeID) map[string]bool {
 	out := make(map[string]bool)
 	for _, d := range deps {
 		for _, nd := range d.Assignment {

@@ -3,11 +3,9 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"elpc/internal/engine"
@@ -16,19 +14,18 @@ import (
 	"elpc/internal/wal"
 )
 
-// This file is the sharded fleet manager: a region partition of the shared
-// network (model.PartitionNetwork over graph.PartitionK) with one
-// independently locked Fleet per region, so deployments in different
-// regions admit, release, and repair concurrently instead of serializing on
-// one global mutex. Single-region traffic never takes more than its own
-// shard's lock; cross-region traffic falls back to a coordinator that
-// two-phase-reserves the boundary links between regions.
+// This file is the fleet manager: a region partition of the shared network
+// (model.PartitionNetwork over graph.PartitionK) with one independently
+// locked region per shard, so deployments in different regions admit,
+// release, and repair concurrently instead of serializing on one global
+// mutex. Single-region traffic never takes more than its own shard's lock;
+// cross-region traffic goes to a coordinator region that two-phase-reserves
+// the boundary links between regions.
 
-// Manager is the placement-management surface shared by Fleet and
-// ShardedFleet: everything the planning service, the churn reconciler, and
-// the harness scenarios need from a multi-tenant placement engine. A plain
-// Fleet is a Manager with one global lock; a ShardedFleet is a Manager
-// whose regions make progress independently.
+// Manager is the placement-management surface of the fleet: everything the
+// planning service, the churn reconciler, and the harness scenarios need
+// from a multi-tenant placement engine. ShardedFleet implements it; New and
+// NewSharded build one.
 type Manager interface {
 	// Deploy admits one pipeline (rejections wrap ErrRejected).
 	Deploy(Request) (Deployment, error)
@@ -47,6 +44,10 @@ type Manager interface {
 	List() []Deployment
 	// Stats snapshots counters and utilization gauges.
 	Stats() Stats
+	// Shards returns the number of regions the network is partitioned into.
+	Shards() int
+	// ShardStats snapshots the per-region and coordinator gauges.
+	ShardStats() ShardedStats
 	// Rebalance runs one rebalance pass.
 	Rebalance(RebalanceOptions) Report
 	// ApplyChurn applies a transactional batch of network-mutation events.
@@ -66,6 +67,9 @@ type Manager interface {
 	// UseWAL installs the write-ahead log every mutating transition is
 	// durably recorded into before acknowledgment (nil disables logging).
 	UseWAL(*wal.Log)
+	// CaptureSnapshot captures a consistent compacted snapshot of the
+	// manager's durable state for the given log.
+	CaptureSnapshot(*wal.Log) *wal.Snapshot
 	// SLOReport re-scores every live deployment's delivered delay and rate
 	// on the current residual network against its admission SLO.
 	SLOReport() SLOReport
@@ -79,11 +83,8 @@ type Manager interface {
 	WarmSolveStats() WarmSolveStats
 }
 
-// Compile-time checks that both managers implement the shared surface.
-var (
-	_ Manager = (*Fleet)(nil)
-	_ Manager = (*ShardedFleet)(nil)
-)
+// Compile-time check that the fleet manager implements the surface.
+var _ Manager = (*ShardedFleet)(nil)
 
 // TwoPhaseAttempts is the number of propose/commit rounds a cross-region
 // deployment gets before admission control gives up: the solve runs without
@@ -92,13 +93,8 @@ var (
 // composed view.
 const TwoPhaseAttempts = 2
 
-// crossIDPrefix namespaces coordinator-owned deployment IDs ("x-d-000001");
-// shard-owned IDs carry "s<shard>-" (empty at K=1, so a one-shard fleet's
-// IDs match a plain Fleet's byte for byte).
-const crossIDPrefix = "x-"
-
 // ShardedFleet partitions the shared network into K regions and runs one
-// Fleet per region, each with its own mutex, so placements in different
+// region per shard, each with its own mutex, so placements in different
 // regions never contend. Deployments are routed by placement affinity:
 //
 //   - Src and Dst in the same region: the deployment is solved entirely
@@ -108,71 +104,62 @@ const crossIDPrefix = "x-"
 //   - Src and Dst in different regions — or a regional fallback: the
 //     coordinator solves on the composed residual view of the whole network
 //     and two-phase-reserves the result: the solve runs with no shard lock
-//     held (phase 1), then every involved shard is locked in index order and
-//     the reservation — including the cross-region boundary links no shard
-//     owns — is re-validated against the live composed view and committed
-//     atomically (phase 2), retrying the solve when a concurrent admission
-//     invalidated it.
+//     held (phase 1), then every shard is locked in index order and the
+//     regional guard-and-commit step re-validates the reservation —
+//     including the cross-region boundary links no shard owns — against the
+//     live composed view and commits it atomically (phase 2), retrying the
+//     solve when a concurrent admission invalidated it.
+//
+// The coordinator is itself a region (scope "x", IDs "x-d-…", journal actor
+// "coordinator", cold solves): it admits, repairs, parks, logs, and recovers
+// through the same code as every shard. Its one step of its own is
+// refreshing its view (refreshLocked).
 //
 // Churn events are routed to the shard owning the mutated element (boundary
 // links to the coordinator), so Repair stays incremental per shard: an event
 // inside one region never examines, locks, or re-solves another region's
 // deployments.
 //
-// A one-shard ShardedFleet is behaviorally identical to a plain Fleet —
-// same admissions, same placements, same IDs, same stats — which is the
-// invariant TestShardedK1Equivalence enforces.
+// New builds the one-shard fleet: one region holding the whole network,
+// unprefixed IDs, and a coordinator that never receives traffic.
 //
-// All methods are safe for concurrent use.
+// All methods are safe for concurrent use. Lock order is the coordinator
+// first, then the shards in index order; single-shard traffic takes exactly
+// one shard lock, so the orders can never deadlock.
 type ShardedFleet struct {
-	base   *model.Network
-	part   *model.Partition
-	shards []*Fleet
+	base *model.Network
+	part *model.Partition
+	// regions holds the K shards in index order followed by the
+	// coordinator; shards and coord slice it.
+	regions []*region
+	shards  []*region
+	coord   *region
+	// overlay is the ordered sum of the coordinator's reservations: every
+	// shard's external load and the load on the boundary links. Zero-length
+	// while the coordinator holds nothing. Guarded by every lock.
+	overlay model.Reservation
+}
 
-	// Coordinator state: cross-region deployments and the boundary-link
-	// capacity view. cmu serializes coordinator operations; operations that
-	// also touch shard state additionally lock every shard (always in index
-	// order, after cmu — single-shard traffic takes only its shard's lock,
-	// so the two orders can never deadlock).
-	cmu        sync.Mutex
-	cres       *model.ResidualNetwork // boundary-link churn factors (loads unused)
-	crossDeps  map[string]*Deployment
-	crossOrder []string
-	crossSum   model.Reservation // sum of cross-region reservations, overlaid on every shard
-	crossSeq   uint64
-
-	crossSolves   atomic.Uint64
-	crossAdmitted uint64
-	crossRejected uint64
-	crossReleased uint64
-	crossRepaired uint64
-	crossMoves    uint64
-	crossParks    uint64
-	// fallbacks counts single-region rejections retried through the
-	// coordinator; tpcRetries counts phase-2 validation failures that forced
-	// a re-solve; tpcAborts counts admissions abandoned after exhausting
-	// every two-phase round (the health engine's abort-rate signal).
-	fallbacks  uint64
-	tpcRetries uint64
-	tpcAborts  uint64
-
-	// jr receives coordinator-path events (2PC phases, cross-region repair
-	// outcomes); shard-path events are recorded by the shards themselves.
-	jr *journal.Journal
-	// wal durably logs coordinator epochs (scope "x") and whole-fleet churn
-	// batches; shard epochs are logged by the shards themselves. ctxn and
-	// ctxnPre are the coordinator's in-flight record and its counter state
-	// at epoch start (see wal.go).
-	wal     *wal.Log
-	ctxn    *wal.Record
-	ctxnPre wal.Counters
+// New builds the fleet manager over the shared base network with one shard:
+// a single region solves on the whole network.
+func New(base *model.Network) (*ShardedFleet, error) {
+	if base == nil {
+		return nil, fmt.Errorf("fleet: nil network")
+	}
+	part, err := model.NewPartitionFromAssignment(base, 1, make([]int, base.N()))
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
+	return NewShardedWithPartition(base, part)
 }
 
 // NewSharded partitions base into the given number of regions (via
 // model.PartitionNetwork) and builds a ShardedFleet over them. shards must
-// be in [1, base.N()]; one shard yields a fleet behaviorally identical to
-// New(base).
+// be at most base.N(); a count of one or less is New(base).
 func NewSharded(base *model.Network, shards int) (*ShardedFleet, error) {
+	if shards <= 1 {
+		return New(base)
+	}
 	if base == nil {
 		return nil, fmt.Errorf("fleet: nil network")
 	}
@@ -193,24 +180,22 @@ func NewShardedWithPartition(base *model.Network, part *model.Partition) (*Shard
 	if part == nil || part.K < 1 || len(part.PartOf) != base.N() || len(part.LinkOwner) != base.M() {
 		return nil, fmt.Errorf("fleet: partition does not match network shape")
 	}
-	s := &ShardedFleet{
-		base:      base,
-		part:      part,
-		cres:      model.NewResidualNetwork(base),
-		crossDeps: make(map[string]*Deployment),
-		crossSum:  emptyReservation(base),
-	}
+	s := &ShardedFleet{base: base, part: part}
 	for r := 0; r < part.K; r++ {
-		f, err := New(base)
-		if err != nil {
-			return nil, err
-		}
+		scope, view := "", (*model.RegionView)(nil)
 		if part.K > 1 {
-			f.idPrefix = fmt.Sprintf("s%d-", r)
-			f.region = part.View(base, r)
+			scope, view = fmt.Sprintf("s%d", r), part.View(base, r)
 		}
-		s.shards = append(s.shards, f)
+		f := newRegion(base, scope)
+		f.view = view
+		s.regions = append(s.regions, f)
 	}
+	coord := newRegion(base, wal.ScopeCross)
+	coord.actor = journal.ActorCoordinator
+	coord.warmOff = true // cold solves, see SetWarmStart
+	coord.refresh = s.refreshLocked
+	s.regions = append(s.regions, coord)
+	s.shards, s.coord = s.regions[:part.K], coord
 	return s, nil
 }
 
@@ -223,44 +208,26 @@ func (s *ShardedFleet) Partition() *model.Partition { return s.part }
 // Shards returns the number of regions.
 func (s *ShardedFleet) Shards() int { return s.part.K }
 
-// UsePool installs the engine pool on every shard (see Fleet.UsePool).
+// UsePool installs the engine pool on every region (see
+// RebalanceOptions.Workers).
 func (s *ShardedFleet) UsePool(p *engine.Pool) {
-	for _, sh := range s.shards {
-		sh.UsePool(p)
+	for _, f := range s.regions {
+		f.UsePool(p)
 	}
 }
 
-// UseJournal installs the event journal on every shard and the coordinator.
+// UseJournal installs the event journal on every region.
 func (s *ShardedFleet) UseJournal(j *journal.Journal) {
-	for _, sh := range s.shards {
-		sh.UseJournal(j)
+	for _, f := range s.regions {
+		f.UseJournal(j)
 	}
-	s.cmu.Lock()
-	s.jr = j
-	s.cmu.Unlock()
 }
 
-// recordCross appends one coordinator event to the installed journal
-// (shard label "x", matching the crossIDPrefix namespace). Caller holds cmu.
-func (s *ShardedFleet) recordCross(ev journal.Event) {
-	if s.jr == nil {
-		return
-	}
-	if ev.Actor == "" {
-		ev.Actor = journal.ActorCoordinator
-	}
-	if ev.Shard == "" {
-		ev.Shard = "x"
-	}
-	s.jr.Append(ev)
-}
-
-// SolveCount returns the objective solves run across all shards and the
-// coordinator.
+// SolveCount returns the objective solves run across all regions.
 func (s *ShardedFleet) SolveCount() uint64 {
-	n := s.crossSolves.Load()
-	for _, sh := range s.shards {
-		n += sh.SolveCount()
+	var n uint64
+	for _, f := range s.regions {
+		n += f.SolveCount()
 	}
 	return n
 }
@@ -275,11 +242,11 @@ func (s *ShardedFleet) SetWarmStart(on bool) {
 	}
 }
 
-// WarmSolveStats sums the warm-start outcome counters across shards.
+// WarmSolveStats sums the warm-start outcome counters across regions.
 func (s *ShardedFleet) WarmSolveStats() WarmSolveStats {
 	var w WarmSolveStats
-	for _, sh := range s.shards {
-		ws := sh.WarmSolveStats()
+	for _, f := range s.regions {
+		ws := f.WarmSolveStats()
 		w.Rebuilds += ws.Rebuilds
 		w.Partials += ws.Partials
 		w.Hits += ws.Hits
@@ -289,10 +256,8 @@ func (s *ShardedFleet) WarmSolveStats() WarmSolveStats {
 }
 
 // lockShards acquires every shard's mutex in index order; unlockShards
-// releases them. Coordinator paths always lock cmu first, then shards in
-// this fixed order, so they cannot deadlock with each other or with
-// single-shard operations (which take exactly one shard mutex and nothing
-// else).
+// releases them. Coordinator paths always lock the coordinator first, then
+// shards in this fixed order (lockAll).
 func (s *ShardedFleet) lockShards() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -303,6 +268,31 @@ func (s *ShardedFleet) unlockShards() {
 	for _, sh := range s.shards {
 		sh.mu.Unlock()
 	}
+}
+
+// lockAll acquires the coordinator's mutex and then every shard's;
+// unlockAll releases them.
+func (s *ShardedFleet) lockAll() {
+	s.coord.mu.Lock()
+	s.lockShards()
+}
+
+func (s *ShardedFleet) unlockAll() {
+	s.unlockShards()
+	s.coord.mu.Unlock()
+}
+
+// coordEpoch runs body as one coordinator WAL epoch under every lock: the
+// coordinator's reservations are overlaid on every shard, so changing them
+// rewrites every shard's load.
+func (s *ShardedFleet) coordEpoch(kind wal.Kind, body func(x *region)) {
+	x := s.coord
+	s.lockAll()
+	x.beginTxnLocked(kind)
+	body(x)
+	commit := x.endTxnLocked()
+	s.unlockAll()
+	commit()
 }
 
 // shardOfID parses the owning shard index from a deployment ID ("s3-d-…"),
@@ -322,16 +312,57 @@ func shardOfID(id string) int {
 	return n
 }
 
-// composedLocked assembles the residual view of the whole network from the
-// shards' views and the coordinator's boundary ledger: every node and
-// internal link reads its owning shard's load and churn factor (shard loads
-// already include the cross-region overlay, so nothing is counted twice);
-// boundary links read the coordinator's churn factor and the summed
-// cross-region load. Caller holds every shard lock and cmu.
-func (s *ShardedFleet) composedLocked() *model.ResidualNetwork {
-	comp := model.NewResidualNetwork(s.base)
-	nodeCap := make([]float64, s.base.N())
-	linkCap := make([]float64, s.base.M())
+// regionOf resolves a deployment ID by its namespace to the index of the
+// owning region in s.regions: the coordinator for "x-" IDs, shard i for
+// "s<i>-" IDs, the only shard of a one-shard fleet for every other ID; -1
+// when no region owns the namespace.
+func (s *ShardedFleet) regionOf(id string) int {
+	switch {
+	case strings.HasPrefix(id, s.coord.idPrefix):
+		return s.part.K
+	case s.part.K == 1:
+		return 0
+	}
+	if r := shardOfID(id); r >= 0 && r < s.part.K {
+		return r
+	}
+	return -1
+}
+
+// refreshLocked is the coordinator's recompute — its one step of its own:
+// push the ordered sum of its reservations onto every shard as their
+// external overlay, then compose its view. Caller holds every lock.
+func (s *ShardedFleet) refreshLocked() {
+	x := s.coord
+	s.overlay = model.Reservation{}
+	if len(x.order) > 0 {
+		s.overlay = emptyReservation(s.base)
+		for _, id := range x.order {
+			res := x.deps[id].reservation
+			for i, f := range res.NodeFrac {
+				s.overlay.NodeFrac[i] += f
+			}
+			for i, f := range res.LinkFrac {
+				s.overlay.LinkFrac[i] += f
+			}
+		}
+	}
+	for _, sh := range s.shards {
+		sh.external = s.overlay
+		sh.recomputeLocked()
+	}
+	s.composeLocked()
+}
+
+// composeLocked rebuilds the coordinator's residual as the view of the whole
+// network: every node and internal link reads its owning shard's churn
+// factor and load (shard loads already carry the overlay, so nothing is
+// counted twice); boundary links keep the coordinator's own churn factors —
+// the boundary-link ledger — and carry the overlay's load. Caller holds
+// every lock.
+func (s *ShardedFleet) composeLocked() {
+	x := s.coord
+	nodeCap, linkCap := x.residual.CapacityFactors()
 	load := emptyReservation(s.base)
 	for v := range nodeCap {
 		sh := s.shards[s.part.PartOf[v]]
@@ -342,42 +373,15 @@ func (s *ShardedFleet) composedLocked() *model.ResidualNetwork {
 		if owner := s.part.LinkOwner[l]; owner != model.BoundaryOwner {
 			linkCap[l] = s.shards[owner].residual.LinkCapacity(l)
 			load.LinkFrac[l] = s.shards[owner].residual.LinkLoad(l)
-		} else {
-			linkCap[l] = s.cres.LinkCapacity(l)
-			load.LinkFrac[l] = s.crossSum.LinkFrac[l]
+		} else if len(s.overlay.LinkFrac) > 0 {
+			load.LinkFrac[l] = s.overlay.LinkFrac[l]
 		}
 	}
-	if err := comp.SetCapacityFactors(nodeCap, linkCap); err != nil {
+	if err := x.residual.SetCapacityFactors(nodeCap, linkCap); err != nil {
 		panic(fmt.Sprintf("fleet: composed factors: %v", err)) // shapes match by construction
 	}
-	if err := comp.SetLoad([]model.Reservation{load}); err != nil {
+	if err := x.residual.SetLoad([]model.Reservation{load}); err != nil {
 		panic(fmt.Sprintf("fleet: composed load: %v", err))
-	}
-	return comp
-}
-
-// rebuildCrossLocked recomputes the cross-region reservation overlay as the
-// ordered sum of coordinator deployments (excluding the given ID, if any)
-// and pushes it onto every shard, whose loads are then recomputed. Caller
-// holds every shard lock and cmu.
-func (s *ShardedFleet) rebuildCrossLocked(exclude string) {
-	sum := emptyReservation(s.base)
-	for _, id := range s.crossOrder {
-		if id == exclude {
-			continue
-		}
-		res := s.crossDeps[id].reservation
-		for i, f := range res.NodeFrac {
-			sum.NodeFrac[i] += f
-		}
-		for i, f := range res.LinkFrac {
-			sum.LinkFrac[i] += f
-		}
-	}
-	s.crossSum = sum
-	for _, sh := range s.shards {
-		sh.external = sum
-		sh.recomputeLocked()
 	}
 }
 
@@ -490,23 +494,13 @@ func (s *ShardedFleet) TakePreempted() []ParkedDeployment {
 	return out
 }
 
-// rejectCross records and wraps a coordinator admission failure, journaling
-// the rejection with the requesting tenant. Caller holds cmu.
-func (s *ShardedFleet) rejectCross(req Request, format string, args ...any) error {
-	s.crossRejected++
-	rejectedTotal.Inc()
-	reason := fmt.Sprintf(format, args...)
-	s.recordCross(journal.Event{Kind: journal.DeployRejected, Tenant: req.Tenant, Detail: reason})
-	return fmt.Errorf("fleet: %w: %s", ErrRejected, reason)
-}
-
-// deployCross is the coordinator path: solve on the composed residual view
-// of the whole network with no shard lock held (phase 1), then lock every
-// shard and two-phase-reserve — re-validate the proposal against the live
-// composed view, including the boundary links between regions, and commit
-// the reservation atomically (phase 2). A proposal invalidated by a
-// concurrent single-shard admission is re-solved up to TwoPhaseAttempts
-// times.
+// deployCross is the coordinator path, one coordinator WAL epoch: solve on
+// the composed residual view of the whole network with no shard lock held
+// (phase 1), then lock every shard and run the regional guard-and-commit
+// step against the live composed view, boundary links included (phase 2).
+// Only an overcommit — a concurrent single-shard admission consumed the
+// capacity the proposal was solved against — is retried, up to
+// TwoPhaseAttempts rounds.
 func (s *ShardedFleet) deployCross(req Request, fallback bool) (Deployment, error) {
 	t0 := time.Now()
 	defer deploySeconds.ObserveSince(t0)
@@ -514,172 +508,98 @@ func (s *ShardedFleet) deployCross(req Request, fallback bool) (Deployment, erro
 	if req.Cost != nil {
 		cost = *req.Cost
 	}
-	s.cmu.Lock()
-	s.beginCrossTxnLocked(wal.KindDeploy)
-	d, err := s.deployCrossLocked(req, fallback, cost)
-	commit := s.endCrossTxnLocked()
-	s.cmu.Unlock()
+	req.warm = nil // coordinator solves run cold (see SetWarmStart)
+	x := s.coord
+	x.mu.Lock()
+	x.beginTxnLocked(wal.KindDeploy)
+	d, err := s.twoPhaseLocked(req, fallback, cost)
+	commit := x.endTxnLocked()
+	x.mu.Unlock()
 	commit()
 	return d, err
 }
 
-// deployCrossLocked is the two-phase admission body. Caller holds s.cmu
-// inside a coordinator WAL epoch.
-func (s *ShardedFleet) deployCrossLocked(req Request, fallback bool, cost model.CostOptions) (Deployment, error) {
+// twoPhaseLocked is the two-phase admission body. Caller holds the
+// coordinator's mutex inside its WAL epoch.
+func (s *ShardedFleet) twoPhaseLocked(req Request, fallback bool, cost model.CostOptions) (Deployment, error) {
+	x := s.coord
 	if fallback {
-		s.fallbacks++
+		x.fallbacks++
 		tpcFallbacksTotal.Inc()
 	}
-
-	for attempt := 0; attempt < TwoPhaseAttempts; attempt++ {
+	for round := 1; round <= TwoPhaseAttempts; round++ {
 		// Phase 1 — propose: compose the current view (briefly locking the
 		// shards), then solve with no shard lock held, so regional traffic
-		// keeps flowing underneath the expensive solve.
+		// keeps flowing underneath the expensive solve. The composed view
+		// stays put meanwhile: only coordinator paths write it.
 		s.lockShards()
-		comp := s.composedLocked()
+		s.composeLocked()
 		s.unlockShards()
-		s.crossSolves.Add(1)
-		m, _, _, err := solve(comp.Snapshot(), req, cost, nil)
+		m, _, _, err := x.solveCounted(x.residual, req, cost, nil)
 		if err != nil {
 			if errors.Is(err, model.ErrInfeasible) {
-				return Deployment{}, s.rejectCross(req, "no feasible mapping on composed residual network: %v", err)
+				return Deployment{}, x.reject(req, "no feasible mapping on residual network: %v", err)
 			}
 			return Deployment{}, err
 		}
-		s.recordCross(journal.Event{
+		x.record(journal.Event{
 			Kind: journal.TwoPhaseReserve, Tenant: req.Tenant,
-			Detail:  fmt.Sprintf("round %d/%d proposed", attempt+1, TwoPhaseAttempts),
+			Detail:  fmt.Sprintf("round %d/%d proposed", round, TwoPhaseAttempts),
 			Mapping: m.String(),
 		})
 
 		// Phase 2 — reserve: under every shard lock, re-score the proposed
-		// mapping on the live composed view, re-run every admission guard,
-		// and commit node, internal-link, and boundary-link capacity in one
-		// atomic step.
+		// mapping on the live composed view and run the regional
+		// guard-and-commit step, which commits node, internal-link, and
+		// boundary-link capacity in one atomic step.
 		s.lockShards()
-		live := s.composedLocked()
-		snap := live.Snapshot()
-		down := -1
-		for _, v := range m.Assign {
-			if live.NodeIsDown(v) {
-				down = int(v)
-				break
-			}
-		}
-		if down >= 0 {
-			s.unlockShards()
-			return Deployment{}, s.rejectCross(req, "no feasible placement: node v%d is down", down)
-		}
-		delay := model.TotalDelay(snap, req.Pipeline, m, cost)
-		rate := model.FrameRate(model.SharedBottleneck(snap, req.Pipeline, m))
-		if req.SLO.MaxDelayMs > 0 && delay > req.SLO.MaxDelayMs {
-			s.unlockShards()
-			return Deployment{}, s.rejectCross(req, "delay %.3f ms exceeds SLO %.3f ms", delay, req.SLO.MaxDelayMs)
-		}
-		reserved := admissionRate(req, rate)
-		if rate < reserved || math.IsInf(delay, 1) {
-			s.unlockShards()
-			return Deployment{}, s.rejectCross(req, "sustainable rate %.3f fps below demand %.3f fps", rate, reserved)
-		}
-		res, err := model.MappingReservation(s.base, req.Pipeline, m, reserved)
-		if err != nil {
-			s.unlockShards()
+		s.composeLocked()
+		live := x.residual.Snapshot()
+		delay := model.TotalDelay(live, req.Pipeline, m, cost)
+		rate := model.FrameRate(model.SharedBottleneck(live, req.Pipeline, m))
+		d, reason, overcommit, err := x.admitLocked(req, cost, m, delay, rate, nil)
+		s.unlockShards()
+		switch {
+		case err != nil:
 			return Deployment{}, err
-		}
-		if !live.Fits(res) {
-			// A concurrent regional admission consumed the capacity the
-			// proposal was solved against; re-solve against the fresher view.
-			s.unlockShards()
-			s.tpcRetries++
+		case overcommit:
+			x.tpcRetries++
 			tpcRetriesTotal.Inc()
-			s.recordCross(journal.Event{
+			x.record(journal.Event{
 				Kind: journal.TwoPhaseValidate, Tenant: req.Tenant,
-				Detail: fmt.Sprintf("round %d/%d: reservation no longer fits the live composed view", attempt+1, TwoPhaseAttempts),
+				Detail: fmt.Sprintf("round %d/%d: reservation no longer fits the live composed view", round, TwoPhaseAttempts),
 			})
 			continue
+		case reason != "":
+			return Deployment{}, x.reject(req, "%s", reason)
 		}
-		s.crossSeq++
-		d := &Deployment{
-			ID:          fmt.Sprintf("%sd-%06d", crossIDPrefix, s.crossSeq),
-			Tenant:      req.Tenant,
-			Objective:   req.Objective,
-			Assignment:  m.Assign,
-			Mapping:     m.String(),
-			DelayMs:     delay,
-			RateFPS:     rate,
-			ReservedFPS: reserved,
-			SLO:         req.SLO,
-			Seq:         s.crossSeq,
-			pipe:        req.Pipeline,
-			cost:        cost,
-			src:         req.Src,
-			dst:         req.Dst,
-			reservation: res,
-		}
-		s.crossDeps[d.ID] = d
-		s.crossOrder = append(s.crossOrder, d.ID)
-		s.rebuildCrossLocked("")
-		s.unlockShards()
-		s.crossAdmitted++
-		admittedTotal.Inc()
-		s.ctxnDeploy(d)
-		s.recordCross(journal.Event{
+		x.record(journal.Event{
 			Kind: journal.TwoPhaseCommit, Deployment: d.ID, Tenant: d.Tenant,
-			Detail: fmt.Sprintf("round %d/%d committed", attempt+1, TwoPhaseAttempts),
+			Detail: fmt.Sprintf("round %d/%d committed", round, TwoPhaseAttempts),
 		})
-		s.recordCross(journal.Event{
-			Kind: journal.DeployAdmitted, Deployment: d.ID, Tenant: d.Tenant,
-			Detail:  fmt.Sprintf("cross-region, reserved %.3f fps", reserved),
-			Mapping: d.Mapping, DelayMs: delay, RateFPS: rate,
-		})
-		return d.clone(), nil
+		return d, nil
 	}
-	s.tpcAborts++
+	x.tpcAborts++
 	tpcAbortsTotal.Inc()
-	s.recordCross(journal.Event{
+	x.record(journal.Event{
 		Kind: journal.TwoPhaseAbort, Tenant: req.Tenant,
 		Detail: fmt.Sprintf("%d two-phase rounds exhausted", TwoPhaseAttempts),
 	})
-	return Deployment{}, s.rejectCross(req, "cross-region reservation lost %d two-phase rounds to concurrent admissions", TwoPhaseAttempts)
+	return Deployment{}, x.reject(req, "cross-region reservation lost %d two-phase rounds to concurrent admissions", TwoPhaseAttempts)
 }
 
 // Release returns a deployment's capacity to the fleet, routed to the
-// owning shard or the coordinator by the ID's namespace.
+// owning region by the ID's namespace.
 func (s *ShardedFleet) Release(id string) error {
-	if s.part.K == 1 {
-		return s.shards[0].Release(id)
-	}
-	if strings.HasPrefix(id, crossIDPrefix) {
-		s.cmu.Lock()
-		s.beginCrossTxnLocked(wal.KindRelease)
-		err := s.releaseCrossLocked(id)
-		commit := s.endCrossTxnLocked()
-		s.cmu.Unlock()
-		commit()
-		return err
-	}
-	if r := shardOfID(id); r >= 0 && r < len(s.shards) {
+	switch r := s.regionOf(id); {
+	case r < 0:
+		return fmt.Errorf("fleet: %w: %q", ErrNotFound, id)
+	case r < s.part.K:
 		return s.shards[r].Release(id)
 	}
-	return fmt.Errorf("fleet: %w: %q", ErrNotFound, id)
-}
-
-// releaseCrossLocked removes a coordinator deployment and rebuilds the
-// cross-region overlay. Caller holds s.cmu inside a coordinator WAL epoch.
-func (s *ShardedFleet) releaseCrossLocked(id string) error {
-	d, ok := s.crossDeps[id]
-	if !ok {
-		return fmt.Errorf("fleet: %w: %q", ErrNotFound, id)
-	}
-	s.lockShards()
-	delete(s.crossDeps, id)
-	s.crossOrder = removeID(s.crossOrder, id)
-	s.rebuildCrossLocked("")
-	s.unlockShards()
-	s.crossReleased++
-	s.recordCross(journal.Event{Kind: journal.ReleaseDone, Deployment: id, Tenant: d.Tenant})
-	s.ctxnRemove(id)
-	return nil
+	var err error
+	s.coordEpoch(wal.KindRelease, func(x *region) { err = x.releaseLocked(id) })
+	return err
 }
 
 // removeID deletes the first occurrence of id, preserving order.
@@ -694,20 +614,8 @@ func removeID(order []string, id string) []string {
 
 // Describe returns a copy of one deployment.
 func (s *ShardedFleet) Describe(id string) (Deployment, bool) {
-	if s.part.K == 1 {
-		return s.shards[0].Describe(id)
-	}
-	if strings.HasPrefix(id, crossIDPrefix) {
-		s.cmu.Lock()
-		defer s.cmu.Unlock()
-		d, ok := s.crossDeps[id]
-		if !ok {
-			return Deployment{}, false
-		}
-		return d.clone(), true
-	}
-	if r := shardOfID(id); r >= 0 && r < len(s.shards) {
-		return s.shards[r].Describe(id)
+	if r := s.regionOf(id); r >= 0 {
+		return s.regions[r].Describe(id)
 	}
 	return Deployment{}, false
 }
@@ -716,103 +624,32 @@ func (s *ShardedFleet) Describe(id string) (Deployment, bool) {
 // then shard 1's, and so on, with coordinator (cross-region) deployments
 // last.
 func (s *ShardedFleet) List() []Deployment {
-	var out []Deployment
-	for _, sh := range s.shards {
-		out = append(out, sh.List()...)
-	}
-	if s.part.K > 1 {
-		s.cmu.Lock()
-		for _, id := range s.crossOrder {
-			out = append(out, s.crossDeps[id].clone())
-		}
-		s.cmu.Unlock()
+	out := s.regions[0].List()
+	for _, f := range s.regions[1:] {
+		out = append(out, f.List()...)
 	}
 	return out
 }
 
-// Stats merges counters across shards and the coordinator and gauges
-// utilization on the composed view. Admitted/Rejected count request
-// outcomes: a regional rejection that the coordinator fallback then admits
-// contributes one admission and no rejection (the fallback counter
-// reconciles the per-shard tallies, which ShardStats exposes raw).
+// Stats merges counters across regions and gauges utilization on the
+// composed view. Admitted/Rejected count request outcomes: a regional
+// rejection that the coordinator fallback then admits contributes one
+// admission and no rejection (the fallback counter reconciles the per-shard
+// tallies, which ShardStats exposes raw).
 func (s *ShardedFleet) Stats() Stats {
-	if s.part.K == 1 {
-		return s.shards[0].Stats()
-	}
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	s.lockShards()
-	defer s.unlockShards()
-
-	st := Stats{
-		Admitted:      s.crossAdmitted,
-		Rejected:      s.crossRejected,
-		Released:      s.crossReleased,
-		Repaired:      s.crossRepaired,
-		RepairMoves:   s.crossMoves,
-		ParkEvictions: s.crossParks,
-		SolverCalls:   s.crossSolves.Load(),
-		Deployments:   len(s.crossDeps),
-	}
-	tally := func(d *Deployment) {
-		st.ReservedFPS += d.ReservedFPS
-		switch d.SLO.Class.Canon() {
-		case ClassGuaranteed:
-			st.GuaranteedActive++
-		case ClassBestEffort:
-			st.BestEffortActive++
-		default:
-			st.StandardActive++
-		}
-	}
-	for _, id := range s.crossOrder {
-		tally(s.crossDeps[id])
-	}
+	s.lockAll()
+	defer s.unlockAll()
+	var st Stats
+	s.coord.addStatsLocked(&st)
 	for _, sh := range s.shards {
-		st.Deployments += len(sh.deps)
-		st.Admitted += sh.admitted
-		st.Rejected += sh.rejected
-		st.Released += sh.released
-		st.Moves += sh.moves
-		st.Repaired += sh.repaired
-		st.RepairMoves += sh.repairMoves
-		st.ParkEvictions += sh.parkEvicts
-		st.Preemptions += sh.preempts
-		st.SolverCalls += sh.solves.Load()
-		for _, id := range sh.order {
-			tally(sh.deps[id])
-		}
+		sh.addStatsLocked(&st)
 	}
 	// Every fallback begins with a regional rejection that is not a request
 	// outcome — the request went on to the coordinator, which recorded its
 	// own admission or rejection.
-	st.Rejected -= s.fallbacks
-
-	for v := 0; v < s.base.N(); v++ {
-		u := s.shards[s.part.PartOf[v]].residual.NodeLoad(model.NodeID(v))
-		st.MeanNodeUtil += u
-		if u > st.MaxNodeUtil {
-			st.MaxNodeUtil = u
-		}
-	}
-	if n := s.base.N(); n > 0 {
-		st.MeanNodeUtil /= float64(n)
-	}
-	for l := 0; l < s.base.M(); l++ {
-		var u float64
-		if owner := s.part.LinkOwner[l]; owner != model.BoundaryOwner {
-			u = s.shards[owner].residual.LinkLoad(l)
-		} else {
-			u = s.crossSum.LinkFrac[l]
-		}
-		st.MeanLinkUtil += u
-		if u > st.MaxLinkUtil {
-			st.MaxLinkUtil = u
-		}
-	}
-	if m := s.base.M(); m > 0 {
-		st.MeanLinkUtil /= float64(m)
-	}
+	st.Rejected -= s.coord.fallbacks
+	s.composeLocked()
+	st.setUtilization(s.coord.residual)
 	return st
 }
 
@@ -868,21 +705,20 @@ type ShardedStats struct {
 
 // ShardStats snapshots the per-region and coordinator gauges.
 func (s *ShardedFleet) ShardStats() ShardedStats {
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	s.lockShards()
-	defer s.unlockShards()
+	s.lockAll()
+	defer s.unlockAll()
+	x := s.coord
 	out := ShardedStats{
 		Coordinator: CoordinatorStats{
 			BoundaryLinks:   len(s.part.Boundary),
-			Deployments:     len(s.crossDeps),
-			Admitted:        s.crossAdmitted,
-			Rejected:        s.crossRejected,
-			Released:        s.crossReleased,
-			Fallbacks:       s.fallbacks,
-			TwoPhaseRetries: s.tpcRetries,
-			TwoPhaseAborts:  s.tpcAborts,
-			SolverCalls:     s.crossSolves.Load(),
+			Deployments:     len(x.deps),
+			Admitted:        x.admitted,
+			Rejected:        x.rejected,
+			Released:        x.released,
+			Fallbacks:       x.fallbacks,
+			TwoPhaseRetries: x.tpcRetries,
+			TwoPhaseAborts:  x.tpcAborts,
+			SolverCalls:     x.solves.Load(),
 		},
 	}
 	for r, sh := range s.shards {
@@ -914,42 +750,45 @@ func (s *ShardedFleet) ShardStats() ShardedStats {
 	return out
 }
 
+// composed runs read on the freshly composed view of the whole network
+// under every lock.
+func (s *ShardedFleet) composed(read func(*model.ResidualNetwork)) {
+	s.lockAll()
+	defer s.unlockAll()
+	s.composeLocked()
+	read(s.coord.residual)
+}
+
 // Utilization returns the outstanding load fraction per node and per link
 // on the composed view (indices match the base network).
 func (s *ShardedFleet) Utilization() (node, link []float64) {
-	if s.part.K == 1 {
-		return s.shards[0].Utilization()
-	}
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	s.lockShards()
-	defer s.unlockShards()
-	node = make([]float64, s.base.N())
-	for v := range node {
-		node[v] = s.shards[s.part.PartOf[v]].residual.NodeLoad(model.NodeID(v))
-	}
-	link = make([]float64, s.base.M())
-	for l := range link {
-		if owner := s.part.LinkOwner[l]; owner != model.BoundaryOwner {
-			link[l] = s.shards[owner].residual.LinkLoad(l)
-		} else {
-			link[l] = s.crossSum.LinkFrac[l]
+	s.composed(func(rn *model.ResidualNetwork) {
+		node = make([]float64, s.base.N())
+		for v := range node {
+			node[v] = rn.NodeLoad(model.NodeID(v))
 		}
-	}
+		link = make([]float64, s.base.M())
+		for l := range link {
+			link[l] = rn.LinkLoad(l)
+		}
+	})
+	return node, link
+}
+
+// Capacity returns the churn capacity factor per node and per link on the
+// composed view (copies; 1 = nominal, 0 = down; indices match the base
+// network).
+func (s *ShardedFleet) Capacity() (node, link []float64) {
+	s.composed(func(rn *model.ResidualNetwork) { node, link = rn.CapacityFactors() })
 	return node, link
 }
 
 // Snapshot materializes the composed residual network (all shards' loads
 // and churn factors plus the boundary ledger) as a standalone Network.
 func (s *ShardedFleet) Snapshot() *model.Network {
-	if s.part.K == 1 {
-		return s.shards[0].Snapshot()
-	}
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	s.lockShards()
-	defer s.unlockShards()
-	return s.composedLocked().Snapshot()
+	var snap *model.Network
+	s.composed(func(rn *model.ResidualNetwork) { snap = rn.Snapshot() })
+	return snap
 }
 
 // Rebalance runs one rebalance pass per shard (the options apply to each
@@ -976,9 +815,9 @@ func (s *ShardedFleet) Rebalance(opt RebalanceOptions) Report {
 }
 
 // splitChurn routes each event to the shard owning its target element;
-// boundary-link events go to the coordinator (index -1). Events naming
-// out-of-range targets are routed to shard 0, whose transactional
-// validation produces the canonical unknown-target error.
+// boundary-link events go to the coordinator. Events naming out-of-range
+// targets are routed to shard 0, whose transactional validation produces
+// the canonical unknown-target error.
 func (s *ShardedFleet) splitChurn(events []model.ChurnEvent) (perShard [][]model.ChurnEvent, boundary []model.ChurnEvent) {
 	perShard = make([][]model.ChurnEvent, s.part.K)
 	for _, ev := range events {
@@ -1005,15 +844,13 @@ func (s *ShardedFleet) splitChurn(events []model.ChurnEvent) (perShard [][]model
 // messages refer to the owning region's sub-batch.
 func (s *ShardedFleet) ApplyChurn(events []model.ChurnEvent) error {
 	perShard, boundary := s.splitChurn(events)
-	s.cmu.Lock()
-	s.lockShards()
+	s.lockAll()
 	err := s.applyChurnLocked(perShard, boundary)
 	var commit func()
 	if err == nil {
 		commit = s.walChurnLocked(events)
 	}
-	s.unlockShards()
-	s.cmu.Unlock()
+	s.unlockAll()
 	if commit != nil {
 		commit()
 	}
@@ -1021,29 +858,30 @@ func (s *ShardedFleet) ApplyChurn(events []model.ChurnEvent) error {
 }
 
 // applyChurnLocked validates and commits the split churn batch. Caller
-// holds s.cmu and every shard lock.
+// holds every lock.
 func (s *ShardedFleet) applyChurnLocked(perShard [][]model.ChurnEvent, boundary []model.ChurnEvent) error {
-	// Validate every sub-batch on clones, then commit the clones' factors —
-	// the commit step cannot fail, which is what makes the cross-shard batch
-	// atomic.
-	clones := make([]*model.ResidualNetwork, s.part.K)
-	for r, sub := range perShard {
-		clones[r] = s.shards[r].residual.CloneEmpty()
+	// Validate every non-empty sub-batch on a clone, then commit the clones'
+	// factors — the commit step cannot fail, which is what makes the
+	// cross-shard batch atomic. Boundary events validate and commit on the
+	// coordinator, whose own boundary-link factors are the ledger.
+	subs := append(perShard, boundary)
+	clones := make([]*model.ResidualNetwork, len(s.regions))
+	for r, sub := range subs {
+		if len(sub) == 0 {
+			continue
+		}
+		clones[r] = s.regions[r].residual.CloneEmpty()
 		if err := clones[r].ApplyChurn(sub); err != nil {
 			return err
 		}
 	}
-	bclone := s.cres.CloneEmpty()
-	if err := bclone.ApplyChurn(boundary); err != nil {
-		return err
-	}
-	for r := range s.shards {
-		if err := s.shards[r].residual.SetCapacityFactors(clones[r].CapacityFactors()); err != nil {
+	for r, c := range clones {
+		if c == nil {
+			continue
+		}
+		if err := s.regions[r].residual.SetCapacityFactors(c.CapacityFactors()); err != nil {
 			panic(fmt.Sprintf("fleet: churn commit: %v", err)) // clone factors are valid by construction
 		}
-	}
-	if err := s.cres.SetCapacityFactors(bclone.CapacityFactors()); err != nil {
-		panic(fmt.Sprintf("fleet: boundary churn commit: %v", err))
 	}
 	return nil
 }
@@ -1055,209 +893,45 @@ func (s *ShardedFleet) applyChurnLocked(perShard [][]model.ChurnEvent, boundary 
 // boundary links between them.
 func (s *ShardedFleet) Affected(events []model.ChurnEvent) []string {
 	var out []string
-	for _, sh := range s.shards {
-		out = append(out, sh.Affected(events)...)
-	}
-	if s.part.K > 1 {
-		nodes, links := churnTargets(events)
-		s.cmu.Lock()
-		for _, id := range s.crossOrder {
-			if placementTouches(s.base, s.crossDeps[id], nodes, links) {
-				out = append(out, id)
-			}
-		}
-		s.cmu.Unlock()
+	for _, f := range s.regions {
+		out = append(out, f.Affected(events)...)
 	}
 	return out
 }
 
 // Repair routes each ID to its owning shard's incremental Repair pass —
-// regions repair independently, holding only their own lock — and repairs
-// coordinator-owned deployments against the composed view. Unknown IDs are
-// skipped. The merged report lists shard outcomes first, coordinator
-// outcomes last.
+// regions repair independently, holding only their own lock — and runs the
+// same pass over coordinator-owned deployments against the composed view,
+// under every lock (cross-region repair is the rare, global tail of a churn
+// cycle) and sequentially. Unknown IDs are skipped. The merged report lists
+// shard outcomes first, coordinator outcomes last.
 func (s *ShardedFleet) Repair(ids []string, opt RepairOptions) RepairReport {
 	if s.part.K == 1 {
 		return s.shards[0].Repair(ids, opt)
 	}
-	perShard := make([][]string, s.part.K)
-	var cross []string
+	perRegion := make([][]string, len(s.regions))
 	for _, id := range ids {
-		if strings.HasPrefix(id, crossIDPrefix) {
-			cross = append(cross, id)
-			continue
-		}
-		if r := shardOfID(id); r >= 0 && r < s.part.K {
-			perShard[r] = append(perShard[r], id)
+		if r := s.regionOf(id); r >= 0 {
+			perRegion[r] = append(perRegion[r], id)
 		}
 	}
 	var rep RepairReport
-	for r, sub := range perShard {
+	for r, sub := range perRegion {
 		if len(sub) == 0 {
 			continue
 		}
-		sr := s.shards[r].Repair(sub, opt)
+		var sr RepairReport
+		if r < s.part.K {
+			sr = s.shards[r].Repair(sub, opt)
+		} else {
+			s.coordEpoch(wal.KindRepair, func(x *region) { sr = x.repairLocked(sub, RepairOptions{}) })
+		}
 		rep.Checked += sr.Checked
 		rep.Resolved += sr.Resolved
 		rep.Kept += sr.Kept
 		rep.Migrated += sr.Migrated
 		rep.Outcomes = append(rep.Outcomes, sr.Outcomes...)
 		rep.Parked = append(rep.Parked, sr.Parked...)
-	}
-	if len(cross) > 0 {
-		cr := s.repairCross(cross)
-		rep.Checked += cr.Checked
-		rep.Resolved += cr.Resolved
-		rep.Kept += cr.Kept
-		rep.Migrated += cr.Migrated
-		rep.Outcomes = append(rep.Outcomes, cr.Outcomes...)
-		rep.Parked = append(rep.Parked, cr.Parked...)
-	}
-	return rep
-}
-
-// repairCross is the coordinator's repair pass: each cross-region
-// deployment is scored on the composed view with its own reservation
-// removed; still-valid placements are kept without a solve, broken ones are
-// re-solved globally, migrated when the new reservation fits, and parked
-// otherwise. It holds every shard lock for the duration — cross-region
-// repair is the rare, global tail of a churn cycle.
-func (s *ShardedFleet) repairCross(ids []string) RepairReport {
-	s.cmu.Lock()
-	s.beginCrossTxnLocked(wal.KindRepair)
-	rep := s.repairCrossLocked(ids)
-	commit := s.endCrossTxnLocked()
-	s.cmu.Unlock()
-	commit()
-	return rep
-}
-
-// repairCrossLocked is the repair pass body. Caller holds s.cmu inside a
-// coordinator WAL epoch.
-func (s *ShardedFleet) repairCrossLocked(ids []string) RepairReport {
-	s.lockShards()
-	defer s.unlockShards()
-
-	want := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		want[id] = true
-	}
-	live := make([]string, 0, len(ids))
-	for _, id := range s.crossOrder {
-		if want[id] {
-			live = append(live, id)
-		}
-	}
-
-	var rep RepairReport
-	for _, id := range live {
-		d := s.crossDeps[id]
-		s.crossRepaired++
-		rep.Checked++
-
-		// Score the placement with its own reservation removed from the
-		// overlay (everyone else's stays).
-		s.rebuildCrossLocked(id)
-		comp := s.composedLocked()
-		snap := comp.Snapshot()
-		m := model.NewMapping(d.Assignment)
-		delay := model.TotalDelay(snap, d.pipe, m, d.cost)
-		rate := model.FrameRate(model.SharedBottleneck(snap, d.pipe, m))
-		valid := comp.Fits(d.reservation) &&
-			!math.IsInf(delay, 1) &&
-			(d.SLO.MaxDelayMs <= 0 || delay <= d.SLO.MaxDelayMs) &&
-			rate >= d.ReservedFPS
-		if valid {
-			for _, v := range d.Assignment {
-				if comp.NodeIsDown(v) {
-					valid = false
-					break
-				}
-			}
-		}
-		if valid {
-			s.rebuildCrossLocked("")
-			rep.Kept++
-			s.recordCross(journal.Event{
-				Kind: journal.RepairKept, Deployment: id, Tenant: d.Tenant,
-				Mapping: d.Mapping, DelayMs: delay, RateFPS: rate,
-			})
-			rep.Outcomes = append(rep.Outcomes, RepairOutcome{
-				ID: id, Action: RepairKept, DelayMs: delay, RateFPS: rate,
-			})
-			continue
-		}
-
-		rep.Resolved++
-		park := func(reason string) {
-			parked := ParkedDeployment{ID: id, Tenant: d.Tenant, Reason: reason, Req: requestOf(d)}
-			delete(s.crossDeps, id)
-			s.crossOrder = removeID(s.crossOrder, id)
-			s.rebuildCrossLocked("")
-			s.crossParks++
-			parkEvictionsTotal.Inc()
-			s.recordCross(journal.Event{Kind: journal.RepairParked, Deployment: id, Tenant: d.Tenant, Detail: reason})
-			s.ctxnRemove(id)
-			s.ctxnPark(parked)
-			rep.Parked = append(rep.Parked, parked)
-			rep.Outcomes = append(rep.Outcomes, RepairOutcome{ID: id, Action: RepairParked, Reason: reason})
-		}
-		s.crossSolves.Add(1)
-		nm, _, _, err := solve(snap, requestOf(d), d.cost, nil)
-		if err != nil {
-			park(fmt.Sprintf("re-solve failed: %v", err))
-			continue
-		}
-		down := -1
-		for _, v := range nm.Assign {
-			if comp.NodeIsDown(v) {
-				down = int(v)
-				break
-			}
-		}
-		if down >= 0 {
-			park(fmt.Sprintf("no feasible placement: node v%d is down", down))
-			continue
-		}
-		newDelay := model.TotalDelay(snap, d.pipe, nm, d.cost)
-		newRate := model.FrameRate(model.SharedBottleneck(snap, d.pipe, nm))
-		if math.IsInf(newDelay, 1) {
-			park("re-solve has unbounded delay on the degraded network")
-			continue
-		}
-		if d.SLO.MaxDelayMs > 0 && newDelay > d.SLO.MaxDelayMs {
-			park(fmt.Sprintf("re-solve delay %.3f ms violates SLO %.3f ms", newDelay, d.SLO.MaxDelayMs))
-			continue
-		}
-		if newRate < d.ReservedFPS {
-			park(fmt.Sprintf("re-solve rate %.3f fps below reserved %.3f fps", newRate, d.ReservedFPS))
-			continue
-		}
-		res, err := model.MappingReservation(s.base, d.pipe, nm, d.ReservedFPS)
-		if err != nil {
-			park(fmt.Sprintf("reservation: %v", err))
-			continue
-		}
-		if !comp.Fits(res) {
-			park("re-solved reservation does not fit the degraded network")
-			continue
-		}
-		d.Assignment = nm.Assign
-		d.Mapping = nm.String()
-		d.DelayMs = newDelay
-		d.RateFPS = newRate
-		d.reservation = res
-		s.rebuildCrossLocked("")
-		s.crossMoves++
-		s.ctxnUpdate(d)
-		rep.Migrated++
-		s.recordCross(journal.Event{
-			Kind: journal.RepairMigrated, Deployment: id, Tenant: d.Tenant,
-			Mapping: d.Mapping, DelayMs: newDelay, RateFPS: newRate,
-		})
-		rep.Outcomes = append(rep.Outcomes, RepairOutcome{
-			ID: id, Action: RepairMigrated, DelayMs: newDelay, RateFPS: newRate,
-		})
 	}
 	return rep
 }

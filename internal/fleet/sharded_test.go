@@ -69,12 +69,36 @@ func randomRequest(t *testing.T, net *model.Network, rng *rand.Rand, tag int) Re
 	return req
 }
 
+// regionStats is a bare region's Stats: its counters and tallies plus the
+// utilization of its own residual view.
+func regionStats(f *region) Stats {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var st Stats
+	f.addStatsLocked(&st)
+	st.setUtilization(f.residual)
+	return st
+}
+
+// regionSLOReport scores a bare region's deployments on its own residual
+// view.
+func regionSLOReport(f *region) SLOReport {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var rep SLOReport
+	for _, id := range f.order {
+		rep.add(sloStatusOf(f.residual, f.deps[id], shardLabel(f.idPrefix)))
+	}
+	return rep
+}
+
 // TestShardedK1Equivalence replays a randomized deploy/release/churn/repair
-// sequence against a plain Fleet and a one-shard ShardedFleet and requires
-// byte-identical outcomes: same admissions and rejections (same error
-// strings), same deployment JSON, same stats, same repair reports. K=1 is
-// the sharding layer's correctness anchor — everything it adds must vanish
-// at one shard.
+// sequence against a bare region and the one-shard manager New builds, and
+// requires byte-identical outcomes: same admissions and rejections (same
+// error strings), same deployment JSON, same stats, repair reports, SLO
+// report, and residual network.
+// K=1 is the manager's correctness anchor — routing, the coordinator, and
+// the composed view must all vanish at one shard.
 func TestShardedK1Equivalence(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		rngA := gen.RNG(seed)
@@ -82,43 +106,40 @@ func TestShardedK1Equivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("network: %v", err)
 		}
-		plain, err := New(net)
+		bare := newRegion(net, "")
+		sharded, err := New(net)
 		if err != nil {
 			t.Fatalf("fleet: %v", err)
-		}
-		sharded, err := NewSharded(net, 1)
-		if err != nil {
-			t.Fatalf("sharded: %v", err)
 		}
 
 		reqRNG := gen.RNG(seed ^ 0xabcdef)
 		var ids []string
 		for i := 0; i < 24; i++ {
 			req := randomRequest(t, net, reqRNG, i)
-			d1, err1 := plain.Deploy(req)
+			d1, err1 := bare.Deploy(req)
 			d2, err2 := sharded.Deploy(req)
 			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("seed %d req %d: plain err=%v sharded err=%v", seed, i, err1, err2)
+				t.Fatalf("seed %d req %d: region err=%v sharded err=%v", seed, i, err1, err2)
 			}
 			if err1 != nil {
 				if err1.Error() != err2.Error() {
-					t.Fatalf("seed %d req %d: error mismatch:\n  plain:   %v\n  sharded: %v", seed, i, err1, err2)
+					t.Fatalf("seed %d req %d: error mismatch:\n  region:  %v\n  sharded: %v", seed, i, err1, err2)
 				}
 				continue
 			}
 			b1, _ := json.Marshal(d1)
 			b2, _ := json.Marshal(d2)
 			if string(b1) != string(b2) {
-				t.Fatalf("seed %d req %d: deployment mismatch:\n  plain:   %s\n  sharded: %s", seed, i, b1, b2)
+				t.Fatalf("seed %d req %d: deployment mismatch:\n  region:  %s\n  sharded: %s", seed, i, b1, b2)
 			}
 			ids = append(ids, d1.ID)
 			// Release roughly a third of admissions as we go.
 			if reqRNG.IntN(3) == 0 && len(ids) > 0 {
 				victim := ids[reqRNG.IntN(len(ids))]
-				e1 := plain.Release(victim)
+				e1 := bare.Release(victim)
 				e2 := sharded.Release(victim)
 				if (e1 == nil) != (e2 == nil) {
-					t.Fatalf("seed %d release %q: plain err=%v sharded err=%v", seed, victim, e1, e2)
+					t.Fatalf("seed %d release %q: region err=%v sharded err=%v", seed, victim, e1, e2)
 				}
 			}
 		}
@@ -128,36 +149,44 @@ func TestShardedK1Equivalence(t *testing.T) {
 			{Kind: model.NodeDown, Node: model.NodeID(reqRNG.IntN(net.N()))},
 			{Kind: model.LinkDegrade, Link: reqRNG.IntN(net.M()), Factor: 0.3},
 		}
-		if err1, err2 := plain.ApplyChurn(events), sharded.ApplyChurn(events); (err1 == nil) != (err2 == nil) {
-			t.Fatalf("seed %d churn: plain err=%v sharded err=%v", seed, err1, err2)
+		if err1, err2 := bare.residual.ApplyChurn(events), sharded.ApplyChurn(events); (err1 == nil) != (err2 == nil) {
+			t.Fatalf("seed %d churn: region err=%v sharded err=%v", seed, err1, err2)
 		}
-		a1, a2 := plain.Affected(events), sharded.Affected(events)
+		a1, a2 := bare.Affected(events), sharded.Affected(events)
 		if !reflect.DeepEqual(a1, a2) {
 			t.Fatalf("seed %d affected mismatch: %v vs %v", seed, a1, a2)
 		}
-		r1 := plain.Repair(a1, RepairOptions{})
+		r1 := bare.Repair(a1, RepairOptions{})
 		r2 := sharded.Repair(a2, RepairOptions{})
 		j1, _ := json.Marshal(r1)
 		j2, _ := json.Marshal(r2)
 		if string(j1) != string(j2) {
-			t.Fatalf("seed %d repair mismatch:\n  plain:   %s\n  sharded: %s", seed, j1, j2)
+			t.Fatalf("seed %d repair mismatch:\n  region:  %s\n  sharded: %s", seed, j1, j2)
 		}
 
-		reb1 := plain.Rebalance(RebalanceOptions{})
+		reb1 := bare.Rebalance(RebalanceOptions{})
 		reb2 := sharded.Rebalance(RebalanceOptions{})
 		jb1, _ := json.Marshal(reb1)
 		jb2, _ := json.Marshal(reb2)
 		if string(jb1) != string(jb2) {
-			t.Fatalf("seed %d rebalance mismatch:\n  plain:   %s\n  sharded: %s", seed, jb1, jb2)
+			t.Fatalf("seed %d rebalance mismatch:\n  region:  %s\n  sharded: %s", seed, jb1, jb2)
 		}
 
-		l1, _ := json.Marshal(plain.List())
+		l1, _ := json.Marshal(bare.List())
 		l2, _ := json.Marshal(sharded.List())
 		if string(l1) != string(l2) {
-			t.Fatalf("seed %d list mismatch:\n  plain:   %s\n  sharded: %s", seed, l1, l2)
+			t.Fatalf("seed %d list mismatch:\n  region:  %s\n  sharded: %s", seed, l1, l2)
 		}
-		if s1, s2 := plain.Stats(), sharded.Stats(); !reflect.DeepEqual(s1, s2) {
-			t.Fatalf("seed %d stats mismatch:\n  plain:   %+v\n  sharded: %+v", seed, s1, s2)
+		if s1, s2 := regionStats(bare), sharded.Stats(); !reflect.DeepEqual(s1, s2) {
+			t.Fatalf("seed %d stats mismatch:\n  region:  %+v\n  sharded: %+v", seed, s1, s2)
+		}
+		if r1, r2 := regionSLOReport(bare), sharded.SLOReport(); !reflect.DeepEqual(r1, r2) {
+			t.Fatalf("seed %d SLO report mismatch:\n  region:  %+v\n  sharded: %+v", seed, r1, r2)
+		}
+		n1, _ := json.Marshal(bare.residual.Snapshot())
+		n2, _ := json.Marshal(sharded.Snapshot())
+		if string(n1) != string(n2) {
+			t.Fatalf("seed %d residual snapshot mismatch", seed)
 		}
 	}
 }

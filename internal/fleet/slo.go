@@ -19,8 +19,9 @@ import (
 type SLOStatus struct {
 	ID     string `json:"id"`
 	Tenant string `json:"tenant,omitempty"`
-	// Shard is the owning region label ("main" for a plain fleet, "s3" for
-	// shard 3, "x" for coordinator-owned cross-region deployments).
+	// Shard is the owning region label ("main" for the only shard of a
+	// one-shard fleet, "s3" for shard 3, "x" for coordinator-owned
+	// cross-region deployments).
 	Shard string `json:"shard,omitempty"`
 	// DelayMs and RateFPS are the delivered values: the admission mapping
 	// re-scored on the current residual network with the deployment's own
@@ -120,39 +121,19 @@ func sloStatusOf(r *model.ResidualNetwork, d *Deployment, shard string) SLOStatu
 	return st
 }
 
-// SLOReport re-scores every live deployment against its admission SLO on
-// the current residual network.
-func (f *Fleet) SLOReport() SLOReport {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var rep SLOReport
-	for _, id := range f.order {
-		rep.add(sloStatusOf(f.residual, f.deps[id], shardLabel(f.idPrefix)))
-	}
-	return rep
-}
-
 // SLOReport re-scores every live deployment — regional and cross-region —
 // on the composed residual view of the whole network, so a deployment whose
 // path crosses a churned boundary link is judged against the capacity it
-// actually has.
+// actually has. Statuses list shard 0's deployments in admission order, then
+// shard 1's, and so on, with coordinator deployments last.
 func (s *ShardedFleet) SLOReport() SLOReport {
-	if s.part.K == 1 {
-		return s.shards[0].SLOReport()
-	}
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	s.lockShards()
-	defer s.unlockShards()
-	comp := s.composedLocked()
 	var rep SLOReport
-	for _, sh := range s.shards {
-		for _, id := range sh.order {
-			rep.add(sloStatusOf(comp, sh.deps[id], shardLabel(sh.idPrefix)))
+	s.composed(func(rn *model.ResidualNetwork) {
+		for _, f := range s.regions {
+			for _, id := range f.order {
+				rep.add(sloStatusOf(rn, f.deps[id], shardLabel(f.idPrefix)))
+			}
 		}
-	}
-	for _, id := range s.crossOrder {
-		rep.add(sloStatusOf(comp, s.crossDeps[id], "x"))
-	}
+	})
 	return rep
 }

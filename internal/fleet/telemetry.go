@@ -51,9 +51,8 @@ var (
 		"single-region rejections retried through the coordinator")
 )
 
-// shardLabel renders a fleet's idPrefix as its lock-wait shard label:
-// "s3-" -> "s3", empty (standalone fleet, or shard 0 of a one-shard fleet)
-// -> "main".
+// shardLabel renders a region's idPrefix as its shard label: "s3-" -> "s3",
+// "x-" -> "x", empty (the only shard of a one-shard fleet) -> "main".
 func shardLabel(idPrefix string) string {
 	if idPrefix == "" {
 		return "main"
@@ -61,11 +60,11 @@ func shardLabel(idPrefix string) string {
 	return strings.TrimSuffix(idPrefix, "-")
 }
 
-// lockWaitHist lazily resolves the fleet's per-shard lock-wait histogram.
-// idPrefix is fixed at construction but only after New returns (the sharded
-// constructor assigns it), so the handle cannot be captured in New; the
+// lockWaitHist lazily resolves the region's per-shard lock-wait histogram,
+// registering the series only for regions that take Deploy traffic (the
+// coordinator admits through its own two-phase path and never does); the
 // sync.Once makes first use race-free under concurrent Deploys.
-func (f *Fleet) lockWaitHist() *telemetry.Histogram {
+func (f *region) lockWaitHist() *telemetry.Histogram {
 	f.lockWaitOnce.Do(func() {
 		f.lockWait = telemetry.Default().Histogram(
 			fmt.Sprintf(`elpc_fleet_lock_wait_seconds{shard=%q}`, shardLabel(f.idPrefix)),

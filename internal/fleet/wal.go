@@ -2,16 +2,14 @@ package fleet
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"elpc/internal/model"
 	"elpc/internal/wal"
 )
 
-// This file wires the write-ahead log through both fleet managers. The
+// This file wires the write-ahead log through the fleet's regions. The
 // contract is one wal.Record per mutating lock epoch: a method that takes a
-// fleet lock opens a record (beginTxnLocked), the mutation sites append
+// region lock opens a record (beginTxnLocked), the mutation sites append
 // chronological ops to it while the lock is held — so log order always
 // matches application order — and endTxnLocked stamps the scope's counter
 // state, appends the record, and returns the commit barrier the caller runs
@@ -25,23 +23,23 @@ import (
 // is what makes recovery byte-identical and fast.
 
 // UseWAL installs the write-ahead log every mutating transition is durably
-// recorded into before it is acknowledged. A nil log (the default) disables
-// recording. Install before traffic: epochs already inside the lock when the
-// log appears are not recorded.
-func (f *Fleet) UseWAL(l *wal.Log) { f.useWAL(l, "") }
-
-// useWAL installs the log with an explicit record scope ("" standalone,
-// "s<i>" for shard i of a sharded fleet).
-func (f *Fleet) useWAL(l *wal.Log, scope string) {
-	f.mu.Lock()
-	f.wal = l
-	f.walScope = scope
-	f.mu.Unlock()
+// recorded into before it is acknowledged. Each region logs its own epochs
+// under its scope ("s<i>" on shard i, "" on the only shard of a one-shard
+// fleet, "x" on the coordinator); whole-fleet churn batches are logged once
+// at manager level. A nil log (the default) disables recording. Install
+// before traffic: epochs already inside a lock when the log appears are not
+// recorded.
+func (s *ShardedFleet) UseWAL(l *wal.Log) {
+	for _, f := range s.regions {
+		f.mu.Lock()
+		f.wal = l
+		f.mu.Unlock()
+	}
 }
 
-// countersLocked snapshots the fleet's durable counter state. Caller holds
+// countersLocked snapshots the region's durable counter state. Caller holds
 // f.mu.
-func (f *Fleet) countersLocked() wal.Counters {
+func (f *region) countersLocked() wal.Counters {
 	return wal.Counters{
 		Admitted:      f.admitted,
 		Rejected:      f.rejected,
@@ -53,16 +51,19 @@ func (f *Fleet) countersLocked() wal.Counters {
 		Preemptions:   f.preempts,
 		Solves:        f.solves.Load(),
 		Seq:           f.seq,
+		Fallbacks:     f.fallbacks,
+		TPCRetries:    f.tpcRetries,
+		TPCAborts:     f.tpcAborts,
 	}
 }
 
 // beginTxnLocked opens the WAL record for the current lock epoch. Caller
 // holds f.mu.
-func (f *Fleet) beginTxnLocked(kind wal.Kind) {
+func (f *region) beginTxnLocked(kind wal.Kind) {
 	if f.wal == nil {
 		return
 	}
-	f.txn = &wal.Record{Kind: kind, Scope: f.walScope}
+	f.txn = &wal.Record{Kind: kind, Scope: f.scope}
 	f.txnPre = f.countersLocked()
 }
 
@@ -71,7 +72,7 @@ func (f *Fleet) beginTxnLocked(kind wal.Kind) {
 // else — including counter-only epochs like rejections, whose Rejected and
 // Solves deltas recovered Stats must reproduce — is appended. The returned
 // barrier is never nil; the caller invokes it after releasing f.mu.
-func (f *Fleet) endTxnLocked() func() {
+func (f *region) endTxnLocked() func() {
 	txn := f.txn
 	f.txn = nil
 	if txn == nil {
@@ -87,7 +88,7 @@ func (f *Fleet) endTxnLocked() func() {
 }
 
 // txnDeploy records an admission in the current epoch (no-op outside one).
-func (f *Fleet) txnDeploy(d *Deployment, requeueOf string) {
+func (f *region) txnDeploy(d *Deployment, requeueOf string) {
 	if f.txn == nil {
 		return
 	}
@@ -95,7 +96,7 @@ func (f *Fleet) txnDeploy(d *Deployment, requeueOf string) {
 }
 
 // txnUpdate records a placement change (repair migration, rebalance move).
-func (f *Fleet) txnUpdate(d *Deployment) {
+func (f *region) txnUpdate(d *Deployment) {
 	if f.txn == nil {
 		return
 	}
@@ -103,7 +104,7 @@ func (f *Fleet) txnUpdate(d *Deployment) {
 }
 
 // txnRemove records a deployment leaving the fleet (release, park, preempt).
-func (f *Fleet) txnRemove(id string) {
+func (f *region) txnRemove(id string) {
 	if f.txn == nil {
 		return
 	}
@@ -111,7 +112,7 @@ func (f *Fleet) txnRemove(id string) {
 }
 
 // txnPark records a displaced deployment entering the parked pool.
-func (f *Fleet) txnPark(p ParkedDeployment) {
+func (f *region) txnPark(p ParkedDeployment) {
 	if f.txn == nil {
 		return
 	}
@@ -119,124 +120,24 @@ func (f *Fleet) txnPark(p ParkedDeployment) {
 	f.txn.Ops = append(f.txn.Ops, wal.Op{Park: &ps})
 }
 
-// txnChurn records an applied capacity-mutation batch.
-func (f *Fleet) txnChurn(events []model.ChurnEvent) {
-	if f.txn == nil {
-		return
-	}
-	f.txn.Ops = append(f.txn.Ops, wal.Op{Churn: append([]model.ChurnEvent(nil), events...)})
-}
-
-// UseWAL installs the write-ahead log on every shard and the coordinator.
-// Shard records are scoped "s<i>" (plain "" at K=1, matching the ID
-// namespace), coordinator records "x", and whole-fleet churn batches are
-// logged once at manager level rather than per shard.
-func (s *ShardedFleet) UseWAL(l *wal.Log) {
-	for r, sh := range s.shards {
-		scope := ""
-		if s.part.K > 1 {
-			scope = fmt.Sprintf("s%d", r)
-		}
-		sh.useWAL(l, scope)
-	}
-	s.cmu.Lock()
-	s.wal = l
-	s.cmu.Unlock()
-}
-
-// crossCountersLocked snapshots the coordinator's durable counter state.
-// Caller holds s.cmu.
-func (s *ShardedFleet) crossCountersLocked() wal.Counters {
-	return wal.Counters{
-		Admitted:      s.crossAdmitted,
-		Rejected:      s.crossRejected,
-		Released:      s.crossReleased,
-		Repaired:      s.crossRepaired,
-		RepairMoves:   s.crossMoves,
-		ParkEvictions: s.crossParks,
-		Solves:        s.crossSolves.Load(),
-		Seq:           s.crossSeq,
-		Fallbacks:     s.fallbacks,
-		TPCRetries:    s.tpcRetries,
-		TPCAborts:     s.tpcAborts,
-	}
-}
-
-// beginCrossTxnLocked opens the coordinator's record for the current cmu
-// epoch. Caller holds s.cmu.
-func (s *ShardedFleet) beginCrossTxnLocked(kind wal.Kind) {
-	if s.wal == nil {
-		return
-	}
-	s.ctxn = &wal.Record{Kind: kind, Scope: wal.ScopeCross}
-	s.ctxnPre = s.crossCountersLocked()
-}
-
-// endCrossTxnLocked closes the coordinator epoch's record; same skip rule
-// and commit barrier as Fleet.endTxnLocked. Caller holds s.cmu.
-func (s *ShardedFleet) endCrossTxnLocked() func() {
-	txn := s.ctxn
-	s.ctxn = nil
-	if txn == nil {
-		return func() {}
-	}
-	cur := s.crossCountersLocked()
-	if len(txn.Ops) == 0 && cur == s.ctxnPre {
-		return func() {}
-	}
-	txn.Counters = &cur
-	lsn := s.wal.Append(txn)
-	return func() { _ = s.wal.Commit(lsn) }
-}
-
-// ctxnDeploy records a coordinator admission in the current cmu epoch.
-func (s *ShardedFleet) ctxnDeploy(d *Deployment) {
-	if s.ctxn == nil {
-		return
-	}
-	s.ctxn.Ops = append(s.ctxn.Ops, wal.Op{Deploy: deployState(d, "")})
-}
-
-// ctxnUpdate records a cross-region placement change (repair migration).
-func (s *ShardedFleet) ctxnUpdate(d *Deployment) {
-	if s.ctxn == nil {
-		return
-	}
-	s.ctxn.Ops = append(s.ctxn.Ops, wal.Op{Deploy: updateState(d)})
-}
-
-// ctxnRemove records a coordinator deployment leaving the fleet.
-func (s *ShardedFleet) ctxnRemove(id string) {
-	if s.ctxn == nil {
-		return
-	}
-	s.ctxn.Ops = append(s.ctxn.Ops, wal.Op{Remove: id})
-}
-
-// ctxnPark records a cross-region deployment entering the parked pool.
-func (s *ShardedFleet) ctxnPark(p ParkedDeployment) {
-	if s.ctxn == nil {
-		return
-	}
-	ps := parkedState(p)
-	s.ctxn.Ops = append(s.ctxn.Ops, wal.Op{Park: &ps})
-}
-
 // walChurnLocked logs one whole-fleet churn batch as a single manager-level
 // record (scope "", no counters — replay routes it back through ApplyChurn,
 // which re-splits events across shards and the boundary ledger exactly like
-// the live path). Caller holds cmu and every shard lock, so the record
-// cannot interleave with any shard or coordinator epoch.
+// the live path). Caller holds every lock, so the record cannot interleave
+// with any region's epoch. Every region shares one log; the coordinator's
+// handle is read under its lock. An empty batch changes nothing and logs
+// nothing (its record would carry no churn op to replay).
 func (s *ShardedFleet) walChurnLocked(events []model.ChurnEvent) func() {
-	if s.wal == nil {
+	l := s.coord.wal
+	if l == nil || len(events) == 0 {
 		return func() {}
 	}
 	rec := &wal.Record{
 		Kind: wal.KindChurn,
 		Ops:  []wal.Op{{Churn: append([]model.ChurnEvent(nil), events...)}},
 	}
-	lsn := s.wal.Append(rec)
-	return func() { _ = s.wal.Commit(lsn) }
+	lsn := l.Append(rec)
+	return func() { _ = l.Commit(lsn) }
 }
 
 // AppendInstall durably logs a fleet install — the base network and shard
@@ -357,17 +258,11 @@ func ParkedFromStates(states []wal.ParkedState) []ParkedDeployment {
 	return out
 }
 
-// scopeFleet resolves a WAL record scope to the owning shard fleet.
-func (s *ShardedFleet) scopeFleet(scope string) (*Fleet, error) {
-	if scope == "" {
-		if s.part.K != 1 {
-			return nil, fmt.Errorf("fleet: wal scope %q on a %d-shard fleet", scope, s.part.K)
-		}
-		return s.shards[0], nil
-	}
-	if strings.HasPrefix(scope, "s") {
-		if n, err := strconv.Atoi(scope[1:]); err == nil && n >= 0 && n < len(s.shards) {
-			return s.shards[n], nil
+// scopeRegion resolves a WAL record scope to the region that logs under it.
+func (s *ShardedFleet) scopeRegion(scope string) (*region, error) {
+	for _, f := range s.regions {
+		if f.scope == scope {
+			return f, nil
 		}
 	}
 	return nil, fmt.Errorf("fleet: unknown wal scope %q", scope)

@@ -194,3 +194,40 @@ func Churn(spec ChurnSpec, net *model.Network, rng *rand.Rand) ([]ChurnEvent, er
 	}
 	return events, nil
 }
+
+// Heal returns the events that undo the outages a trace leaves behind:
+// NodeUp for every node still down at its end and LinkRestore for every
+// link still degraded, in ascending ID order (drift is left in place).
+// Applied after the trace, it replays cleanly; nil means nothing is down.
+func Heal(trace []ChurnEvent) []model.ChurnEvent {
+	down := make(map[model.NodeID]bool)
+	degraded := make(map[int]bool)
+	maxNode, maxLink := model.NodeID(-1), -1
+	for _, te := range trace {
+		ev := te.Event
+		switch ev.Kind {
+		case model.NodeDown:
+			down[ev.Node] = true
+			maxNode = max(maxNode, ev.Node)
+		case model.NodeUp:
+			delete(down, ev.Node)
+		case model.LinkDegrade:
+			degraded[ev.Link] = true
+			maxLink = max(maxLink, ev.Link)
+		case model.LinkRestore:
+			delete(degraded, ev.Link)
+		}
+	}
+	var out []model.ChurnEvent
+	for v := model.NodeID(0); v <= maxNode; v++ {
+		if down[v] {
+			out = append(out, model.ChurnEvent{Kind: model.NodeUp, Node: v})
+		}
+	}
+	for l := 0; l <= maxLink; l++ {
+		if degraded[l] {
+			out = append(out, model.ChurnEvent{Kind: model.LinkRestore, Link: l})
+		}
+	}
+	return out
+}

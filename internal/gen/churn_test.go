@@ -75,6 +75,51 @@ func TestChurnDeterministicAndReplayable(t *testing.T) {
 	}
 }
 
+// TestHealUndoesOutages replays traces followed by their Heal events: the
+// batch must apply cleanly and leave no node down and no link degraded.
+func TestHealUndoesOutages(t *testing.T) {
+	net, err := Network(10, 60, DefaultRanges(), RNG(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := DefaultChurnSpec()
+	spec.Events = 40
+	healed := 0
+	for seed := uint64(1); seed <= 8; seed++ {
+		trace, err := Churn(spec, net, RNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := model.NewResidualNetwork(net)
+		for _, ev := range trace {
+			if err := r.ApplyChurn([]model.ChurnEvent{ev.Event}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		heal := Heal(trace)
+		healed += len(heal)
+		if err := r.ApplyChurn(heal); err != nil {
+			t.Fatalf("seed %d: heal events do not apply: %v", seed, err)
+		}
+		for v := 0; v < net.N(); v++ {
+			if r.NodeIsDown(model.NodeID(v)) {
+				t.Errorf("seed %d: node %d still down after heal", seed, v)
+			}
+		}
+		for _, ev := range heal {
+			if ev.OnLink() && r.LinkCapacity(ev.Link) != 1 {
+				t.Errorf("seed %d: link %d not restored", seed, ev.Link)
+			}
+		}
+	}
+	if healed == 0 {
+		t.Fatal("no trace left an outage to heal")
+	}
+	if Heal(nil) != nil {
+		t.Fatal("an empty trace needs no healing")
+	}
+}
+
 func TestChurnSpecValidation(t *testing.T) {
 	net, err := Network(6, 20, DefaultRanges(), RNG(1))
 	if err != nil {

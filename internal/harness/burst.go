@@ -85,7 +85,7 @@ func burstRequest(ev gen.ArrivalEvent) fleet.Request {
 // releaseIfLive releases a departing session's deployment, tolerating
 // not-found (the deployment may have been preempted by a guaranteed
 // admission and parked — it is no longer the fleet's to release).
-func releaseIfLive(f *fleet.Fleet, byID map[int]string, session int) error {
+func releaseIfLive(f *fleet.ShardedFleet, byID map[int]string, session int) error {
 	id, ok := byID[session]
 	if !ok {
 		return nil

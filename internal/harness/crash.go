@@ -16,35 +16,42 @@ import (
 )
 
 // This file is the crash-injection scenario: a seeded
-// deploy/churn/preemption workload runs once against a WAL-less reference
-// fleet (capturing the exact state after every operation) and once against
-// a WAL-backed fleet, then the log is "crashed" — truncated at randomized
-// byte offsets, including mid-record — and recovered. Every crash must
-// land on exactly one of the reference states: the state after the last
-// operation whose record fully reached the log. Anything else means an
-// acknowledged transition was lost or a torn one resurrected. The scenario
-// runs twice, without and with a mid-workload snapshot, so both the
-// pure-replay and the snapshot-plus-suffix recovery paths face arbitrary
-// crash points.
+// deploy/churn/preemption/requeue workload runs once against a WAL-less
+// reference fleet (capturing the exact state after every operation) and
+// once against a WAL-backed fleet, then the log is "crashed" — truncated at
+// randomized byte offsets, including mid-record — and recovered. A crash
+// that lands on an operation boundary must recover exactly the reference
+// state of the last operation whose records fully reached the log; anything
+// else means an acknowledged transition was lost or a torn one resurrected.
+// On a sharded fleet one operation can append several records (a regional
+// rejection and the coordinator's fallback, one epoch per shard of a batch
+// or repair); a crash between them must recover a state bounded by the
+// operation's two neighbors: nothing the operation did not touch lost,
+// nothing fabricated. The scenario runs twice, without and with a
+// mid-workload snapshot, so both the pure-replay and the
+// snapshot-plus-suffix recovery paths face arbitrary crash points.
 
 // crashTrialBudget caps the crash offsets tried per regime; smaller logs
 // are crashed at every byte.
 const crashTrialBudget = 64
 
-// crashOp applies one fleet operation — at most one WAL record — and
-// returns the deployments the operation handed back to the caller (the
-// preempted queue drain plus repair evictions), which the harness owns the
-// way the churn reconciler would.
-type crashOp func(f *fleet.Fleet) ([]fleet.ParkedDeployment, error)
+// crashOp applies one fleet operation and returns the harness-owned parked
+// pool after it: the operation may hand deployments over (the preempted
+// queue drain, repair evictions) or re-admit some, which the harness owns
+// the way the churn reconciler would. On a one-shard fleet an operation
+// appends at most one WAL record.
+type crashOp func(f *fleet.ShardedFleet, parked []fleet.ParkedDeployment) ([]fleet.ParkedDeployment, error)
 
 // CrashScenarioResult summarizes one crash-injection run.
 type CrashScenarioResult struct {
-	// Case and Network identify the suite case the workload ran on.
+	// Case and Network identify the suite case the workload ran on; Shards
+	// is the fleet's region count.
 	Case    int    `json:"case"`
 	Network string `json:"network"`
+	Shards  int    `json:"shards"`
 	// Sessions is the tenant-session count; Ops the operation count in the
-	// workload (deploys, a batch, releases, churn+repair events, a
-	// rebalance); Records the WAL records the workload produced.
+	// workload (deploys, a batch, releases, churn+repair events, a heal,
+	// requeues, a rebalance); Records the WAL records the workload produced.
 	Sessions int    `json:"sessions"`
 	Ops      int    `json:"ops"`
 	Records  uint64 `json:"records"`
@@ -55,10 +62,13 @@ type CrashScenarioResult struct {
 	SuffixBytes int `json:"suffix_bytes"`
 	// Trials counts recoveries run; TornTrials the subset whose crash
 	// offset landed mid-record (forcing a tail truncation);
-	// SnapshotTrials the subset recovered through the snapshot.
+	// SnapshotTrials the subset recovered through the snapshot;
+	// MidOpTrials the subset that recovered between two records of one
+	// operation (sharded fleets only).
 	Trials         int `json:"trials"`
 	TornTrials     int `json:"torn_trials"`
 	SnapshotTrials int `json:"snapshot_trials"`
+	MidOpTrials    int `json:"mid_op_trials"`
 	// DistinctStates counts how many different reference states the crash
 	// points recovered into — evidence the offsets actually swept the
 	// workload rather than collapsing onto the final state.
@@ -84,7 +94,7 @@ type crashState struct {
 // crashStateJSON canonicalizes a fleet plus the caller-owned parked pool.
 // The pool is sorted by ID: the reference accumulates it in hand-over
 // order while recovery rebuilds it in record order.
-func crashStateJSON(f *fleet.Fleet, parked []fleet.ParkedDeployment) (string, error) {
+func crashStateJSON(f *fleet.ShardedFleet, parked []fleet.ParkedDeployment) (string, error) {
 	states := fleet.ParkedStates(parked)
 	sort.Slice(states, func(i, j int) bool { return states[i].ID < states[j].ID })
 	data, err := json.Marshal(crashState{
@@ -132,11 +142,11 @@ func buildCrashOps(net *model.Network, cs gen.ChurnSpec, sessions int, seed uint
 		} else {
 			req.Objective = model.MinDelay
 		}
-		ops = append(ops, func(f *fleet.Fleet) ([]fleet.ParkedDeployment, error) {
+		ops = append(ops, func(f *fleet.ShardedFleet, parked []fleet.ParkedDeployment) ([]fleet.ParkedDeployment, error) {
 			if _, err := f.Deploy(req); err != nil && !errors.Is(err, fleet.ErrRejected) {
 				return nil, err
 			}
-			return f.TakePreempted(), nil
+			return append(parked, f.TakePreempted()...), nil
 		})
 		return nil
 	}
@@ -148,7 +158,7 @@ func buildCrashOps(net *model.Network, cs gen.ChurnSpec, sessions int, seed uint
 		}
 	}
 
-	// One batch admission (a single multi-op record, possibly with
+	// One batch admission (one multi-op record per shard, possibly with
 	// admit-then-preempt inside one epoch).
 	var batch []fleet.Request
 	for i := 0; i < 4; i++ {
@@ -170,29 +180,29 @@ func buildCrashOps(net *model.Network, cs gen.ChurnSpec, sessions int, seed uint
 			SLO:       fleet.SLO{MinRateFPS: 1 + rng.Float64(), Class: classes[i%len(classes)]},
 		})
 	}
-	ops = append(ops, func(f *fleet.Fleet) ([]fleet.ParkedDeployment, error) {
+	ops = append(ops, func(f *fleet.ShardedFleet, parked []fleet.ParkedDeployment) ([]fleet.ParkedDeployment, error) {
 		for _, out := range f.DeployBatch(batch) {
 			if out.Err != nil && !errors.Is(out.Err, fleet.ErrRejected) {
 				return nil, out.Err
 			}
 		}
-		return f.TakePreempted(), nil
+		return append(parked, f.TakePreempted()...), nil
 	})
 
 	// Releases pick by live-list index at run time — identical across runs
 	// because the runs are identical up to this point.
 	for k := 0; k < sessions/4; k++ {
 		k := k
-		ops = append(ops, func(f *fleet.Fleet) ([]fleet.ParkedDeployment, error) {
+		ops = append(ops, func(f *fleet.ShardedFleet, parked []fleet.ParkedDeployment) ([]fleet.ParkedDeployment, error) {
 			live := f.List()
 			if len(live) == 0 {
-				return nil, nil
+				return parked, nil
 			}
 			id := live[(k*7)%len(live)].ID
 			if err := f.Release(id); err != nil && !errors.Is(err, fleet.ErrNotFound) {
 				return nil, err
 			}
-			return nil, nil
+			return parked, nil
 		})
 	}
 
@@ -205,14 +215,26 @@ func buildCrashOps(net *model.Network, cs gen.ChurnSpec, sessions int, seed uint
 	for _, ev := range trace {
 		evs := []model.ChurnEvent{ev.Event}
 		ops = append(ops,
-			func(f *fleet.Fleet) ([]fleet.ParkedDeployment, error) {
+			func(f *fleet.ShardedFleet, parked []fleet.ParkedDeployment) ([]fleet.ParkedDeployment, error) {
 				f.Affected(evs) // read-only, mirrors the reconciler's probe
-				return nil, f.ApplyChurn(evs)
+				return parked, f.ApplyChurn(evs)
 			},
-			func(f *fleet.Fleet) ([]fleet.ParkedDeployment, error) {
+			func(f *fleet.ShardedFleet, parked []fleet.ParkedDeployment) ([]fleet.ParkedDeployment, error) {
 				rep := f.Repair(f.Affected(evs), fleet.RepairOptions{})
-				return rep.Parked, nil
+				return append(parked, rep.Parked...), nil
 			})
+	}
+
+	// Heal the trace's outages, then re-admit parked deployments the way
+	// the reconciler's requeue loop does — one attempt per op, oldest
+	// first, RequeueOf naming the parked entry so recovery drains the pool.
+	if heal := gen.Heal(trace); len(heal) > 0 {
+		ops = append(ops, func(f *fleet.ShardedFleet, parked []fleet.ParkedDeployment) ([]fleet.ParkedDeployment, error) {
+			return parked, f.ApplyChurn(heal)
+		})
+	}
+	for k := 0; k < 3; k++ {
+		ops = append(ops, requeueOp)
 	}
 
 	// Late guaranteed deploys against the degraded network, then one
@@ -222,17 +244,36 @@ func buildCrashOps(net *model.Network, cs gen.ChurnSpec, sessions int, seed uint
 			return nil, err
 		}
 	}
-	ops = append(ops, func(f *fleet.Fleet) ([]fleet.ParkedDeployment, error) {
+	ops = append(ops, func(f *fleet.ShardedFleet, parked []fleet.ParkedDeployment) ([]fleet.ParkedDeployment, error) {
 		f.Rebalance(fleet.RebalanceOptions{MaxMoves: 3})
-		return nil, nil
+		return parked, nil
 	})
 	return ops, nil
 }
 
+// requeueOp tries to re-admit the oldest parked deployment: admitted, it
+// leaves the pool; rejected, it moves to the back.
+func requeueOp(f *fleet.ShardedFleet, parked []fleet.ParkedDeployment) ([]fleet.ParkedDeployment, error) {
+	if len(parked) == 0 {
+		return parked, nil
+	}
+	p := parked[0]
+	rest := append([]fleet.ParkedDeployment(nil), parked[1:]...)
+	req := p.Req
+	req.RequeueOf = p.ID
+	if _, err := f.Deploy(req); err != nil {
+		if !errors.Is(err, fleet.ErrRejected) {
+			return nil, err
+		}
+		rest = append(rest, p)
+	}
+	return append(rest, f.TakePreempted()...), nil
+}
+
 // runCrashReference replays ops on a WAL-less fleet, returning the state
 // JSON before any op and after each op.
-func runCrashReference(net *model.Network, ops []crashOp) ([]string, error) {
-	f, err := fleet.New(net)
+func runCrashReference(net *model.Network, shards int, ops []crashOp) ([]string, error) {
+	f, err := fleet.NewSharded(net, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -244,11 +285,9 @@ func runCrashReference(net *model.Network, ops []crashOp) ([]string, error) {
 	}
 	states = append(states, s)
 	for i, op := range ops {
-		handed, err := op(f)
-		if err != nil {
+		if parked, err = op(f, parked); err != nil {
 			return nil, fmt.Errorf("harness: crash reference op %d: %w", i, err)
 		}
-		parked = append(parked, handed...)
 		if s, err = crashStateJSON(f, parked); err != nil {
 			return nil, err
 		}
@@ -261,7 +300,7 @@ func runCrashReference(net *model.Network, ops []crashOp) ([]string, error) {
 // sequence acknowledged after every op. snapshotAt >= 0 writes a compacted
 // snapshot (with the harness-owned parked pool folded in, the way the
 // reconciler's CaptureSnapshot does) after that op index.
-func runCrashWAL(dir string, net *model.Network, ops []crashOp, snapshotAt int) (seqAfter []uint64, finalState string, err error) {
+func runCrashWAL(dir string, net *model.Network, shards int, ops []crashOp, snapshotAt int) (seqAfter []uint64, finalState string, err error) {
 	l, rec, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		return nil, "", err
@@ -270,11 +309,11 @@ func runCrashWAL(dir string, net *model.Network, ops []crashOp, snapshotAt int) 
 	if rec.Snapshot != nil || len(rec.Records) != 0 {
 		return nil, "", fmt.Errorf("harness: crash dir %s is not empty", dir)
 	}
-	f, err := fleet.New(net)
+	f, err := fleet.NewSharded(net, shards)
 	if err != nil {
 		return nil, "", err
 	}
-	if err := fleet.AppendInstall(l, net, 1); err != nil {
+	if err := fleet.AppendInstall(l, net, f.Shards()); err != nil {
 		return nil, "", err
 	}
 	f.UseWAL(l)
@@ -283,14 +322,12 @@ func runCrashWAL(dir string, net *model.Network, ops []crashOp, snapshotAt int) 
 	seqAfter = append(seqAfter, l.LastSeq()) // the install record
 	var parked []fleet.ParkedDeployment
 	for i, op := range ops {
-		handed, err := op(f)
-		if err != nil {
+		if parked, err = op(f, parked); err != nil {
 			return nil, "", fmt.Errorf("harness: crash WAL op %d: %w", i, err)
 		}
-		parked = append(parked, handed...)
 		seqAfter = append(seqAfter, l.LastSeq())
 		if i == snapshotAt {
-			snap := fleet.CaptureSnapshot(f, l)
+			snap := f.CaptureSnapshot(l)
 			snap.Parked = append(fleet.ParkedStates(parked), snap.Parked...)
 			if err := l.WriteSnapshot(snap); err != nil {
 				return nil, "", err
@@ -364,9 +401,10 @@ func crashOffsets(n int, rng interface{ IntN(int) int }) []int {
 }
 
 // crashAndRecover truncates the regime dir's segment at offset, recovers,
-// and checks the result is exactly the reference state of the last fully
-// logged operation. It updates the result tallies and the distinct-state
-// set.
+// and checks the result: exactly the reference state of the last fully
+// logged operation when the crash fell on an operation boundary, a state
+// bounded by the torn operation's neighbors otherwise. It updates the
+// result tallies and the distinct-state set.
 func crashAndRecover(dir string, offset int, states []string, seqAfter []uint64, res *CrashScenarioResult, seen map[int]bool) error {
 	tmp, err := os.MkdirTemp("", "elpc-crash-trial-")
 	if err != nil {
@@ -404,7 +442,7 @@ func crashAndRecover(dir string, offset int, states []string, seqAfter []uint64,
 	if lastSeq == 0 {
 		// The crash tore even the install record: recovery must produce no
 		// manager rather than a fabricated one.
-		r, err := fleet.Recover(rec, nil)
+		r, err := fleet.Recover(rec)
 		if err != nil {
 			return err
 		}
@@ -415,17 +453,19 @@ func crashAndRecover(dir string, offset int, states []string, seqAfter []uint64,
 		return nil
 	}
 
-	r, err := fleet.Recover(rec, nil)
+	r, err := fleet.Recover(rec)
 	if err != nil {
 		return fmt.Errorf("harness: rebuild after crash at offset %d: %w", offset, err)
 	}
 	if r.Manager == nil {
 		return fmt.Errorf("harness: crash at offset %d lost the install record (seq %d)", offset, lastSeq)
 	}
+	got, err := crashStateJSON(r.Manager, r.Parked)
+	if err != nil {
+		return err
+	}
 
-	// The recovered sequence must be exactly one an operation acknowledged:
-	// a sequence between two ops would mean a record materialized out of an
-	// operation's commit.
+	// idx is the last operation whose records all reached the log.
 	idx := -1
 	for i := len(seqAfter) - 1; i >= 0; i-- {
 		if seqAfter[i] <= lastSeq {
@@ -433,12 +473,16 @@ func crashAndRecover(dir string, offset int, states []string, seqAfter []uint64,
 			break
 		}
 	}
-	if idx < 0 || seqAfter[idx] != lastSeq {
-		return fmt.Errorf("harness: crash at offset %d recovered to seq %d, which no operation acknowledged", offset, lastSeq)
+	if idx < 0 {
+		return fmt.Errorf("harness: crash at offset %d recovered to seq %d, before the install", offset, lastSeq)
 	}
-	got, err := crashStateJSON(r.Manager.(*fleet.Fleet), r.Parked)
-	if err != nil {
-		return err
+	if seqAfter[idx] != lastSeq {
+		// The crash fell between two records of operation idx+1.
+		res.MidOpTrials++
+		if err := boundedBy(got, states[idx], states[idx+1]); err != nil {
+			return fmt.Errorf("harness: crash at offset %d (inside op %d, seq %d): %w", offset, idx+1, lastSeq, err)
+		}
+		return nil
 	}
 	if got != states[idx] {
 		return fmt.Errorf("harness: crash at offset %d (op %d, seq %d): recovered state diverged from the acknowledged state\n reference: %s\n recovered: %s",
@@ -448,12 +492,68 @@ func crashAndRecover(dir string, offset int, states []string, seqAfter []uint64,
 	return nil
 }
 
-// RunCrashScenario runs the crash-injection scenario on one suite case: a
-// seeded deploy/churn/preemption workload, crashed at randomized log
+// boundedBy checks a state recovered from inside one operation against the
+// reference states before and after it: every deployment and parked entry
+// it holds appears, byte for byte, in one of the two (nothing torn or
+// fabricated), and every one both hold is present (nothing the operation
+// left alone was lost).
+func boundedBy(got, before, after string) error {
+	var g, b, a crashState
+	for _, p := range []struct {
+		s  string
+		st *crashState
+	}{{got, &g}, {before, &b}, {after, &a}} {
+		if err := json.Unmarshal([]byte(p.s), p.st); err != nil {
+			return err
+		}
+	}
+	check := func(what string, got, before, after []string) error {
+		inBefore, inAfter := setOf(before), setOf(after)
+		inGot := setOf(got)
+		for _, x := range got {
+			if !inBefore[x] && !inAfter[x] {
+				return fmt.Errorf("recovered %s in neither neighbor state: %s", what, x)
+			}
+		}
+		for _, x := range before {
+			if inAfter[x] && !inGot[x] {
+				return fmt.Errorf("lost %s the operation did not touch: %s", what, x)
+			}
+		}
+		return nil
+	}
+	if err := check("deployment", marshalEach(g.List), marshalEach(b.List), marshalEach(a.List)); err != nil {
+		return err
+	}
+	return check("parked entry", marshalEach(g.Parked), marshalEach(b.Parked), marshalEach(a.Parked))
+}
+
+// marshalEach renders every element as its canonical JSON.
+func marshalEach[T any](xs []T) []string {
+	out := make([]string, 0, len(xs))
+	for _, x := range xs {
+		data, _ := json.Marshal(x) // plain data structs always marshal
+		out = append(out, string(data))
+	}
+	return out
+}
+
+// setOf indexes a string list.
+func setOf(xs []string) map[string]bool {
+	set := make(map[string]bool, len(xs))
+	for _, x := range xs {
+		set[x] = true
+	}
+	return set
+}
+
+// RunCrashScenario runs the crash-injection scenario on one suite case
+// against a fleet of the given shard count: a seeded
+// deploy/churn/preemption/requeue workload, crashed at randomized log
 // offsets and recovered, in both the pure-replay and snapshot-plus-suffix
 // regimes. A non-nil error means a recovery diverged from an acknowledged
 // state — the durability contract was violated.
-func RunCrashScenario(spec gen.CaseSpec, cs gen.ChurnSpec, sessions int, seed uint64) (*CrashScenarioResult, error) {
+func RunCrashScenario(spec gen.CaseSpec, cs gen.ChurnSpec, sessions, shards int, seed uint64) (*CrashScenarioResult, error) {
 	net, err := gen.Network(spec.Nodes, spec.Links, gen.DefaultRanges(), gen.RNG(spec.Seed))
 	if err != nil {
 		return nil, err
@@ -462,7 +562,7 @@ func RunCrashScenario(spec gen.CaseSpec, cs gen.ChurnSpec, sessions int, seed ui
 	if err != nil {
 		return nil, err
 	}
-	states, err := runCrashReference(net, ops)
+	states, err := runCrashReference(net, shards, ops)
 	if err != nil {
 		return nil, err
 	}
@@ -470,6 +570,7 @@ func RunCrashScenario(spec gen.CaseSpec, cs gen.ChurnSpec, sessions int, seed ui
 	res := &CrashScenarioResult{
 		Case:     spec.ID,
 		Network:  fmt.Sprintf("n%d l%d", spec.Nodes, spec.Links),
+		Shards:   max(shards, 1),
 		Sessions: sessions,
 		Ops:      len(ops),
 	}
@@ -485,7 +586,7 @@ func RunCrashScenario(spec gen.CaseSpec, cs gen.ChurnSpec, sessions int, seed ui
 			return nil, err
 		}
 		defer os.RemoveAll(dir)
-		seqAfter, finalState, err := runCrashWAL(dir, net, ops, snapshotAt)
+		seqAfter, finalState, err := runCrashWAL(dir, net, shards, ops, snapshotAt)
 		if err != nil {
 			return nil, err
 		}
@@ -523,7 +624,7 @@ func RunCrashScenario(spec gen.CaseSpec, cs gen.ChurnSpec, sessions int, seed ui
 // the pipebench artifacts.
 func CrashScenarioTable(r *CrashScenarioResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "## Crash-recovery scenario (case %d, %s)\n\n", r.Case, r.Network)
+	fmt.Fprintf(&b, "## Crash-recovery scenario (case %d, %s, %d-shard fleet)\n\n", r.Case, r.Network, r.Shards)
 	fmt.Fprintf(&b, "| metric | value |\n|---|---|\n")
 	fmt.Fprintf(&b, "| sessions | %d |\n", r.Sessions)
 	fmt.Fprintf(&b, "| operations | %d |\n", r.Ops)
@@ -533,6 +634,7 @@ func CrashScenarioTable(r *CrashScenarioResult) string {
 	fmt.Fprintf(&b, "| crash points recovered | %d |\n", r.Trials)
 	fmt.Fprintf(&b, "| torn-tail crashes | %d |\n", r.TornTrials)
 	fmt.Fprintf(&b, "| snapshot-path recoveries | %d |\n", r.SnapshotTrials)
+	fmt.Fprintf(&b, "| mid-operation recoveries | %d |\n", r.MidOpTrials)
 	fmt.Fprintf(&b, "| distinct acknowledged states hit | %d |\n", r.DistinctStates)
 	fmt.Fprintf(&b, "| final deployments | %d |\n", r.FinalDeployments)
 	fmt.Fprintf(&b, "| final parked | %d |\n", r.FinalParked)

@@ -46,17 +46,11 @@ type equivFingerprint struct {
 	frontErr   string
 }
 
-// snapshotter is the residual-view surface both managers provide outside
-// the Manager interface.
-type snapshotter interface {
-	Snapshot() *model.Network
-}
-
 // runEquivalenceTrace builds the case network, populates a manager with the
 // deterministic tenant mix, replays the seeded churn trace through a
 // reconciler with periodic rebalance passes, and returns the fingerprint
 // plus the manager's warm-solve counters.
-func runEquivalenceTrace(t *testing.T, mk func(*model.Network) (fleet.Manager, error), warm bool, spec gen.CaseSpec, seed uint64) (*equivFingerprint, fleet.WarmSolveStats) {
+func runEquivalenceTrace(t *testing.T, mk func(*model.Network) (*fleet.ShardedFleet, error), warm bool, spec gen.CaseSpec, seed uint64) (*equivFingerprint, fleet.WarmSolveStats) {
 	t.Helper()
 	net, err := gen.Network(spec.Nodes, spec.Links, gen.DefaultRanges(), gen.RNG(spec.Seed))
 	if err != nil {
@@ -123,7 +117,7 @@ func runEquivalenceTrace(t *testing.T, mk func(*model.Network) (fleet.Manager, e
 	cs.MeanRepairMs, cs.MaxRepairMs = 0, 0
 	fp.churnStats = cs
 
-	snap := m.(snapshotter).Snapshot()
+	snap := m.Snapshot()
 	fp.residual = snap
 
 	// A Pareto front solved on the final residual view: end-state capacity
@@ -182,21 +176,21 @@ func assertFingerprintsEqual(t *testing.T, cold, warm *equivFingerprint) {
 	}
 }
 
-// equivManagerKinds is the manager matrix the suite runs: a plain Fleet,
-// and sharded fleets at K=1 and K=3.
+// equivManagerKinds is the manager matrix the suite runs: the one-shard
+// fleet through New ("plain") and through NewSharded, and a 3-shard fleet.
 var equivManagerKinds = []struct {
 	name string
-	mk   func(*model.Network) (fleet.Manager, error)
+	mk   func(*model.Network) (*fleet.ShardedFleet, error)
 }{
-	{"plain", func(n *model.Network) (fleet.Manager, error) { return fleet.New(n) }},
-	{"sharded-k1", func(n *model.Network) (fleet.Manager, error) { return fleet.NewSharded(n, 1) }},
-	{"sharded-k3", func(n *model.Network) (fleet.Manager, error) { return fleet.NewSharded(n, 3) }},
+	{"plain", fleet.New},
+	{"sharded-k1", func(n *model.Network) (*fleet.ShardedFleet, error) { return fleet.NewSharded(n, 1) }},
+	{"sharded-k3", func(n *model.Network) (*fleet.ShardedFleet, error) { return fleet.NewSharded(n, 3) }},
 }
 
 // TestWarmColdEquivalence replays identical seeded churn/rebalance traces
-// warm and cold and requires byte-identical observables. Plain fleets cover
-// the full Suite20; sharded fleets cover a spread subset (every fourth
-// case). -short trims the plain sweep to every fifth case.
+// warm and cold and requires byte-identical observables. The New-built
+// fleet covers the full Suite20; the NewSharded kinds cover a spread subset
+// (every fourth case). -short trims the full sweep to every fifth case.
 func TestWarmColdEquivalence(t *testing.T) {
 	suite := gen.Suite20()
 	for _, kind := range equivManagerKinds {

@@ -10,7 +10,7 @@ import (
 )
 
 // FleetScenarioResult summarizes one multi-tenant fleet replay: a
-// deterministic arrival/departure schedule played against a Fleet over one
+// deterministic arrival/departure schedule played against a fleet over one
 // suite network, followed by a rebalance pass.
 type FleetScenarioResult struct {
 	Case     int    `json:"case"`

@@ -82,7 +82,7 @@ type ScaleScenarioResult struct {
 }
 
 // RunScaleScenario generates the clustered network, replays the same
-// deterministic request list against an unsharded Fleet and against a
+// deterministic request list against a one-shard fleet and against a
 // ShardedFleet with spec.Shards regions (partitioned by the graph
 // partitioner, which must recover the generated clusters), and reports
 // admissions, quality, and wall-clock cost side by side.

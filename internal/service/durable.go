@@ -36,7 +36,7 @@ func NewDurableServer(opt Options) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: opening data dir: %w", err)
 	}
-	recovered, err := fleet.Recover(rec, nil)
+	recovered, err := fleet.Recover(rec)
 	if err != nil {
 		_ = l.Close()
 		return nil, fmt.Errorf("service: recovering fleet state: %w", err)

@@ -19,22 +19,22 @@ import (
 // network has been installed via POST /v1/fleet/network.
 var errFleetNotConfigured = errors.New("fleet network not configured (POST /v1/fleet/network first)")
 
-// fleetState guards the server's fleet manager (a plain Fleet, or a
-// ShardedFleet when the install asked for shards). The manager itself is
-// concurrency-safe, but installing/replacing the shared network must be
-// atomic with respect to whole operations, not just pointer lookups: every
-// handler runs under the read lock for its full duration, so a network swap
-// can never orphan an in-flight deploy or release onto a discarded fleet.
+// fleetState guards the server's fleet manager (one shard unless the
+// install asked for more). The manager itself is concurrency-safe, but
+// installing/replacing the shared network must be atomic with respect to
+// whole operations, not just pointer lookups: every handler runs under the
+// read lock for its full duration, so a network swap can never orphan an
+// in-flight deploy or release onto a discarded fleet.
 type fleetState struct {
 	mu sync.RWMutex
 	// op serializes the solve-bearing operations (deploy, rebalance, churn
 	// event application) with each other *before* they claim a worker-pool
-	// slot. Unsharded fleet admission is serialized internally anyway, so
-	// without this, concurrent fleet requests would each occupy a slot only
-	// to queue on the fleet mutex, starving the planning endpoints of pool
-	// capacity. A ShardedFleet skips this serialization: deployments in
-	// different regions hold different locks, so letting them claim slots
-	// concurrently is the whole point of sharding.
+	// slot. One-shard admission is serialized internally anyway, so without
+	// this, concurrent fleet requests would each occupy a slot only to queue
+	// on the shard mutex, starving the planning endpoints of pool capacity.
+	// A multi-shard fleet skips this serialization: deployments in different
+	// regions hold different locks, so letting them claim slots concurrently
+	// is the whole point of sharding.
 	op sync.Mutex
 	f  fleet.Manager
 	// rec reconciles churn events against f; its background requeue loop
@@ -59,7 +59,7 @@ func (s *fleetState) withFleet(fn func(fleet.Manager) error) error {
 }
 
 // withSolve is withFleet plus the solve-op serialization (skipped for
-// sharded fleets, whose per-region locks make concurrent solve-bearing
+// multi-shard fleets, whose per-region locks make concurrent solve-bearing
 // requests productive rather than queued).
 func (s *fleetState) withSolve(fn func(fleet.Manager) error) error {
 	s.mu.RLock()
@@ -67,14 +67,14 @@ func (s *fleetState) withSolve(fn func(fleet.Manager) error) error {
 	if s.f == nil {
 		return errFleetNotConfigured
 	}
-	if _, sharded := s.f.(*fleet.ShardedFleet); !sharded {
+	if s.f.Shards() == 1 {
 		s.op.Lock()
 		defer s.op.Unlock()
 	}
 	return fn(s.f)
 }
 
-// install replaces the shared network, unsharded for shards <= 1 and
+// install replaces the shared network, one shard for shards <= 1 and
 // region-partitioned otherwise. Replacing is refused while deployments are
 // outstanding — their reservations reference the old topology. The write
 // lock waits out every in-flight fleet operation. The fleet shares the
@@ -82,13 +82,7 @@ func (s *fleetState) withSolve(fn func(fleet.Manager) error) error {
 // planning requests draw from one concurrency budget; the old
 // reconciliation loop is stopped before the new one starts.
 func (s *fleetState) install(net *model.Network, shards int, pool *engine.Pool, jr *journal.Journal) error {
-	var f fleet.Manager
-	var err error
-	if shards > 1 {
-		f, err = fleet.NewSharded(net, shards)
-	} else {
-		f, err = fleet.New(net)
-	}
+	f, err := fleet.NewSharded(net, shards)
 	if err != nil {
 		return err
 	}
@@ -491,14 +485,14 @@ func (s *Server) handleFleetDescribe(w http.ResponseWriter, r *http.Request) {
 }
 
 // fleetShardStats snapshots the per-region and coordinator gauges for
-// /v1/stats (nil when the installed manager is not sharded). Like every
+// /v1/stats (nil when the installed manager has one shard). Like every
 // fleet read it runs under the install lock for its whole duration, so a
 // concurrent network replacement cannot hand it a discarded manager.
 func (s *Server) fleetShardStats() *fleet.ShardedStats {
 	var st *fleet.ShardedStats
 	_ = s.fleet.withFleet(func(f fleet.Manager) error {
-		if sf, ok := f.(*fleet.ShardedFleet); ok {
-			v := sf.ShardStats()
+		if f.Shards() > 1 {
+			v := f.ShardStats()
 			st = &v
 		}
 		return nil

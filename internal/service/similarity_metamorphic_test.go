@@ -23,7 +23,7 @@ import (
 // verifyAdapted recomputes every metric of an approximate result on a fresh
 // snapshot of the fleet's residual state and fails if the adapted mapping
 // is infeasible, mispriced, floored, or budget-violating.
-func verifyAdapted(t *testing.T, f *fleet.Fleet, pl *model.Pipeline, res *Result, budget float64) {
+func verifyAdapted(t *testing.T, f *fleet.ShardedFleet, pl *model.Pipeline, res *Result, budget float64) {
 	t.Helper()
 	snap := f.Snapshot() // fresh, independent of the request's network copy
 	if len(res.Assignment) != pl.N() {

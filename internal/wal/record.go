@@ -53,8 +53,8 @@ const (
 )
 
 // ScopeChurn is the Record.Scope of reconciler state records. Fleet scopes
-// are "" (the unsharded fleet, or shard 0 of a single-shard manager), "s<i>"
-// (shard i of a K>1 sharded fleet), and "x" (the cross-region coordinator).
+// are "" (the only shard of a one-shard fleet), "s<i>" (shard i of a K>1
+// sharded fleet), and "x" (the cross-region coordinator).
 const ScopeChurn = "churn"
 
 // ScopeCross is the coordinator scope of a sharded fleet.

@@ -14,7 +14,7 @@ import (
 // residual capacity factors (the cumulative churn the scope has absorbed),
 // counters, and every live deployment in admission order.
 type ScopeState struct {
-	// Scope is "" (plain fleet / shard 0 of 1), "s<i>", or "x".
+	// Scope is "" (the only shard of a one-shard fleet), "s<i>", or "x".
 	Scope string `json:"scope,omitempty"`
 	// NodeFactors/LinkFactors are the residual network's capacity factors.
 	NodeFactors []float64 `json:"node_factors,omitempty"`
