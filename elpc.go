@@ -289,8 +289,9 @@ func NewPlanningServer(opt ServiceOptions) *PlanningServer { return service.NewS
 func Serve(addr string, opt ServiceOptions) error { return service.ListenAndServe(addr, opt) }
 
 // CanonicalProblemHash returns the deterministic hex SHA-256 of the
-// problem's canonical serialization (network, pipeline, endpoints, cost
-// options) — the key the solution cache uses.
+// problem's canonical binary form (every node, link and module field, the
+// endpoints and the cost options, length-prefixed and little-endian) — the
+// key the solution cache uses.
 func CanonicalProblemHash(p *Problem) (string, error) { return service.Hash(p) }
 
 // Fleet manager (multi-tenant placement), embeddable pieces.

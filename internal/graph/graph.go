@@ -28,7 +28,11 @@ type Arc struct {
 }
 
 // New creates an empty graph with n nodes. It panics if n < 0.
-func New(n int) *Graph {
+func New(n int) *Graph { return NewSized(n, 0) }
+
+// NewSized is New with the edge list and the (from,to) index sized for m
+// edges up front, so adding up to m edges never regrows them.
+func NewSized(n, m int) *Graph {
 	if n < 0 {
 		panic("graph: negative node count")
 	}
@@ -36,7 +40,8 @@ func New(n int) *Graph {
 		n:     n,
 		out:   make([][]int32, n),
 		in:    make([][]int32, n),
-		index: make(map[[2]int32]int32),
+		edges: make([]Arc, 0, m),
+		index: make(map[[2]int32]int32, m),
 	}
 }
 
@@ -108,7 +113,7 @@ func (g *Graph) InDegree(v int) int { return len(g.in[v]) }
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	c := New(g.n)
+	c := NewSized(g.n, len(g.edges))
 	for _, e := range g.edges {
 		c.MustAddEdge(e.From, e.To)
 	}
@@ -118,7 +123,7 @@ func (g *Graph) Clone() *Graph {
 // Reverse returns a new graph with every edge direction flipped. Edge IDs are
 // not preserved.
 func (g *Graph) Reverse() *Graph {
-	r := New(g.n)
+	r := NewSized(g.n, len(g.edges))
 	for _, e := range g.edges {
 		r.MustAddEdge(e.To, e.From)
 	}

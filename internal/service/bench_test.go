@@ -1,9 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
+
+	"elpc/internal/model"
 )
 
 // benchCase indexes Suite20: case 10 (30 modules, 80 nodes, 2500 links) is
@@ -105,4 +111,43 @@ func BenchmarkSolverCacheHitParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkPlanHandlerCacheHit measures one /v1/mindelay request through
+// Server.Handler() that the solution cache answers: body read and decode,
+// problem validation, canonical hash, cache lookup and response encoding,
+// with the telemetry middleware in front. The body is the json.Marshal of
+// the Suite20 benchmark case (about 220 KB, almost all of it the network),
+// the shape a client sends.
+func BenchmarkPlanHandlerCacheHit(b *testing.B) {
+	p := buildSuiteProblem(b, benchCase)
+	body, err := json.Marshal(struct {
+		Network  *model.Network  `json:"network"`
+		Pipeline *model.Pipeline `json:"pipeline"`
+		Src      model.NodeID    `json:"src"`
+		Dst      model.NodeID    `json:"dst"`
+	}{p.Net, p.Pipe, p.Src, p.Dst})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewServer(Options{})
+	defer s.Close()
+	h := s.Handler()
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/mindelay", bytes.NewReader(body)))
+		return rec
+	}
+	if rec := post(); rec.Code != http.StatusOK {
+		b.Fatalf("priming request: %d %s", rec.Code, rec.Body)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := post()
+		if rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"cached": true`)) {
+			b.Fatalf("expected a cache hit, got %d: %s", rec.Code, rec.Body)
+		}
+	}
 }

@@ -317,20 +317,6 @@ func (s *Server) writeDump(dir string) (string, error) {
 	return name, nil
 }
 
-// decode is the uniform request-body validation every POST handler runs:
-// the body is size-bounded before any decoding work happens, and unknown
-// fields are rejected so a misspelled parameter fails loudly as
-// invalid_request instead of being silently dropped.
-func decode(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding request: %w", err)
-	}
-	return nil
-}
-
 // writeJSON writes v with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -392,8 +378,8 @@ func writeError(w http.ResponseWriter, err error) {
 // planHandler answers the dedicated planning endpoints.
 func (s *Server) planHandler(op Op) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var body wireRequest
-		if err := decode(w, r, &body); err != nil {
+		body, err := decodeRequest(w, r, readPlainRequest)
+		if err != nil {
 			writeError(w, err)
 			return
 		}
@@ -414,8 +400,8 @@ func (s *Server) planHandler(op Op) http.HandlerFunc {
 // handleSimulate plans (through the cache) and replays the mapping in the
 // discrete-event simulator.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var body wireRequest
-	if err := decode(w, r, &body); err != nil {
+	body, err := decodeRequest(w, r, readPlainRequest)
+	if err != nil {
 		writeError(w, err)
 		return
 	}
@@ -475,8 +461,8 @@ type batchItemWire struct {
 
 // handleBatch solves many problems in one round trip over the shared pool.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var body batchWire
-	if err := decode(w, r, &body); err != nil {
+	body, err := decodeRequest(w, r, readPlainBatch)
+	if err != nil {
 		writeError(w, err)
 		return
 	}
