@@ -145,16 +145,50 @@ func TestRunCompareGate(t *testing.T) {
 	dir := t.TempDir()
 	baseline := filepath.Join(dir, "baseline.json")
 	// Produce a baseline from a 2-case run, then compare a fresh identical
-	// run against it: quality metrics are deterministic, so the gate passes.
+	// run against it with the wall-clock classes (runtime and ratio) out of
+	// the gate: quality metrics are deterministic, so the gate passes. The
+	// wall-clock classes are not: two runs on a loaded machine can differ by
+	// any amount.
 	if err := runFig("2", "", 0, 2, 1, baseline); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(runConfig{fig: "2", cases: 2, replicas: 1, parallel: 1, compare: baseline}); err != nil {
+	if err := run(runConfig{fig: "2", cases: 2, replicas: 1, parallel: 1, compare: baseline, ignoreRuntime: true}); err != nil {
 		t.Fatalf("identical rerun failed the gate: %v", err)
 	}
+	// A ratio metric pushed far past its threshold fails the gate once
+	// runtime gating is on: inflate the baseline's scale speedup 100x.
+	doctorBaseline(t, baseline, func(doc map[string]any) {
+		scale := doc["scale"].(map[string]any)
+		scale["speedup"] = scale["speedup"].(float64) * 100
+	})
+	if err := run(runConfig{fig: "2", cases: 2, replicas: 1, parallel: 1, compare: baseline}); err == nil {
+		t.Fatal("100x speedup regression passed the gate")
+	}
 	// Corrupt the baseline's quality expectations: inflate every ELPC rate
-	// 10x so the fresh run regresses far past the threshold.
-	data, err := os.ReadFile(baseline)
+	// 10x so the fresh run regresses far past the threshold, which gates
+	// even with runtime gating off.
+	doctorBaseline(t, baseline, func(doc map[string]any) {
+		for _, rc := range doc["results"].([]any) {
+			rates := rc.(map[string]any)["max_frame_rate_fps"].(map[string]any)
+			elpc := rates["ELPC"].(map[string]any)
+			if v, ok := elpc["value"].(float64); ok {
+				elpc["value"] = v * 10
+			}
+		}
+	})
+	if err := run(runConfig{fig: "2", cases: 2, replicas: 1, parallel: 1, compare: baseline, ignoreRuntime: true}); err == nil {
+		t.Fatal("10x rate regression passed the gate")
+	}
+	// Missing baseline file is a hard error, not a silent pass.
+	if err := run(runConfig{fig: "2", cases: 1, replicas: 1, parallel: 1, compare: filepath.Join(dir, "nope.json")}); err == nil {
+		t.Fatal("missing baseline passed")
+	}
+}
+
+// doctorBaseline rewrites the JSON baseline at path through edit.
+func doctorBaseline(t *testing.T, path string, edit func(map[string]any)) {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,26 +196,12 @@ func TestRunCompareGate(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
-	for _, rc := range doc["results"].([]any) {
-		rates := rc.(map[string]any)["max_frame_rate_fps"].(map[string]any)
-		elpc := rates["ELPC"].(map[string]any)
-		if v, ok := elpc["value"].(float64); ok {
-			elpc["value"] = v * 10
-		}
-	}
-	data, err = json.Marshal(doc)
-	if err != nil {
+	edit(doc)
+	if data, err = json.Marshal(doc); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(baseline, data, 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if err := run(runConfig{fig: "2", cases: 2, replicas: 1, parallel: 1, compare: baseline}); err == nil {
-		t.Fatal("10x rate regression passed the gate")
-	}
-	// Missing baseline file is a hard error, not a silent pass.
-	if err := run(runConfig{fig: "2", cases: 1, replicas: 1, parallel: 1, compare: filepath.Join(dir, "nope.json")}); err == nil {
-		t.Fatal("missing baseline passed")
 	}
 }
 

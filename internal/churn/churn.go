@@ -22,10 +22,12 @@
 //
 // Every batch produces a Record — affected/kept/migrated/parked counts,
 // the number of displaced deployments, and the wall-clock repair latency.
-// Records are not kept in a private log: each is appended to the structured
-// event journal as one ChurnBatch event (preceded by one ChurnApplied event
-// per network mutation), and GET /v1/events/log is served as a filtered
-// view over the journal — the log and the journal can never disagree.
+// Records are not kept in a private log: each is one churn_batch op of the
+// reconciler's transition record (beside its counter state), which goes to
+// the write-ahead log and the structured event journal, after the fleet's
+// own records for the batch's churn_applied events, repairs and requeues.
+// GET /v1/events/log is served as a filtered view over the journal — the
+// log and the journal can never disagree.
 package churn
 
 import (
@@ -59,39 +61,17 @@ type Options struct {
 	// creates when Journal is nil; <= 0 selects DefaultLogCapacity. Ignored
 	// when Journal is set (the shared journal's capacity governs).
 	LogCapacity int
-	// Journal, when non-nil, receives the reconciler's events (ChurnApplied,
-	// ChurnBatch, Requeued) — normally the service-wide journal the fleet
-	// also records into, so batch events interleave with the repair
-	// outcomes they caused. When nil, New creates a private journal so Log
-	// keeps working standalone.
+	// Journal, when non-nil, receives the reconciler's records (their
+	// churn_batch summaries) — normally the service-wide journal the fleet
+	// also records into, so batch summaries follow the repair outcomes they
+	// caused. When nil, New creates a private journal so Log keeps working
+	// standalone.
 	Journal *journal.Journal
 }
 
-// Record summarizes one applied event batch and its repair cycle.
-type Record struct {
-	// Seq numbers applied batches from 1, in application order.
-	Seq int `json:"seq"`
-	// Events is the applied batch.
-	Events []model.ChurnEvent `json:"events"`
-	// Affected is the size of the incremental-repair frontier: deployments
-	// whose placements touch a mutated element. Kept survived unchanged
-	// (no re-solve), Resolved were re-solved, Migrated moved to a new
-	// mapping, Parked were evicted with their requests retained.
-	Affected int `json:"affected"`
-	Kept     int `json:"kept"`
-	Resolved int `json:"resolved"`
-	Migrated int `json:"migrated"`
-	Parked   int `json:"parked"`
-	// Requeued is the number of previously parked deployments re-admitted
-	// while handling this batch.
-	Requeued int `json:"requeued"`
-	// Displaced = Migrated + Parked: deployments the batch moved or
-	// evicted.
-	Displaced int `json:"displaced"`
-	// RepairMs is the wall-clock latency of the full repair cycle
-	// (identify + repair + requeue).
-	RepairMs float64 `json:"repair_ms"`
-}
+// Record summarizes one applied event batch and its repair cycle. It is the
+// summary the batch's churn_batch op carries.
+type Record = wal.ChurnSummary
 
 // Stats aggregates the reconciler's lifetime counters.
 type Stats struct {
@@ -130,10 +110,10 @@ type Reconciler struct {
 	seq    int
 	jr     *journal.Journal
 	parked []fleet.ParkedDeployment
-	// wal, when non-nil, receives one churn-state record (the counter block
-	// below) after every batch, requeue pass, or park, so recovered
-	// /v1/churn/stats matches the recovered fleet. The fleet's own records
-	// are appended by the manager itself.
+	// wal, when non-nil, receives the reconciler's records (the counter
+	// block below, plus a batch's summary) after every batch, requeue pass,
+	// or park, so recovered /v1/churn/stats matches the recovered fleet. The
+	// fleet's own records are appended by the manager itself.
 	wal *wal.Log
 
 	batches     uint64
@@ -166,10 +146,6 @@ func New(f fleet.Manager, opt Options) *Reconciler {
 	return &Reconciler{f: f, opt: opt, jr: jr}
 }
 
-// Journal returns the journal the reconciler records into (the shared one
-// from Options.Journal, or the private fallback).
-func (r *Reconciler) Journal() *journal.Journal { return r.jr }
-
 // Fleet returns the reconciler's fleet manager.
 func (r *Reconciler) Fleet() fleet.Manager { return r.f }
 
@@ -199,18 +175,14 @@ func (r *Reconciler) churnStateLocked() *wal.ChurnState {
 	}
 }
 
-// walStateLocked appends a churn-state record and returns its commit
-// barrier (a no-op without a log). Caller holds r.mu.
-func (r *Reconciler) walStateLocked() func() {
-	if r.wal == nil {
-		return func() {}
+// emitLocked hands one reconciler record — the counter state plus the given
+// ops — to the journal and the log, and waits for its commit. Caller holds
+// r.mu.
+func (r *Reconciler) emitLocked(ops ...wal.Op) {
+	rec := &wal.Record{Scope: wal.ScopeChurn, Churn: r.churnStateLocked(), Ops: ops}
+	if lsn := r.jr.Append(rec, r.wal); lsn != 0 {
+		_ = r.wal.Commit(lsn)
 	}
-	lsn := r.wal.Append(&wal.Record{
-		Kind:  wal.KindChurnState,
-		Scope: wal.ScopeChurn,
-		Churn: r.churnStateLocked(),
-	})
-	return func() { _ = r.wal.Commit(lsn) }
 }
 
 // raisesCapacity reports whether the batch can make room it did not take
@@ -266,18 +238,6 @@ func (r *Reconciler) Apply(events []model.ChurnEvent) (Record, error) {
 		RepairMs:  float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	r.seq++
-	for _, ev := range events {
-		r.jr.Append(journal.Event{
-			Kind: journal.ChurnApplied, Actor: journal.ActorChurn,
-			Detail: ev.String(),
-		})
-	}
-	r.jr.Append(journal.Event{
-		Kind: journal.ChurnBatch, Actor: journal.ActorChurn,
-		Detail:  fmt.Sprintf("batch %d: %d events, %d affected, %d displaced", rec.Seq, len(events), rec.Affected, rec.Displaced),
-		Payload: rec,
-	})
-
 	r.batches++
 	r.events += uint64(len(events))
 	r.affected += uint64(rec.Affected)
@@ -292,7 +252,7 @@ func (r *Reconciler) Apply(events []model.ChurnEvent) (Record, error) {
 	eventsTotal.Add(uint64(len(events)))
 	requeuedTotal.Add(uint64(requeued))
 	repairSeconds.Observe(rec.RepairMs / 1000)
-	r.walStateLocked()()
+	r.emitLocked(wal.Op{Kind: wal.ChurnBatch, Summary: &rec})
 	return rec, nil
 }
 
@@ -308,17 +268,11 @@ func (r *Reconciler) requeueLocked() int {
 		r.reqAttempts++
 		req := p.Req
 		req.RequeueOf = p.ID
-		d, err := r.f.Deploy(req)
-		if err != nil {
+		if _, err := r.f.Deploy(req); err != nil {
 			kept = append(kept, p)
 			continue
 		}
 		admitted++
-		r.jr.Append(journal.Event{
-			Kind: journal.Requeued, Actor: journal.ActorChurn,
-			Deployment: d.ID, Tenant: d.Tenant,
-			Detail: fmt.Sprintf("re-admitted after parking as %s", p.ID),
-		})
 	}
 	r.parked = kept
 	return admitted
@@ -335,7 +289,7 @@ func (r *Reconciler) Requeue() int {
 	r.requeued += uint64(n)
 	requeuedTotal.Add(uint64(n))
 	if r.reqAttempts != before {
-		r.walStateLocked()()
+		r.emitLocked()
 	}
 	return n
 }
@@ -353,7 +307,7 @@ func (r *Reconciler) Park(ps []fleet.ParkedDeployment) {
 	defer r.mu.Unlock()
 	r.parked = append(r.parked, ps...)
 	r.parkTotal += uint64(len(ps))
-	r.walStateLocked()()
+	r.emitLocked()
 }
 
 // AdoptPreempted drains the fleet's preemption queue into the parked queue
@@ -410,10 +364,10 @@ func (r *Reconciler) Parked() []fleet.ParkedDeployment {
 
 // Log returns the most recent records, oldest first; limit <= 0 returns
 // every retained record. The log is a filtered view over the journal's
-// ChurnBatch events (whose payloads carry the records), so its retention is
-// bounded by the journal's capacity and the two can never disagree.
+// churn_batch events (whose payloads carry the records), so its retention
+// is bounded by the journal's capacity and the two can never disagree.
 func (r *Reconciler) Log(limit int) []Record {
-	evs := r.jr.Filter(journal.ChurnBatch, limit)
+	evs := r.jr.Filter(wal.ChurnBatch, limit)
 	out := make([]Record, 0, len(evs))
 	for _, ev := range evs {
 		if rec, ok := ev.Payload.(Record); ok {

@@ -44,7 +44,6 @@ import (
 
 	"elpc/internal/core"
 	"elpc/internal/engine"
-	"elpc/internal/journal"
 	"elpc/internal/model"
 	"elpc/internal/telemetry"
 	"elpc/internal/wal"
@@ -262,10 +261,6 @@ type region struct {
 	// stay unique and routable across regions.
 	scope    string
 	idPrefix string
-	// actor is the journal layer stamped on the region's events
-	// (journal.ActorFleet on shards, journal.ActorCoordinator on the
-	// coordinator).
-	actor string
 	// view, when non-nil, restricts every solve to the region's
 	// sub-network: the solver runs on an extraction of the residual snapshot
 	// holding only region nodes and internal links, and the winning mapping
@@ -281,15 +276,11 @@ type region struct {
 	// rebuilt from the shards (ShardedFleet.refreshLocked), so every shard
 	// lock must be held wherever the coordinator recomputes.
 	refresh func()
-	// jr, when non-nil, receives one typed event per state transition
-	// (admission, rejection, release, repair outcome, rebalance move) —
-	// the same sites the WAL appends at. Nil (the default, and the
-	// benchmark configuration) makes every record a single pointer check.
-	jr *journal.Journal
-	// wal, when non-nil, durably logs one wal.Record per mutating lock
-	// epoch, labeled with scope, before the operation is acknowledged. See
-	// wal.go.
-	wal *wal.Log
+	// out, when non-nil, receives one wal.Record per mutating lock epoch,
+	// labeled with scope, describing each of its transitions as one op —
+	// see wal.go. Nil (the default, and the benchmark configuration) means
+	// neither a log nor a journal is installed, and no record is built.
+	out *sink
 	// txn is the record under construction for the current lock epoch
 	// (between beginTxnLocked and endTxnLocked); txnPre is the counter
 	// state at epoch start, so counter-only epochs still log.
@@ -355,7 +346,6 @@ func newRegion(base *model.Network, scope string) *region {
 		residual: model.NewResidualNetwork(base),
 		deps:     make(map[string]*Deployment),
 		scope:    scope,
-		actor:    journal.ActorFleet,
 	}
 	if scope != "" {
 		f.idPrefix = scope + "-"
@@ -372,29 +362,6 @@ func (f *region) UsePool(p *engine.Pool) {
 	f.mu.Lock()
 	f.pool = p
 	f.mu.Unlock()
-}
-
-// UseJournal installs the event journal every state transition is recorded
-// into. A nil journal (the default) disables recording.
-func (f *region) UseJournal(j *journal.Journal) {
-	f.mu.Lock()
-	f.jr = j
-	f.mu.Unlock()
-}
-
-// record appends one event to the installed journal, stamping the region's
-// actor layer and shard label; it is a no-op without a journal.
-func (f *region) record(ev journal.Event) {
-	if f.jr == nil {
-		return
-	}
-	if ev.Actor == "" {
-		ev.Actor = f.actor
-	}
-	if ev.Shard == "" {
-		ev.Shard = shardLabel(f.idPrefix)
-	}
-	f.jr.Append(ev)
 }
 
 // recomputeLocked rebuilds the residual loads as the exact ordered sum of
@@ -423,13 +390,13 @@ func (f *region) recomputeLocked() {
 	}
 }
 
-// reject records and wraps an admission failure, journaling the rejection
-// with the requesting tenant.
+// reject counts, logs and wraps an admission failure with the requesting
+// tenant.
 func (f *region) reject(req Request, format string, args ...any) error {
 	f.rejected++
 	rejectedTotal.Inc()
 	reason := fmt.Sprintf(format, args...)
-	f.record(journal.Event{Kind: journal.DeployRejected, Tenant: req.Tenant, Detail: reason})
+	f.logOp(wal.Op{Kind: wal.DeployRejected, Tenant: req.Tenant, Detail: reason})
 	return fmt.Errorf("fleet: %w: %s", ErrRejected, reason)
 }
 
@@ -647,7 +614,7 @@ func (f *region) validateRequest(req Request) error {
 // tryAdmitLocked runs the admission core against the current residual state
 // and commits on success. It returns (dep, "", nil) when the deployment was
 // admitted, (zero, reason, nil) when admission control declines — without
-// counting or journaling the rejection, so callers (Deploy, DeployBatch,
+// counting or logging the rejection, so callers (Deploy, DeployBatch,
 // the preemption retry loop) decide whether a given attempt is final — and
 // (zero, "", err) on a structural or solver error. Caller holds f.mu.
 func (f *region) tryAdmitLocked(req Request, cost model.CostOptions) (Deployment, string, error) {
@@ -741,16 +708,7 @@ func (f *region) admitLocked(req Request, cost model.CostOptions, m *model.Mappi
 	f.recomputeLocked()
 	f.admitted++
 	admittedTotal.Inc()
-	f.record(journal.Event{
-		Kind:       journal.DeployAdmitted,
-		Deployment: d.ID,
-		Tenant:     d.Tenant,
-		Detail:     fmt.Sprintf("reserved %.3f fps", reserved),
-		Mapping:    d.Mapping,
-		DelayMs:    delay,
-		RateFPS:    rate,
-	})
-	f.txnDeploy(d, req.RequeueOf)
+	f.logOp(wal.Op{Kind: wal.DeployAdmitted, Deploy: deployState(d, req.RequeueOf)})
 	return d.clone(), "", false, nil
 }
 
@@ -761,7 +719,7 @@ const MaxPreemptionVictims = 4
 // preemptLocked retries a rejected guaranteed admission by displacing
 // best-effort deployments: victims are removed latest-admitted-first, one at
 // a time, with the admission core retried after each removal. On success the
-// displaced deployments are journaled (DeployPreempted) and queued for
+// displaced deployments are logged (DeployPreempted) and queued for
 // re-admission (TakePreempted); on exhaustion the fleet state is restored
 // exactly (the residual recompute is an ordered sum, so restoration is
 // bit-identical) and ok is false. Caller holds f.mu.
@@ -790,12 +748,6 @@ func (f *region) preemptLocked(req Request, cost model.CostOptions) (Deployment,
 			for _, vd := range removed {
 				f.preempts++
 				preemptedTotal.Inc()
-				f.record(journal.Event{
-					Kind:       journal.DeployPreempted,
-					Deployment: vd.ID,
-					Tenant:     vd.Tenant,
-					Detail:     fmt.Sprintf("displaced by guaranteed deploy %s (tenant %s)", d.ID, req.Tenant),
-				})
 				entry := ParkedDeployment{
 					ID:     vd.ID,
 					Tenant: vd.Tenant,
@@ -803,8 +755,8 @@ func (f *region) preemptLocked(req Request, cost model.CostOptions) (Deployment,
 					Req:    requestOf(vd),
 				}
 				f.preemptedQ = append(f.preemptedQ, entry)
-				f.txnRemove(vd.ID)
-				f.txnPark(entry)
+				ps := parkedState(entry)
+				f.logOp(wal.Op{Kind: wal.DeployPreempted, Remove: vd.ID, Park: &ps})
 			}
 			return d, true
 		}
@@ -822,7 +774,7 @@ func (f *region) preemptLocked(req Request, cost model.CostOptions) (Deployment,
 // network, checks the SLO, reserves capacity, and returns the deployment.
 // A guaranteed-class request that fails admission additionally attempts
 // preemption — displacing up to MaxPreemptionVictims best-effort tenants
-// (parked and journaled, recoverable via TakePreempted) when that frees
+// (parked and logged, recoverable via TakePreempted) when that frees
 // enough residual to admit. Rejections wrap ErrRejected; structural errors
 // (bad request) do not.
 func (f *region) Deploy(req Request) (Deployment, error) {
@@ -839,7 +791,7 @@ func (f *region) Deploy(req Request) (Deployment, error) {
 	lockWait := f.lockWaitHist()
 	f.mu.Lock()
 	lockWait.ObserveSince(t0)
-	f.beginTxnLocked(wal.KindDeploy)
+	f.beginTxnLocked()
 	d, err := f.deployLocked(req, cost)
 	commit := f.endTxnLocked()
 	f.mu.Unlock()
@@ -941,7 +893,7 @@ func (f *region) DeployBatch(reqs []Request) []BatchOutcome {
 	lockWait := f.lockWaitHist()
 	f.mu.Lock()
 	lockWait.ObserveSince(t0)
-	f.beginTxnLocked(wal.KindBatch)
+	f.beginTxnLocked()
 	for _, i := range order {
 		req := reqs[i]
 		cost := model.DefaultCostOptions()
@@ -970,7 +922,7 @@ func (f *region) TakePreempted() []ParkedDeployment {
 // Release returns a deployment's capacity to the fleet.
 func (f *region) Release(id string) error {
 	f.mu.Lock()
-	f.beginTxnLocked(wal.KindRelease)
+	f.beginTxnLocked()
 	err := f.releaseLocked(id)
 	commit := f.endTxnLocked()
 	f.mu.Unlock()
@@ -991,8 +943,7 @@ func (f *region) releaseLocked(id string) error {
 	f.order = removeID(f.order, id)
 	f.recomputeLocked()
 	f.released++
-	f.record(journal.Event{Kind: journal.ReleaseDone, Deployment: id, Tenant: d.Tenant})
-	f.txnRemove(id)
+	f.logOp(wal.Op{Kind: wal.ReleaseDone, Remove: id, Tenant: d.Tenant})
 	return nil
 }
 
@@ -1201,7 +1152,7 @@ func (f *region) Rebalance(opt RebalanceOptions) Report {
 	t0 := time.Now()
 	defer rebalanceSeconds.ObserveSince(t0)
 	f.mu.Lock()
-	f.beginTxnLocked(wal.KindRebalance)
+	f.beginTxnLocked()
 	rep := f.rebalanceLocked(opt)
 	commit := f.endTxnLocked()
 	f.mu.Unlock()
@@ -1368,16 +1319,11 @@ func (f *region) rebalanceLocked(opt RebalanceOptions) Report {
 		d.reservation = res
 		f.recomputeLocked()
 		f.moves++
-		f.record(journal.Event{
-			Kind:       journal.RebalanceMove,
-			Deployment: id,
-			Tenant:     d.Tenant,
-			Detail:     fmt.Sprintf("gain %.4f (%.3f -> %.3f)", move.Gain, move.OldValue, move.NewValue),
-			Mapping:    d.Mapping,
-			DelayMs:    delay,
-			RateFPS:    rate,
+		f.logOp(wal.Op{
+			Kind:   wal.RebalanceMove,
+			Deploy: updateState(d),
+			Detail: fmt.Sprintf("gain %.4f (%.3f -> %.3f)", move.Gain, move.OldValue, move.NewValue),
 		})
-		f.txnUpdate(d)
 		move.Applied = true
 		rep.Moves = append(rep.Moves, move)
 		rep.Applied++

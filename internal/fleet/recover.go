@@ -78,7 +78,7 @@ func applyRecord(out *Recovered, r *wal.Record) error {
 		out.Churn = nil
 		return nil
 	}
-	if r.Kind == wal.KindChurnState {
+	if r.Churn != nil {
 		out.Churn = r.Churn
 		return nil
 	}
@@ -122,19 +122,23 @@ func (f *region) applyWALRecord(r *wal.Record, out *Recovered) error {
 	return nil
 }
 
-// applyOpsLocked redoes a record's placement ops in order. Churn ops were
-// already applied by the caller. Caller holds f.mu.
+// applyOpsLocked redoes a record's placement ops in order: an op's Deploy,
+// then its Remove, then its Park (a park or preemption removes and parks in
+// one op; logs written before ops were typed split them in two). Churn ops
+// were already applied by the caller, and notes carry nothing to redo.
+// Caller holds f.mu.
 func (f *region) applyOpsLocked(ops []wal.Op, out *Recovered) error {
 	for _, op := range ops {
-		switch {
-		case op.Deploy != nil:
+		if op.Deploy != nil {
 			if err := f.restoreDeployLocked(op.Deploy, out); err != nil {
 				return err
 			}
-		case op.Remove != "":
+		}
+		if op.Remove != "" {
 			delete(f.deps, op.Remove)
 			f.order = removeID(f.order, op.Remove)
-		case op.Park != nil:
+		}
+		if op.Park != nil {
 			out.Parked = append(out.Parked, parkedFromState(*op.Park))
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"elpc/internal/engine"
-	"elpc/internal/journal"
 	"elpc/internal/model"
 	"elpc/internal/wal"
 )
@@ -194,7 +193,7 @@ func (f *region) Repair(ids []string, opt RepairOptions) RepairReport {
 	t0 := time.Now()
 	defer repairSeconds.ObserveSince(t0)
 	f.mu.Lock()
-	f.beginTxnLocked(wal.KindRepair)
+	f.beginTxnLocked()
 	rep := f.repairLocked(ids, opt)
 	commit := f.endTxnLocked()
 	f.mu.Unlock()
@@ -282,8 +281,8 @@ func (f *region) repairLocked(ids []string, opt RepairOptions) RepairReport {
 			d.reservation = saved
 			f.recomputeLocked()
 			rep.Kept++
-			f.record(journal.Event{
-				Kind: journal.RepairKept, Deployment: id, Tenant: d.Tenant,
+			f.logOp(wal.Op{
+				Kind: wal.RepairKept, ID: id, Tenant: d.Tenant,
 				Mapping: d.Mapping, DelayMs: delay, RateFPS: rate,
 			})
 			rep.Outcomes = append(rep.Outcomes, RepairOutcome{
@@ -310,11 +309,8 @@ func (f *region) repairLocked(ids []string, opt RepairOptions) RepairReport {
 			f.recomputeLocked()
 			f.parkEvicts++
 			parkEvictionsTotal.Inc()
-			f.record(journal.Event{
-				Kind: journal.RepairParked, Deployment: id, Tenant: d.Tenant, Detail: reason,
-			})
-			f.txnRemove(id)
-			f.txnPark(parked)
+			ps := parkedState(parked)
+			f.logOp(wal.Op{Kind: wal.RepairParked, Remove: id, Park: &ps})
 			rep.Parked = append(rep.Parked, parked)
 			rep.Outcomes = append(rep.Outcomes, RepairOutcome{ID: id, Action: RepairParked, Reason: reason})
 		}
@@ -370,11 +366,7 @@ func (f *region) repairLocked(ids []string, opt RepairOptions) RepairReport {
 		f.recomputeLocked()
 		f.repairMoves++
 		rep.Migrated++
-		f.record(journal.Event{
-			Kind: journal.RepairMigrated, Deployment: id, Tenant: d.Tenant,
-			Mapping: d.Mapping, DelayMs: newDelay, RateFPS: newRate,
-		})
-		f.txnUpdate(d)
+		f.logOp(wal.Op{Kind: wal.RepairMigrated, Deploy: updateState(d)})
 		rep.Outcomes = append(rep.Outcomes, RepairOutcome{
 			ID: id, Action: RepairMigrated, DelayMs: newDelay, RateFPS: newRate,
 		})

@@ -138,6 +138,10 @@ type ShardedFleet struct {
 	// shard's external load and the load on the boundary links. Zero-length
 	// while the coordinator holds nothing. Guarded by every lock.
 	overlay model.Reservation
+	// betweenPhases, when non-nil, runs between a two-phase admission's
+	// solve and its reservation, with only the coordinator's lock held.
+	// Tests set it to land a regional admission there; it is nil otherwise.
+	betweenPhases func()
 }
 
 // New builds the fleet manager over the shared base network with one shard:
@@ -191,7 +195,6 @@ func NewShardedWithPartition(base *model.Network, part *model.Partition) (*Shard
 		s.regions = append(s.regions, f)
 	}
 	coord := newRegion(base, wal.ScopeCross)
-	coord.actor = journal.ActorCoordinator
 	coord.warmOff = true // cold solves, see SetWarmStart
 	coord.refresh = s.refreshLocked
 	s.regions = append(s.regions, coord)
@@ -213,13 +216,6 @@ func (s *ShardedFleet) Shards() int { return s.part.K }
 func (s *ShardedFleet) UsePool(p *engine.Pool) {
 	for _, f := range s.regions {
 		f.UsePool(p)
-	}
-}
-
-// UseJournal installs the event journal on every region.
-func (s *ShardedFleet) UseJournal(j *journal.Journal) {
-	for _, f := range s.regions {
-		f.UseJournal(j)
 	}
 }
 
@@ -282,13 +278,13 @@ func (s *ShardedFleet) unlockAll() {
 	s.coord.mu.Unlock()
 }
 
-// coordEpoch runs body as one coordinator WAL epoch under every lock: the
+// coordEpoch runs body as one coordinator epoch under every lock: the
 // coordinator's reservations are overlaid on every shard, so changing them
 // rewrites every shard's load.
-func (s *ShardedFleet) coordEpoch(kind wal.Kind, body func(x *region)) {
+func (s *ShardedFleet) coordEpoch(body func(x *region)) {
 	x := s.coord
 	s.lockAll()
-	x.beginTxnLocked(kind)
+	x.beginTxnLocked()
 	body(x)
 	commit := x.endTxnLocked()
 	s.unlockAll()
@@ -494,7 +490,7 @@ func (s *ShardedFleet) TakePreempted() []ParkedDeployment {
 	return out
 }
 
-// deployCross is the coordinator path, one coordinator WAL epoch: solve on
+// deployCross is the coordinator path, one coordinator epoch: solve on
 // the composed residual view of the whole network with no shard lock held
 // (phase 1), then lock every shard and run the regional guard-and-commit
 // step against the live composed view, boundary links included (phase 2).
@@ -511,7 +507,7 @@ func (s *ShardedFleet) deployCross(req Request, fallback bool) (Deployment, erro
 	req.warm = nil // coordinator solves run cold (see SetWarmStart)
 	x := s.coord
 	x.mu.Lock()
-	x.beginTxnLocked(wal.KindDeploy)
+	x.beginTxnLocked()
 	d, err := s.twoPhaseLocked(req, fallback, cost)
 	commit := x.endTxnLocked()
 	x.mu.Unlock()
@@ -520,7 +516,7 @@ func (s *ShardedFleet) deployCross(req Request, fallback bool) (Deployment, erro
 }
 
 // twoPhaseLocked is the two-phase admission body. Caller holds the
-// coordinator's mutex inside its WAL epoch.
+// coordinator's mutex inside its epoch.
 func (s *ShardedFleet) twoPhaseLocked(req Request, fallback bool, cost model.CostOptions) (Deployment, error) {
 	x := s.coord
 	if fallback {
@@ -542,11 +538,14 @@ func (s *ShardedFleet) twoPhaseLocked(req Request, fallback bool, cost model.Cos
 			}
 			return Deployment{}, err
 		}
-		x.record(journal.Event{
-			Kind: journal.TwoPhaseReserve, Tenant: req.Tenant,
+		x.logOp(wal.Op{
+			Kind: wal.TwoPhaseReserve, Tenant: req.Tenant,
 			Detail:  fmt.Sprintf("round %d/%d proposed", round, TwoPhaseAttempts),
 			Mapping: m.String(),
 		})
+		if s.betweenPhases != nil {
+			s.betweenPhases()
+		}
 
 		// Phase 2 — reserve: under every shard lock, re-score the proposed
 		// mapping on the live composed view and run the regional
@@ -565,24 +564,24 @@ func (s *ShardedFleet) twoPhaseLocked(req Request, fallback bool, cost model.Cos
 		case overcommit:
 			x.tpcRetries++
 			tpcRetriesTotal.Inc()
-			x.record(journal.Event{
-				Kind: journal.TwoPhaseValidate, Tenant: req.Tenant,
+			x.logOp(wal.Op{
+				Kind: wal.TwoPhaseValidate, Tenant: req.Tenant,
 				Detail: fmt.Sprintf("round %d/%d: reservation no longer fits the live composed view", round, TwoPhaseAttempts),
 			})
 			continue
 		case reason != "":
 			return Deployment{}, x.reject(req, "%s", reason)
 		}
-		x.record(journal.Event{
-			Kind: journal.TwoPhaseCommit, Deployment: d.ID, Tenant: d.Tenant,
+		x.logOp(wal.Op{
+			Kind: wal.TwoPhaseCommit, ID: d.ID, Tenant: d.Tenant,
 			Detail: fmt.Sprintf("round %d/%d committed", round, TwoPhaseAttempts),
 		})
 		return d, nil
 	}
 	x.tpcAborts++
 	tpcAbortsTotal.Inc()
-	x.record(journal.Event{
-		Kind: journal.TwoPhaseAbort, Tenant: req.Tenant,
+	x.logOp(wal.Op{
+		Kind: wal.TwoPhaseAbort, Tenant: req.Tenant,
 		Detail: fmt.Sprintf("%d two-phase rounds exhausted", TwoPhaseAttempts),
 	})
 	return Deployment{}, x.reject(req, "cross-region reservation lost %d two-phase rounds to concurrent admissions", TwoPhaseAttempts)
@@ -598,7 +597,7 @@ func (s *ShardedFleet) Release(id string) error {
 		return s.shards[r].Release(id)
 	}
 	var err error
-	s.coordEpoch(wal.KindRelease, func(x *region) { err = x.releaseLocked(id) })
+	s.coordEpoch(func(x *region) { err = x.releaseLocked(id) })
 	return err
 }
 
@@ -848,7 +847,7 @@ func (s *ShardedFleet) ApplyChurn(events []model.ChurnEvent) error {
 	err := s.applyChurnLocked(perShard, boundary)
 	var commit func()
 	if err == nil {
-		commit = s.walChurnLocked(events)
+		commit = s.logChurnLocked(events)
 	}
 	s.unlockAll()
 	if commit != nil {
@@ -924,7 +923,7 @@ func (s *ShardedFleet) Repair(ids []string, opt RepairOptions) RepairReport {
 		if r < s.part.K {
 			sr = s.shards[r].Repair(sub, opt)
 		} else {
-			s.coordEpoch(wal.KindRepair, func(x *region) { sr = x.repairLocked(sub, RepairOptions{}) })
+			s.coordEpoch(func(x *region) { sr = x.repairLocked(sub, RepairOptions{}) })
 		}
 		rep.Checked += sr.Checked
 		rep.Resolved += sr.Resolved

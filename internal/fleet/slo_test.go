@@ -8,6 +8,7 @@ import (
 
 	"elpc/internal/journal"
 	"elpc/internal/model"
+	"elpc/internal/wal"
 )
 
 // TestFleetJournalEvents checks the journal threading: every admission,
@@ -45,22 +46,22 @@ func TestFleetJournalEvents(t *testing.T) {
 		t.Fatalf("journal has %d events, want admit/reject/release: %+v", len(evs), evs)
 	}
 	admit, rej, rel := evs[0], evs[1], evs[2]
-	if admit.Kind != journal.DeployAdmitted || admit.Deployment != d.ID || admit.Tenant != "viz" ||
+	if admit.Kind != wal.DeployAdmitted || admit.Deployment != d.ID || admit.Tenant != "viz" ||
 		admit.Mapping != d.Mapping || admit.DelayMs != d.DelayMs {
 		t.Errorf("admission event = %+v", admit)
 	}
 	if admit.Actor != journal.ActorFleet || admit.Shard != "main" {
 		t.Errorf("admission attribution = actor %q shard %q", admit.Actor, admit.Shard)
 	}
-	if rej.Kind != journal.DeployRejected || rej.Tenant != "greedy" || rej.Detail == "" {
+	if rej.Kind != wal.DeployRejected || rej.Tenant != "greedy" || rej.Detail == "" {
 		t.Errorf("rejection event = %+v", rej)
 	}
-	if rel.Kind != journal.ReleaseDone || rel.Deployment != d.ID || rel.Tenant != "viz" {
+	if rel.Kind != wal.ReleaseDone || rel.Deployment != d.ID || rel.Tenant != "viz" {
 		t.Errorf("release event = %+v", rel)
 	}
 
 	tl := jr.Timeline(d.ID)
-	if len(tl) != 2 || tl[0].Kind != journal.DeployAdmitted || tl[1].Kind != journal.ReleaseDone {
+	if len(tl) != 2 || tl[0].Kind != wal.DeployAdmitted || tl[1].Kind != wal.ReleaseDone {
 		t.Errorf("timeline = %+v, want [admit release]", tl)
 	}
 }
@@ -178,11 +179,11 @@ func TestShardedSLOReportAndJournal(t *testing.T) {
 	var crossAdmits, commits int
 	for _, ev := range jr.Since(0, 0) {
 		switch ev.Kind {
-		case journal.DeployAdmitted:
+		case wal.DeployAdmitted:
 			if ev.Shard == "x" {
 				crossAdmits++
 			}
-		case journal.TwoPhaseCommit:
+		case wal.TwoPhaseCommit:
 			commits++
 		}
 	}

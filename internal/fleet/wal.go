@@ -3,16 +3,18 @@ package fleet
 import (
 	"fmt"
 
+	"elpc/internal/journal"
 	"elpc/internal/model"
 	"elpc/internal/wal"
 )
 
-// This file wires the write-ahead log through the fleet's regions. The
+// This file closes each lock epoch into one transition record. The
 // contract is one wal.Record per mutating lock epoch: a method that takes a
-// region lock opens a record (beginTxnLocked), the mutation sites append
-// chronological ops to it while the lock is held — so log order always
-// matches application order — and endTxnLocked stamps the scope's counter
-// state, appends the record, and returns the commit barrier the caller runs
+// region lock opens a record (beginTxnLocked), each transition site appends
+// exactly one typed op to it while the lock is held — so record order
+// always matches application order — and endTxnLocked stamps the scope's
+// counter state and hands the record to the installed sink: the
+// write-ahead log, the journal, or both. The returned commit barrier is run
 // after releasing the lock. Commit waits only for the buffered write (plus
 // fsync in wal.Options.Sync mode), so the critical section stays
 // syscall-free and concurrent epochs group-commit behind one write.
@@ -20,20 +22,56 @@ import (
 // Records carry complete outcomes (assignment, scored delay/rate, reserved
 // demand, reservation class), not inputs: replay is a logical redo that
 // rebuilds each reservation arithmetically and never re-runs a solver, which
-// is what makes recovery byte-identical and fast.
+// is what makes recovery byte-identical and fast. Ops that change no
+// replayed state (rejections, kept placements, two-phase notes) are logged
+// too, so the journal can be served as a projection of the records alone.
+
+// sink is where closed epoch records go. Every region of a manager shares
+// one; a nil *sink means neither a log nor a journal is installed.
+type sink struct {
+	wal *wal.Log
+	jr  *journal.Journal
+}
+
+// emit hands a closed record to the journal and the log and returns the
+// barrier that waits for its durable commit (a no-op without a log).
+func (k *sink) emit(rec *wal.Record) func() {
+	lsn := k.jr.Append(rec, k.wal)
+	if lsn == 0 {
+		return func() {}
+	}
+	return func() { _ = k.wal.Commit(lsn) }
+}
 
 // UseWAL installs the write-ahead log every mutating transition is durably
 // recorded into before it is acknowledged. Each region logs its own epochs
 // under its scope ("s<i>" on shard i, "" on the only shard of a one-shard
 // fleet, "x" on the coordinator); whole-fleet churn batches are logged once
-// at manager level. A nil log (the default) disables recording. Install
+// at manager level. A nil log (the default) disables logging. Install
 // before traffic: epochs already inside a lock when the log appears are not
 // recorded.
-func (s *ShardedFleet) UseWAL(l *wal.Log) {
+func (s *ShardedFleet) UseWAL(l *wal.Log) { s.useSink(func(k *sink) { k.wal = l }) }
+
+// UseJournal installs the event journal every transition record is
+// projected onto (nil disables it), with the same caveat as UseWAL.
+func (s *ShardedFleet) UseJournal(j *journal.Journal) { s.useSink(func(k *sink) { k.jr = j }) }
+
+// useSink applies set to a copy of the current sink and installs the result
+// on every region, or nil when it holds neither a log nor a journal.
+func (s *ShardedFleet) useSink(set func(*sink)) {
+	s.lockAll()
+	defer s.unlockAll()
+	var next sink
+	if cur := s.coord.out; cur != nil {
+		next = *cur
+	}
+	set(&next)
+	out := &next
+	if next.wal == nil && next.jr == nil {
+		out = nil
+	}
 	for _, f := range s.regions {
-		f.mu.Lock()
-		f.wal = l
-		f.mu.Unlock()
+		f.out = out
 	}
 }
 
@@ -57,21 +95,22 @@ func (f *region) countersLocked() wal.Counters {
 	}
 }
 
-// beginTxnLocked opens the WAL record for the current lock epoch. Caller
-// holds f.mu.
-func (f *region) beginTxnLocked(kind wal.Kind) {
-	if f.wal == nil {
+// beginTxnLocked opens the record for the current lock epoch. Caller holds
+// f.mu.
+func (f *region) beginTxnLocked() {
+	if f.out == nil {
 		return
 	}
-	f.txn = &wal.Record{Kind: kind, Scope: f.scope}
+	f.txn = &wal.Record{Scope: f.scope}
 	f.txnPre = f.countersLocked()
 }
 
-// endTxnLocked closes the epoch's record: epochs that neither mutated state
+// endTxnLocked closes the epoch's record: epochs that neither logged an op
 // nor moved a counter are skipped (a pure Describe-shaped epoch), everything
-// else — including counter-only epochs like rejections, whose Rejected and
-// Solves deltas recovered Stats must reproduce — is appended. The returned
-// barrier is never nil; the caller invokes it after releasing f.mu.
+// else — including counter-only epochs like a rebalance that moved nothing,
+// whose Solves delta recovered Stats must reproduce — is handed to the sink.
+// The returned barrier is never nil; the caller invokes it after releasing
+// f.mu.
 func (f *region) endTxnLocked() func() {
 	txn := f.txn
 	f.txn = nil
@@ -83,72 +122,52 @@ func (f *region) endTxnLocked() func() {
 		return func() {}
 	}
 	txn.Counters = &cur
-	lsn := f.wal.Append(txn)
-	return func() { _ = f.wal.Commit(lsn) }
+	return f.out.emit(txn)
 }
 
-// txnDeploy records an admission in the current epoch (no-op outside one).
-func (f *region) txnDeploy(d *Deployment, requeueOf string) {
-	if f.txn == nil {
-		return
+// logOp appends one transition to the current epoch's record (no-op outside
+// one).
+func (f *region) logOp(op wal.Op) {
+	if f.txn != nil {
+		f.txn.Ops = append(f.txn.Ops, op)
 	}
-	f.txn.Ops = append(f.txn.Ops, wal.Op{Deploy: deployState(d, requeueOf)})
 }
 
-// txnUpdate records a placement change (repair migration, rebalance move).
-func (f *region) txnUpdate(d *Deployment) {
-	if f.txn == nil {
-		return
-	}
-	f.txn.Ops = append(f.txn.Ops, wal.Op{Deploy: updateState(d)})
-}
-
-// txnRemove records a deployment leaving the fleet (release, park, preempt).
-func (f *region) txnRemove(id string) {
-	if f.txn == nil {
-		return
-	}
-	f.txn.Ops = append(f.txn.Ops, wal.Op{Remove: id})
-}
-
-// txnPark records a displaced deployment entering the parked pool.
-func (f *region) txnPark(p ParkedDeployment) {
-	if f.txn == nil {
-		return
-	}
-	ps := parkedState(p)
-	f.txn.Ops = append(f.txn.Ops, wal.Op{Park: &ps})
-}
-
-// walChurnLocked logs one whole-fleet churn batch as a single manager-level
-// record (scope "", no counters — replay routes it back through ApplyChurn,
-// which re-splits events across shards and the boundary ledger exactly like
-// the live path). Caller holds every lock, so the record cannot interleave
-// with any region's epoch. Every region shares one log; the coordinator's
-// handle is read under its lock. An empty batch changes nothing and logs
-// nothing (its record would carry no churn op to replay).
-func (s *ShardedFleet) walChurnLocked(events []model.ChurnEvent) func() {
-	l := s.coord.wal
-	if l == nil || len(events) == 0 {
+// logChurnLocked records one whole-fleet churn batch as a single
+// manager-level record (scope "", no counters — replay routes it back
+// through ApplyChurn, which re-splits events across shards and the
+// boundary ledger exactly like the live path), so its churn_applied events
+// precede the repairs the batch causes. Caller holds every lock, so the
+// record cannot interleave with any region's epoch; the sink is read under
+// the coordinator's. An empty batch changes nothing and records nothing.
+func (s *ShardedFleet) logChurnLocked(events []model.ChurnEvent) func() {
+	out := s.coord.out
+	if out == nil || len(events) == 0 {
 		return func() {}
 	}
-	rec := &wal.Record{
-		Kind: wal.KindChurn,
-		Ops:  []wal.Op{{Churn: append([]model.ChurnEvent(nil), events...)}},
-	}
-	lsn := l.Append(rec)
-	return func() { _ = l.Commit(lsn) }
+	return out.emit(&wal.Record{
+		Ops: []wal.Op{{Kind: wal.ChurnApplied, Churn: append([]model.ChurnEvent(nil), events...)}},
+	})
 }
 
-// AppendInstall durably logs a fleet install — the base network and shard
-// count — and waits for it to commit, so recovery can always rebuild the
-// manager before replaying the mutations that follow.
-func AppendInstall(l *wal.Log, net *model.Network, shards int) error {
-	lsn := l.Append(&wal.Record{
-		Kind:    wal.KindInstall,
+// InstallRecord is the record of a fleet install: the base network and
+// shard count recovery rebuilds the manager from, plus the install's
+// shard_reconfig note.
+func InstallRecord(net *model.Network, shards int) *wal.Record {
+	return &wal.Record{
 		Install: &wal.InstallState{Network: net, Shards: shards},
-	})
-	return l.Commit(lsn)
+		Ops: []wal.Op{{
+			Kind:   wal.ShardReconfig,
+			Detail: fmt.Sprintf("installed network: %d nodes, %d links, %d shards", net.N(), net.M(), max(shards, 1)),
+		}},
+	}
+}
+
+// AppendInstall durably logs a fleet install and waits for it to commit, so
+// recovery can always rebuild the manager before replaying the mutations
+// that follow.
+func AppendInstall(l *wal.Log, net *model.Network, shards int) error {
+	return l.Commit(l.Append(InstallRecord(net, shards)))
 }
 
 // deployState converts an admitted deployment to its durable form; requeueOf
@@ -176,12 +195,14 @@ func deployState(d *Deployment, requeueOf string) *wal.DeploymentState {
 	}
 }
 
-// updateState converts a placement change to its durable form: only the
-// fields a migration rewrites, with Update set so replay re-places the
-// stored deployment instead of inserting a new one.
+// updateState converts a placement change to its durable form: the
+// deployment's identity plus the fields a migration rewrites, with Update
+// set so replay re-places the stored deployment instead of inserting a new
+// one.
 func updateState(d *Deployment) *wal.DeploymentState {
 	return &wal.DeploymentState{
 		ID:          d.ID,
+		Tenant:      d.Tenant,
 		Assignment:  append([]model.NodeID(nil), d.Assignment...),
 		Mapping:     d.Mapping,
 		DelayMs:     d.DelayMs,

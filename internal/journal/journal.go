@@ -1,84 +1,44 @@
 // Package journal is the control plane's always-on structured event
-// journal: every state transition the placement service performs — deploy
-// admitted or rejected, release, churn event applied, per-deployment repair
-// outcome, rebalance move, park and requeue, each two-phase-commit phase,
-// shard reconfiguration — is recorded as one typed Event, stamped with a
-// monotonic sequence number, the time since the journal was opened, the
-// acting layer, and the deployment/tenant/shard it concerns.
+// journal: the in-memory view of the transition log. Every state transition
+// the placement service performs — deploy admitted or rejected, release,
+// churn event applied, per-deployment repair outcome, rebalance move, park
+// and requeue, each two-phase-commit phase, shard reconfiguration — is
+// described once, as a typed wal.Op inside the wal.Record its lock epoch
+// closes. Append takes each closed record whole, hands it to the
+// write-ahead log when the server runs with -data, and projects its ops, in
+// order, onto the Event wire shape, stamped with a monotonic sequence
+// number, the time since the journal was opened, the acting layer, and the
+// deployment/tenant/shard it concerns. The journal therefore lists
+// transitions in the log's order and never holds a second account of them;
+// the WAL owns durability and recovery, the journal observability.
 //
 // The journal is a bounded in-memory ring: when full, the oldest events are
 // dropped (and counted) so the hot path never blocks or allocates beyond
 // the preallocated ring. A per-deployment secondary index keeps Timeline —
 // the full retained causal history of one deployment — O(events of that
 // deployment), and Since supports incremental tailing by sequence number
-// (GET /v1/journal?since=N). The event schema is deliberately the shape a
-// write-ahead log persists — and internal/wal is that realized durable
-// layer: the same transition sites that Append here append WAL records
-// there when the server runs with -data. The journal stays the bounded,
-// observability-only ring; the WAL owns durability and recovery.
+// (GET /v1/journal?since=N).
 //
-// All methods are safe for concurrent use, and every method is a no-op on a
+// All methods are safe for concurrent use, and every read is a no-op on a
 // nil *Journal, so code paths that run without a journal (benchmarks,
 // standalone fleets) pay only a nil check.
 package journal
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
 	"elpc/internal/telemetry"
+	"elpc/internal/wal"
 )
 
 // DefaultCapacity bounds the ring when New is given a non-positive size.
 const DefaultCapacity = 4096
 
-// Kind names one type of recorded state transition. The string values are
-// the wire form served by /v1/journal and /v1/fleet/{id}/timeline.
-type Kind string
-
-const (
-	// DeployAdmitted records a successful admission (actor fleet or
-	// coordinator); the event carries the admitted mapping and metrics.
-	DeployAdmitted Kind = "deploy_admitted"
-	// DeployRejected records an admission-control rejection with the reason.
-	DeployRejected Kind = "deploy_rejected"
-	// DeployPreempted records a best-effort deployment displaced (parked)
-	// so a guaranteed deploy could admit; Detail names the preemptor.
-	DeployPreempted Kind = "deploy_preempted"
-	// AdmissionShed records a best-effort request turned away at the
-	// service intake queue (429 + Retry-After) before reaching the fleet.
-	AdmissionShed Kind = "admission_shed"
-	// ReleaseDone records a deployment returning its capacity.
-	ReleaseDone Kind = "release"
-	// ChurnApplied records one applied network-mutation event.
-	ChurnApplied Kind = "churn_applied"
-	// ChurnBatch records one reconciler batch summary; its Payload is the
-	// churn.Record, making the reconciler log a pure view over the journal.
-	ChurnBatch Kind = "churn_batch"
-	// RepairKept / RepairMigrated / RepairParked record per-deployment
-	// repair outcomes after churn.
-	RepairKept     Kind = "repair_kept"
-	RepairMigrated Kind = "repair_migrated"
-	RepairParked   Kind = "repair_parked"
-	// RebalanceMove records one applied rebalance migration.
-	RebalanceMove Kind = "rebalance_move"
-	// Requeued records a previously parked deployment re-admitted under a
-	// new deployment ID (carried in Detail; Deployment is the new ID).
-	Requeued Kind = "requeued"
-	// TwoPhaseReserve / TwoPhaseValidate / TwoPhaseCommit / TwoPhaseAbort
-	// record the coordinator's 2PC phases for cross-region deployments:
-	// a proposal solved (reserve), a phase-2 validation failure forcing a
-	// re-solve (validate), a committed reservation (commit), and an
-	// admission abandoned after exhausting its rounds (abort).
-	TwoPhaseReserve  Kind = "2pc_reserve"
-	TwoPhaseValidate Kind = "2pc_validate"
-	TwoPhaseCommit   Kind = "2pc_commit"
-	TwoPhaseAbort    Kind = "2pc_abort"
-	// ShardReconfig records a fleet network install or replacement.
-	ShardReconfig Kind = "shard_reconfig"
-)
-
-// Actor layers stamped on events.
+// Actor layers stamped on events: the coordinator's scope (wal.ScopeCross)
+// acts as the coordinator, churn kinds as churn, service kinds as service,
+// and every other op as the fleet.
 const (
 	ActorFleet       = "fleet"
 	ActorCoordinator = "coordinator"
@@ -92,12 +52,12 @@ type Event struct {
 	// reused; gaps never occur — dropped events are dropped from the ring,
 	// not from the numbering).
 	Seq uint64 `json:"seq"`
-	// TimeMs is the monotonic time of the append, in milliseconds since the
-	// journal was opened.
+	// TimeMs is the monotonic time the transition's record was appended, in
+	// milliseconds since the journal was opened.
 	TimeMs float64 `json:"t_ms"`
 	// Kind types the transition; Actor names the layer that performed it.
-	Kind  Kind   `json:"kind"`
-	Actor string `json:"actor"`
+	Kind  wal.Kind `json:"kind"`
+	Actor string   `json:"actor"`
 	// Deployment / Tenant / Shard identify what the transition concerns
 	// (empty when not applicable).
 	Deployment string `json:"deployment,omitempty"`
@@ -112,7 +72,7 @@ type Event struct {
 	Mapping string  `json:"mapping,omitempty"`
 	DelayMs float64 `json:"delay_ms,omitempty"`
 	RateFPS float64 `json:"rate_fps,omitempty"`
-	// Payload carries structured per-kind data (the churn batch Record).
+	// Payload carries structured per-kind data (the churn batch summary).
 	Payload any `json:"payload,omitempty"`
 }
 
@@ -178,17 +138,95 @@ func New(capacity int) *Journal {
 	}
 }
 
-// Append stamps ev with the next sequence number and the monotonic time and
-// records it, evicting the oldest event when the ring is full. It returns
-// the assigned sequence number (0 on a nil journal).
-func (j *Journal) Append(ev Event) uint64 {
+// Append takes one closed transition record. When l is non-nil it first
+// appends rec to l, under the journal's lock, so the journal lists
+// transitions in exactly the log's order; it then projects rec's ops, in
+// order, onto the ring, all stamped with the append time. It returns l's
+// sequence number for rec (to pass to l.Commit), or 0 without a log. A nil
+// journal only forwards rec to l.
+func (j *Journal) Append(rec *wal.Record, l *wal.Log) uint64 {
 	if j == nil {
-		return 0
+		if l == nil {
+			return 0
+		}
+		return l.Append(rec)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	var lsn uint64
+	if l != nil {
+		lsn = l.Append(rec)
+	}
+	now := float64(time.Since(j.start)) / float64(time.Millisecond)
+	for i := range rec.Ops {
+		op := &rec.Ops[i]
+		ev := project(rec.Scope, op)
+		ev.TimeMs = now
+		switch {
+		case op.Kind == wal.ChurnApplied:
+			for _, ce := range op.Churn {
+				ev.Detail = ce.String()
+				j.pushLocked(ev)
+			}
+		case op.Deploy != nil && op.Deploy.RequeueOf != "":
+			j.pushLocked(ev)
+			j.pushLocked(Event{
+				TimeMs: now, Kind: wal.Requeued, Actor: ActorChurn,
+				Deployment: ev.Deployment, Tenant: ev.Tenant,
+				Detail: "re-admitted after parking as " + op.Deploy.RequeueOf,
+			})
+		default:
+			j.pushLocked(ev)
+		}
+	}
+	return lsn
+}
+
+// project renders one op of a record in the given scope as its event (the
+// per-event fan-out of churn ops and the requeue event are Append's). The
+// actor and shard come from the scope and the kind; identity, scores and
+// detail come from the op's payload, or from its note fields when it has
+// none.
+func project(scope string, op *wal.Op) Event {
+	ev := Event{
+		Kind: op.Kind, Actor: ActorFleet, Shard: scope,
+		Deployment: op.ID, Tenant: op.Tenant, Detail: op.Detail,
+		Mapping: op.Mapping, DelayMs: op.DelayMs, RateFPS: op.RateFPS,
+	}
+	switch {
+	case op.Kind == wal.ChurnApplied || op.Kind == wal.ChurnBatch:
+		ev.Actor, ev.Shard = ActorChurn, ""
+	case op.Kind == wal.ShardReconfig || op.Kind == wal.AdmissionShed:
+		ev.Actor, ev.Shard = ActorService, ""
+	case scope == wal.ScopeCross:
+		ev.Actor = ActorCoordinator
+	case scope == "":
+		ev.Shard = "main"
+	}
+	if d := op.Deploy; d != nil {
+		ev.Deployment, ev.Tenant = d.ID, d.Tenant
+		ev.Mapping, ev.DelayMs, ev.RateFPS = d.Mapping, d.DelayMs, d.RateFPS
+		if op.Kind == wal.DeployAdmitted {
+			ev.Detail = fmt.Sprintf("reserved %.3f fps", d.ReservedFPS)
+		}
+	}
+	if op.Remove != "" {
+		ev.Deployment = op.Remove
+	}
+	if p := op.Park; p != nil {
+		ev.Tenant, ev.Detail = p.Tenant, p.Reason
+	}
+	if sum := op.Summary; sum != nil {
+		ev.Detail = fmt.Sprintf("batch %d: %d events, %d affected, %d displaced", sum.Seq, len(sum.Events), sum.Affected, sum.Displaced)
+		ev.Payload = *sum
+	}
+	return ev
+}
+
+// pushLocked stamps ev with the next sequence number and records it,
+// evicting the oldest event when the ring is full. Caller holds j.mu.
+func (j *Journal) pushLocked(ev Event) {
 	ev.Seq = j.next
-	ev.TimeMs = float64(time.Since(j.start)) / float64(time.Millisecond)
 	j.next++
 
 	if j.n == len(j.ring) && len(j.ring) < j.cap {
@@ -230,7 +268,6 @@ func (j *Journal) Append(ev Event) uint64 {
 		j.byDep[ev.Deployment] = append(j.byDep[ev.Deployment], ev.Seq)
 	}
 	eventsTotal.Inc()
-	return ev.Seq
 }
 
 // posLocked returns the ring position of the event with sequence number
@@ -251,14 +288,10 @@ func (j *Journal) Since(seq uint64, limit int) []Event {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	firstSeq := j.next - uint64(j.n)
-	from := firstSeq
-	if seq+1 > from {
-		from = seq + 1
+	if seq >= j.next-1 {
+		return nil // nothing newer than the cursor; seq+1 below cannot wrap
 	}
-	if from >= j.next {
-		return nil
-	}
+	from := max(j.next-uint64(j.n), seq+1)
 	count := int(j.next - from)
 	if limit > 0 && count > limit {
 		count = limit
@@ -303,8 +336,8 @@ func (j *Journal) Timeline(deployment string) []Event {
 
 // Filter returns up to limit retained events of the given kind, oldest
 // first (limit <= 0 returns all matches). The reconciler's log view uses it
-// to reread its batch records from the shared journal.
-func (j *Journal) Filter(kind Kind, limit int) []Event {
+// to reread its batch summaries from the shared journal.
+func (j *Journal) Filter(kind wal.Kind, limit int) []Event {
 	if j == nil {
 		return nil
 	}

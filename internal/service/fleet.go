@@ -99,10 +99,11 @@ func (s *fleetState) install(net *model.Network, shards int, pool *engine.Pool, 
 	if s.rec != nil {
 		s.rec.Stop()
 	}
+	lsn := jr.Append(fleet.InstallRecord(net, shards), s.wal)
 	if s.wal != nil {
 		// Durably log the install before the manager can take traffic, so
 		// replay always rebuilds the manager before its mutation records.
-		if err := fleet.AppendInstall(s.wal, net, shards); err != nil {
+		if err := s.wal.Commit(lsn); err != nil {
 			return err
 		}
 		f.UseWAL(s.wal)
@@ -111,10 +112,6 @@ func (s *fleetState) install(net *model.Network, shards int, pool *engine.Pool, 
 	s.f = f
 	s.rec = rec
 	rec.Start()
-	jr.Append(journal.Event{
-		Kind: journal.ShardReconfig, Actor: journal.ActorService,
-		Detail: fmt.Sprintf("installed network: %d nodes, %d links, %d shards", net.N(), net.M(), max(shards, 1)),
-	})
 	return nil
 }
 
@@ -202,13 +199,14 @@ func (s *Server) enterIntake(n int, class fleet.Class) (release func(), ok bool)
 }
 
 // shed counts and journals one best-effort request turned away at intake.
+// The fleet never saw it, so its record goes to the journal only.
 func (s *Server) shed(tenant string) {
 	admissionShedTotal.Inc()
-	s.journal.Append(journal.Event{
-		Kind: journal.AdmissionShed, Actor: journal.ActorService,
+	s.journal.Append(&wal.Record{Ops: []wal.Op{{
+		Kind:   wal.AdmissionShed,
 		Tenant: tenant,
 		Detail: fmt.Sprintf("best-effort request shed at intake (bound %d)", s.solver.opt.IntakeBound),
-	})
+	}}}, nil)
 }
 
 // drainPreempted hands deployments displaced by guaranteed admissions to

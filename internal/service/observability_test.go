@@ -12,6 +12,7 @@ import (
 	"elpc/internal/journal"
 	"elpc/internal/model"
 	"elpc/internal/service/wire"
+	"elpc/internal/wal"
 )
 
 // This file tests the observability surface end to end over httptest: the
@@ -161,7 +162,7 @@ func TestTimelineEndToEnd(t *testing.T) {
 	if tl.ID != d.ID || !tl.Live {
 		t.Fatalf("timeline header = %+v, want live %s", tl, d.ID)
 	}
-	var kinds []journal.Kind
+	var kinds []wal.Kind
 	for _, ev := range tl.Events {
 		kinds = append(kinds, ev.Kind)
 		if ev.Deployment != d.ID || ev.Tenant != "cam-7" {
@@ -171,7 +172,7 @@ func TestTimelineEndToEnd(t *testing.T) {
 			t.Errorf("timeline out of order at %d: %+v", i, ev)
 		}
 	}
-	want := []journal.Kind{journal.DeployAdmitted, journal.RepairMigrated, journal.RebalanceMove}
+	want := []wal.Kind{wal.DeployAdmitted, wal.RepairMigrated, wal.RebalanceMove}
 	if len(kinds) != len(want) {
 		t.Fatalf("timeline kinds = %v, want %v", kinds, want)
 	}
@@ -295,12 +296,12 @@ func TestHealthTransitions(t *testing.T) {
 	postGet(t, ts.URL+"/v1/fleet/"+requeued.ID+"/timeline", &tl)
 	found := false
 	for _, ev := range tl.Events {
-		if ev.Kind == journal.Requeued {
+		if ev.Kind == wal.Requeued {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("requeued timeline lacks a %q event: %+v", journal.Requeued, tl.Events)
+		t.Fatalf("requeued timeline lacks a %q event: %+v", wal.Requeued, tl.Events)
 	}
 }
 
@@ -359,7 +360,7 @@ func TestJournalTailing(t *testing.T) {
 	installFleetNetwork(t, ts.URL, diamondNetwork(t))
 	deployDiamond(t, ts.URL, "tail-a")
 	postGet(t, ts.URL+"/v1/journal", &w)
-	if len(w.Events) == 0 || w.Events[0].Kind != journal.ShardReconfig {
+	if len(w.Events) == 0 || w.Events[0].Kind != wal.ShardReconfig {
 		t.Fatalf("journal should open with the install event: %+v", w.Events)
 	}
 	mark := w.Stats.LastSeq
@@ -375,7 +376,7 @@ func TestJournalTailing(t *testing.T) {
 			t.Fatalf("since=%d returned event %+v", mark, ev)
 		}
 	}
-	if tail.Events[len(tail.Events)-1].Kind != journal.DeployAdmitted {
+	if tail.Events[len(tail.Events)-1].Kind != wal.DeployAdmitted {
 		t.Fatalf("tail should end with the second admission: %+v", tail.Events)
 	}
 

@@ -123,9 +123,10 @@ type Server struct {
 	fleet  fleetState
 	mux    *http.ServeMux
 	start  time.Time
-	// journal records every fleet/churn/coordinator state transition; all
-	// layers share this one instance, so /v1/journal is the service's total
-	// event order. health retains SLO evaluations for /v1/health.
+	// journal projects every fleet/churn/service transition record; all
+	// layers share this one instance, which also appends their records to
+	// the write-ahead log, so /v1/journal is the service's total event
+	// order and the log's. health retains SLO evaluations for /v1/health.
 	journal *journal.Journal
 	health  *healthEngine
 	// tracer retains the slowest request traces for GET /v1/traces;

@@ -2,11 +2,13 @@
 // length-prefixed, CRC32-checksummed on-disk event log with fsync-batched
 // group commit, plus periodic compacted snapshots with a versioned header.
 //
-// Every mutating fleet transition — deploy admitted (including preemptions
-// and requeues), release, churn event, repair outcome, rebalance move,
-// two-phase commit or abort, shard reconfiguration — is logged as one
-// Record before the operation is acknowledged, and on boot the newest
-// valid snapshot plus the log suffix replays to the exact pre-crash state.
+// Every fleet, churn and service transition — deploy admitted, rejected or
+// preempted, release, churn event, repair outcome, rebalance move, requeue,
+// each two-phase-commit phase, shard reconfiguration — is described once,
+// as one typed Op of the Record its lock epoch closes. Records are logged
+// before the operation is acknowledged, and on boot the newest valid
+// snapshot plus the log suffix replays to the exact pre-crash state; the
+// in-memory journal (internal/journal) serves the same records as events.
 // A torn tail (a partially-written final record after a crash) is detected
 // by the length/checksum framing and truncated at the first bad record;
 // everything before it is recovered, everything after it was never
@@ -24,32 +26,6 @@ import (
 	"hash/crc32"
 
 	"elpc/internal/model"
-)
-
-// Kind labels what operation produced a Record. Replay is driven by record
-// content (the Ops list and state blocks), not by Kind; the label exists so
-// logs are greppable and the fuzz corpus is readable.
-type Kind string
-
-// Record kinds, one per logged fleet/churn transition.
-const (
-	// KindInstall records a fleet network install or replacement; replay
-	// rebuilds the manager from the embedded InstallState and discards any
-	// prior fleet state (installs are only accepted on empty fleets).
-	KindInstall Kind = "install"
-	// KindDeploy records one admission attempt (including any preemptions
-	// it performed); KindBatch records one DeployBatch lock epoch.
-	KindDeploy Kind = "deploy"
-	KindBatch  Kind = "deploy_batch"
-	// KindRelease records a deployment returning its capacity.
-	KindRelease Kind = "release"
-	// KindChurn records one applied churn batch (capacity mutations).
-	KindChurn Kind = "churn"
-	// KindRepair records one repair pass; KindRebalance one rebalance pass.
-	KindRepair    Kind = "repair"
-	KindRebalance Kind = "rebalance"
-	// KindChurnState records the reconciler's counter state after a batch.
-	KindChurnState Kind = "churn_state"
 )
 
 // ScopeChurn is the Record.Scope of reconciler state records. Fleet scopes
@@ -116,25 +92,96 @@ type ParkedState struct {
 	CostMLD *bool `json:"cost_mld,omitempty"`
 }
 
-// Op is one mutation inside a Record, in chronological order. Exactly one
-// field is set. Keeping mutations as an ordered list (rather than parallel
-// lists per type) matters: a batch can admit a deployment and then preempt
-// it later in the same lock epoch, and replay must see those in order.
+// Kind types one transition. The values are the wire kinds served by
+// /v1/journal and /v1/fleet/{id}/timeline.
+type Kind string
+
+// Transition kinds, each with the op fields it carries. A note carries no
+// replayed state, only identity, detail and scores.
+const (
+	DeployAdmitted   Kind = "deploy_admitted"  // Deploy (with RequeueOf when it drains a parked entry)
+	DeployRejected   Kind = "deploy_rejected"  // note: the rejection reason
+	DeployPreempted  Kind = "deploy_preempted" // Remove and Park: displaced by a guaranteed deploy
+	AdmissionShed    Kind = "admission_shed"   // note: a best-effort request shed at service intake
+	ReleaseDone      Kind = "release"          // Remove and Tenant
+	ChurnApplied     Kind = "churn_applied"    // Churn: the applied network mutations
+	ChurnBatch       Kind = "churn_batch"      // Summary: one reconciler batch
+	RepairKept       Kind = "repair_kept"      // note: the surviving placement's scores
+	RepairMigrated   Kind = "repair_migrated"  // Deploy with Update
+	RepairParked     Kind = "repair_parked"    // Remove and Park
+	RebalanceMove    Kind = "rebalance_move"   // Deploy with Update, and the gain as Detail
+	Requeued         Kind = "requeued"         // no op: projected from a DeployAdmitted with RequeueOf
+	TwoPhaseReserve  Kind = "2pc_reserve"      // note: a cross-region proposal solved
+	TwoPhaseValidate Kind = "2pc_validate"     // note: phase 2 found it overcommitted, re-solve
+	TwoPhaseCommit   Kind = "2pc_commit"       // note: the cross-region reservation committed
+	TwoPhaseAbort    Kind = "2pc_abort"        // note: every two-phase round lost
+	ShardReconfig    Kind = "shard_reconfig"   // note on a fleet network install
+)
+
+// Op is one transition inside a Record, in chronological order. Keeping
+// transitions as an ordered list (rather than parallel lists per type)
+// matters: a batch can admit a deployment and then preempt it later in the
+// same lock epoch, and replay must see those in order. Replay applies the
+// state payloads (Deploy, Remove, Park, Churn) and skips notes — ops that
+// carry none, because the transition changed no replayed state.
 type Op struct {
+	// Kind types the transition (empty in logs written before ops were
+	// typed).
+	Kind Kind `json:"kind,omitempty"`
 	// Deploy inserts (or, with Update set, re-places) a deployment.
 	Deploy *DeploymentState `json:"deploy,omitempty"`
 	// Remove deletes the deployment with this ID (release, park, preempt).
 	Remove string `json:"remove,omitempty"`
-	// Park appends a displaced deployment to the parked pool.
+	// Park appends a displaced deployment to the parked pool; its Reason is
+	// the transition's detail line.
 	Park *ParkedState `json:"park,omitempty"`
 	// Churn applies capacity-mutation events to the scope's residual state.
 	Churn []model.ChurnEvent `json:"churn,omitempty"`
+	// Summary is a reconciler batch's outcome.
+	Summary *ChurnSummary `json:"summary,omitempty"`
+	// ID and Tenant identify the deployment or request a note (or a
+	// release's Remove) concerns; Detail is the human-readable line (the
+	// rejection reason, rebalance gain, or 2PC round); Mapping, DelayMs and
+	// RateFPS carry the placement a note scored.
+	ID      string  `json:"id,omitempty"`
+	Tenant  string  `json:"tenant,omitempty"`
+	Detail  string  `json:"detail,omitempty"`
+	Mapping string  `json:"mapping,omitempty"`
+	DelayMs float64 `json:"delay_ms,omitempty"`
+	RateFPS float64 `json:"rate_fps,omitempty"`
+}
+
+// ChurnSummary summarizes one applied reconciler event batch and its
+// repair cycle (the /v1/events response and /v1/events/log record).
+type ChurnSummary struct {
+	// Seq numbers applied batches from 1, in application order.
+	Seq int `json:"seq"`
+	// Events is the applied batch.
+	Events []model.ChurnEvent `json:"events"`
+	// Affected is the size of the incremental-repair frontier: deployments
+	// whose placements touch a mutated element. Kept survived unchanged
+	// (no re-solve), Resolved were re-solved, Migrated moved to a new
+	// mapping, Parked were evicted with their requests retained.
+	Affected int `json:"affected"`
+	Kept     int `json:"kept"`
+	Resolved int `json:"resolved"`
+	Migrated int `json:"migrated"`
+	Parked   int `json:"parked"`
+	// Requeued is the number of previously parked deployments re-admitted
+	// while handling this batch.
+	Requeued int `json:"requeued"`
+	// Displaced = Migrated + Parked: deployments the batch moved or
+	// evicted.
+	Displaced int `json:"displaced"`
+	// RepairMs is the wall-clock latency of the full repair cycle
+	// (identify + repair + requeue).
+	RepairMs float64 `json:"repair_ms"`
 }
 
 // Counters is the durable snapshot of one scope's admission counters after
-// a record's operations. Counter-only records exist too (rejections, repair
-// passes that kept everything): they still changed Rejected or Solves, and
-// recovered Stats must be byte-identical.
+// a record's operations. Records that replay no state — only notes, or no
+// ops at all (a rebalance pass that moved nothing) — still changed counters
+// such as Rejected or Solves, and recovered Stats must be byte-identical.
 type Counters struct {
 	Admitted      uint64 `json:"admitted,omitempty"`
 	Rejected      uint64 `json:"rejected,omitempty"`
@@ -174,18 +221,17 @@ type InstallState struct {
 	Shards  int            `json:"shards,omitempty"`
 }
 
-// Record is one durably-logged transition: an ordered list of mutations in
-// one scope plus that scope's counter state afterwards. Install and
-// reconciler-state records use the dedicated blocks instead of Ops.
+// Record is one lock epoch's transitions: an ordered list of ops in one
+// scope plus that scope's counter state afterwards. Install and reconciler
+// records additionally carry their dedicated state blocks.
 type Record struct {
 	// Seq is the log-assigned sequence number, monotonic from 1 across
 	// segments and snapshots; replay after a snapshot skips Seq <= snapshot.
 	Seq   uint64 `json:"seq"`
-	Kind  Kind   `json:"kind"`
 	Scope string `json:"scope,omitempty"`
 	Ops   []Op   `json:"ops,omitempty"`
 	// Counters is the scope's counter state after Ops (nil for install and
-	// churn-state records).
+	// reconciler records).
 	Counters *Counters     `json:"counters,omitempty"`
 	Install  *InstallState `json:"install,omitempty"`
 	Churn    *ChurnState   `json:"churn,omitempty"`

@@ -9,7 +9,7 @@ import (
 
 // rec builds a minimal distinguishable record for framing tests.
 func rec(kind Kind, scope string) *Record {
-	return &Record{Kind: kind, Scope: scope, Ops: []Op{{Remove: string(kind)}}}
+	return &Record{Scope: scope, Ops: []Op{{Kind: kind, Remove: string(kind)}}}
 }
 
 // appendN appends and commits n records, returning the last lsn.
@@ -17,7 +17,7 @@ func appendN(t *testing.T, l *Log, n int) uint64 {
 	t.Helper()
 	var lsn uint64
 	for i := 0; i < n; i++ {
-		lsn = l.Append(rec(KindRelease, ""))
+		lsn = l.Append(rec(ReleaseDone, ""))
 		if lsn == 0 {
 			t.Fatalf("append %d returned 0 on an open log", i)
 		}
@@ -59,7 +59,7 @@ func TestAppendCommitReopen(t *testing.T) {
 		}
 	}
 	// Appends continue after the recovered tail.
-	if lsn := l2.Append(rec(KindDeploy, "")); lsn != 11 {
+	if lsn := l2.Append(rec(DeployAdmitted, "")); lsn != 11 {
 		t.Fatalf("post-recovery append got seq %d, want 11", lsn)
 	}
 }
@@ -262,7 +262,7 @@ func TestClosedLog(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
 	}
-	if lsn := l.Append(rec(KindDeploy, "")); lsn != 0 {
+	if lsn := l.Append(rec(DeployAdmitted, "")); lsn != 0 {
 		t.Fatalf("append on closed log returned %d, want 0", lsn)
 	}
 	if err := l.Commit(0); err != ErrClosed {
@@ -279,7 +279,7 @@ func TestSyncModeCommitDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsn := l.Append(rec(KindDeploy, ""))
+	lsn := l.Append(rec(DeployAdmitted, ""))
 	if err := l.Commit(lsn); err != nil {
 		t.Fatal(err)
 	}
