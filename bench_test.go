@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -358,6 +359,85 @@ func BenchmarkFleetDeploy(b *testing.B) {
 	}
 	b.ReportMetric(float64(admitted)/float64(b.N), "admit_frac")
 	b.ReportMetric(float64(resident)/float64(b.N), "resident")
+}
+
+// sloReportSink keeps BenchmarkSLOReport's reports observable.
+var sloReportSink fleet.SLOReport
+
+// BenchmarkSLOReport measures one SLO report — the health engine's re-score
+// of every live deployment on the composed residual view, which elpcd runs
+// after every mutating request — on the two fleet shapes of the end-to-end
+// benchmark's fleet workloads: the plain fleet on the Suite20 case-8
+// network (50 nodes, 1000 links) holding 160 deployments, and 8 shards on
+// the clustered gen.DefaultClusterSpec network (504 nodes, 4896 links)
+// holding 128, 15% of them cross-cluster. Populations are admitted with the
+// workloads' request mix; the deployments metric reports the count reached.
+func BenchmarkSLOReport(b *testing.B) {
+	suite8, err := gen.Suite20()[7].Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := gen.DefaultClusterSpec()
+	clustered, err := gen.ClusteredNetwork(spec, gen.DefaultRanges(), gen.RNG(2026))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases := []struct {
+		name      string
+		net       *model.Network
+		shards    int
+		target    int
+		endpoints func(rng *rand.Rand) (model.NodeID, model.NodeID)
+	}{
+		{"plain-n50-d160", suite8.Net, 1, 160, func(rng *rand.Rand) (model.NodeID, model.NodeID) {
+			src := rng.IntN(suite8.Net.N())
+			return model.NodeID(src), model.NodeID((src + 1 + rng.IntN(suite8.Net.N()-1)) % suite8.Net.N())
+		}},
+		{"shards8-n504-d128", clustered, spec.Clusters, 128, func(rng *rand.Rand) (model.NodeID, model.NodeID) {
+			a, c := rng.IntN(spec.Clusters), rng.IntN(spec.Clusters)
+			if rng.Float64() >= 0.15 {
+				c = a
+			}
+			src := rng.IntN(spec.Nodes)
+			dst := (src + 1 + rng.IntN(spec.Nodes-1)) % spec.Nodes
+			return model.NodeID(a*spec.Nodes + src), model.NodeID(c*spec.Nodes + dst)
+		}},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			fl, err := fleet.NewSharded(tc.net, tc.shards)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := gen.RNG(2026)
+			classes := []fleet.Class{fleet.ClassGuaranteed, fleet.ClassStandard, fleet.ClassStandard, fleet.ClassStandard, fleet.ClassBestEffort}
+			admitted := 0
+			for attempt := 0; admitted < tc.target && attempt < 8*tc.target; attempt++ {
+				pl, err := gen.Pipeline(4+rng.IntN(5), gen.DefaultRanges(), rng)
+				if err != nil {
+					b.Fatal(err)
+				}
+				req := fleet.Request{Pipeline: pl, Objective: model.MinDelay,
+					SLO: fleet.SLO{MinRateFPS: 1 + 5*rng.Float64(), Class: classes[rng.IntN(len(classes))]}}
+				req.Src, req.Dst = tc.endpoints(rng)
+				if rng.IntN(2) == 0 {
+					req.Objective = model.MaxFrameRate
+				}
+				switch _, err := fl.Deploy(req); {
+				case err == nil:
+					admitted++
+				case !errors.Is(err, fleet.ErrRejected):
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sloReportSink = fl.SLOReport()
+			}
+			b.ReportMetric(float64(sloReportSink.Evaluated), "deployments")
+		})
+	}
 }
 
 // BenchmarkFleetDeployWAL is BenchmarkFleetDeploy with the write-ahead

@@ -138,6 +138,9 @@ type ShardedFleet struct {
 	// shard's external load and the load on the boundary links. Zero-length
 	// while the coordinator holds nothing. Guarded by every lock.
 	overlay model.Reservation
+	// sloSnap is SLOReport's reusable snapshot of the composed view.
+	// Guarded by every lock.
+	sloSnap *model.Network
 	// betweenPhases, when non-nil, runs between a two-phase admission's
 	// solve and its reservation, with only the coordinator's lock held.
 	// Tests set it to land a regional admission there; it is nil otherwise.

@@ -11,9 +11,16 @@ import (
 // re-evaluates every live deployment's delivered delay and sustainable rate
 // on the *current* residual network — the network as churn has left it, not
 // as admission saw it — and compares them against the deployment's admission
-// SLO. The service layer runs a report after every churn batch, repair, and
-// rebalance pass and folds the result into /v1/health and the elpc_slo_*
-// metric families.
+// SLO. The service layer runs a report after every mutating request (deploy,
+// deploy-batch, release, rebalance, and each /v1/events batch) and on every
+// GET /v1/health and /v1/debug/dump, and folds the result into /v1/health
+// and the elpc_slo_* metric families.
+//
+// A report costs one snapshot of the composed view, then O(path) per
+// deployment: Eq. 1 and Eq. 2 read only the nodes a mapping's groups run on
+// and the links between consecutive groups, so each deployment is scored on
+// the shared snapshot with just those elements rewritten to exclude its own
+// reservation (model.ResidualNetwork.ScorePath).
 
 // SLOStatus is one deployment's compliance verdict.
 type SLOStatus struct {
@@ -78,12 +85,13 @@ func (r SLOReport) ViolatingTenants() []string {
 	return out
 }
 
-// sloStatusOf scores one deployment on the residual view r: the current
-// mapping is re-evaluated on a snapshot with the deployment's own
-// reservation excluded (the network as this tenant sees it), so a compliant
-// verdict means the admission placement still delivers its SLO on the
-// churned network. Caller must serialize access to r.
-func sloStatusOf(r *model.ResidualNetwork, d *Deployment, shard string) SLOStatus {
+// sloStatusOf scores one deployment on the residual view r through snap, a
+// snapshot of r taken since r last changed: the current mapping is
+// re-evaluated with the deployment's own reservation excluded (the network
+// as this tenant sees it), so a compliant verdict means the admission
+// placement still delivers its SLO on the churned network. Caller must
+// serialize access to r and snap.
+func sloStatusOf(r *model.ResidualNetwork, snap *model.Network, d *Deployment, shard string) SLOStatus {
 	st := SLOStatus{
 		ID:          d.ID,
 		Tenant:      d.Tenant,
@@ -98,16 +106,16 @@ func sloStatusOf(r *model.ResidualNetwork, d *Deployment, shard string) SLOStatu
 			return st
 		}
 	}
-	snap, err := r.SnapshotWithout(d.reservation)
+	// The scorer only reads the mapping, so it may share the assignment.
+	delay, bottleneck, err := r.ScorePath(snap, d.pipe, &model.Mapping{Assign: d.Assignment}, d.cost, d.reservation)
 	if err != nil {
 		// Reservations are shaped by the fleet against the same base
 		// network; a mismatch means corrupted state, not a user error.
 		st.Reason = fmt.Sprintf("unscorable: %v", err)
 		return st
 	}
-	m := model.NewMapping(d.Assignment)
-	st.DelayMs = model.TotalDelay(snap, d.pipe, m, d.cost)
-	st.RateFPS = model.FrameRate(model.SharedBottleneck(snap, d.pipe, m))
+	st.DelayMs = delay
+	st.RateFPS = model.FrameRate(bottleneck)
 	switch {
 	case math.IsInf(st.DelayMs, 1):
 		st.Reason = "mapping traverses an unusable path"
@@ -129,9 +137,10 @@ func sloStatusOf(r *model.ResidualNetwork, d *Deployment, shard string) SLOStatu
 func (s *ShardedFleet) SLOReport() SLOReport {
 	var rep SLOReport
 	s.composed(func(rn *model.ResidualNetwork) {
+		s.sloSnap = rn.SnapshotInto(s.sloSnap)
 		for _, f := range s.regions {
 			for _, id := range f.order {
-				rep.add(sloStatusOf(rn, f.deps[id], shardLabel(f.idPrefix)))
+				rep.add(sloStatusOf(rn, s.sloSnap, f.deps[id], shardLabel(f.idPrefix)))
 			}
 		}
 	})

@@ -182,7 +182,7 @@ func (r *ResidualNetwork) RegionSnapshot(v *RegionView) *Network {
 	for local, g := range v.Nodes {
 		n := r.base.Nodes[g]
 		n.ID = NodeID(local)
-		n.Power = r.base.Nodes[g].Power * residualFraction(r.nodeCap[g], r.nodeLoad[g])
+		n.Power = r.nodePower(int(g), 0)
 		nodes[local] = n
 	}
 	links := make([]Link, len(v.Links))
@@ -191,7 +191,7 @@ func (r *ResidualNetwork) RegionSnapshot(v *RegionView) *Network {
 		l.ID = local
 		l.From = NodeID(v.LocalNode[l.From])
 		l.To = NodeID(v.LocalNode[l.To])
-		l.BWMbps = r.base.Links[gid].BWMbps * residualFraction(r.linkCap[gid], r.linkLoad[gid])
+		l.BWMbps = r.linkBandwidth(gid, 0)
 		links[local] = l
 	}
 	// The view's cached sub-topology describes exactly these renumbered
@@ -210,10 +210,10 @@ func (r *ResidualNetwork) RegionSnapshotInto(v *RegionView, buf *Network) *Netwo
 		return r.RegionSnapshot(v)
 	}
 	for local, g := range v.Nodes {
-		buf.Nodes[local].Power = r.base.Nodes[g].Power * residualFraction(r.nodeCap[g], r.nodeLoad[g])
+		buf.Nodes[local].Power = r.nodePower(int(g), 0)
 	}
 	for local, gid := range v.Links {
-		buf.Links[local].BWMbps = r.base.Links[gid].BWMbps * residualFraction(r.linkCap[gid], r.linkLoad[gid])
+		buf.Links[local].BWMbps = r.linkBandwidth(gid, 0)
 	}
 	return buf
 }

@@ -261,6 +261,21 @@ func (r *ResidualNetwork) LinkResidual(id int) float64 {
 	return f
 }
 
+// nodePower is node v's materialized power: its base power scaled by the
+// unreserved remainder of its effective capacity once `excluded` of its load
+// is set aside (0 for the view as it stands). nodePower and linkBandwidth are
+// the one per-element expression every snapshot and path score reads, so a
+// path score agrees with a full materialization bit for bit.
+func (r *ResidualNetwork) nodePower(v int, excluded float64) float64 {
+	return r.base.Nodes[v].Power * residualFraction(r.nodeCap[v], r.nodeLoad[v]-excluded)
+}
+
+// linkBandwidth is link id's materialized bandwidth with `excluded` of its
+// load set aside; see nodePower.
+func (r *ResidualNetwork) linkBandwidth(id int, excluded float64) float64 {
+	return r.base.Links[id].BWMbps * residualFraction(r.linkCap[id], r.linkLoad[id]-excluded)
+}
+
 // Snapshot materializes the residual view as a standalone Network: node v's
 // power and link l's bandwidth are the base values scaled by the unreserved
 // remainder of the effective capacity (floored at MinResidualFraction, so a
@@ -269,7 +284,7 @@ func (r *ResidualNetwork) LinkResidual(id int) float64 {
 // The snapshot shares no state with the residual view; solvers may use it
 // freely while the view keeps changing.
 func (r *ResidualNetwork) Snapshot() *Network {
-	return r.snapshotExcluding(nil)
+	return r.SnapshotInto(nil)
 }
 
 // SnapshotInto is Snapshot materializing into buf's backing arrays when buf
@@ -281,54 +296,74 @@ func (r *ResidualNetwork) Snapshot() *Network {
 func (r *ResidualNetwork) SnapshotInto(buf *Network) *Network {
 	if buf == nil || len(buf.Nodes) != len(r.base.Nodes) ||
 		len(buf.Links) != len(r.base.Links) || buf.topo != r.base.topo {
-		return r.snapshotExcluding(nil)
+		// The base was validated and scaling preserves positivity and
+		// endpoints, so the base topology index describes the snapshot
+		// exactly; reusing it skips the O(links) graph rebuild that used
+		// to dominate repair time.
+		buf = sharedTopoNetwork(make([]Node, len(r.base.Nodes)), make([]Link, len(r.base.Links)), r.base.topo)
 	}
 	copy(buf.Nodes, r.base.Nodes)
 	for i := range buf.Nodes {
-		buf.Nodes[i].Power = r.base.Nodes[i].Power * residualFraction(r.nodeCap[i], r.nodeLoad[i])
+		buf.Nodes[i].Power = r.nodePower(i, 0)
 	}
 	copy(buf.Links, r.base.Links)
 	for i := range buf.Links {
-		buf.Links[i].BWMbps = r.base.Links[i].BWMbps * residualFraction(r.linkCap[i], r.linkLoad[i])
+		buf.Links[i].BWMbps = r.linkBandwidth(i, 0)
 	}
 	return buf
 }
 
-// SnapshotWithout materializes the residual view with the given reservation
-// subtracted from the outstanding load first — the network as one
-// deployment sees it when its own reservation is excluded. SLO evaluation
-// uses it to re-score every live placement in O(nodes + links) per
-// deployment, without mutating the shared view or cloning it per candidate.
-func (r *ResidualNetwork) SnapshotWithout(res Reservation) (*Network, error) {
-	if err := r.checkShape(res); err != nil {
-		return nil, err
+// ScorePath evaluates mapping m of pipeline pl as the holder of exclude sees
+// the network — the residual view with exclude's load set aside — and
+// returns its Eq. 1 delay (TotalDelay under opt) and its shared Eq. 2
+// bottleneck (SharedBottleneck). snap must be a snapshot of r (Snapshot or
+// SnapshotInto) taken since r last changed. ScorePath rewrites in snap only
+// the elements those evaluators read — the nodes m's groups run on and the
+// links between consecutive groups — scores m on snap, and writes the
+// elements back. So the scores equal, bit for bit, the scores on a full
+// materialization with exclude subtracted from every load, and on return
+// snap equals Snapshot() again. The cost is O(path); nothing is allocated in
+// proportion to the network. The caller must serialize use of snap.
+func (r *ResidualNetwork) ScorePath(snap *Network, pl *Pipeline, m *Mapping, opt CostOptions, exclude Reservation) (delayMs, bottleneckMs float64, err error) {
+	if err := r.checkShape(exclude); err != nil {
+		return 0, 0, err
 	}
-	return r.snapshotExcluding(&res), nil
+	if snap == r.base || len(snap.Nodes) != len(r.base.Nodes) ||
+		len(snap.Links) != len(r.base.Links) || snap.topo != r.base.topo {
+		return 0, 0, fmt.Errorf("model: path score: network is not a snapshot of this residual view")
+	}
+	groups := m.Groups()
+	r.setPath(snap, groups, &exclude)
+	delayMs = TotalDelay(snap, pl, m, opt)
+	bottleneckMs = SharedBottleneck(snap, pl, m)
+	r.setPath(snap, groups, nil)
+	return delayMs, bottleneckMs, nil
 }
 
-// snapshotExcluding is the shared materialization: exclude, when non-nil,
-// is subtracted from each element's load before the residual fraction is
-// computed (the fraction clamp bounds the result even if the exclusion
-// exceeds the recorded load).
-func (r *ResidualNetwork) snapshotExcluding(exclude *Reservation) *Network {
-	nodes := append([]Node(nil), r.base.Nodes...)
-	for i := range nodes {
-		load := r.nodeLoad[i]
+// setPath writes into snap the materialized values of the path elements of
+// groups — each group's node and the link to the next group's node — with
+// exclude's load set aside when it is non-nil. It sets rather than
+// accumulates, so a node or link the mapping visits twice gets the same
+// value each time.
+func (r *ResidualNetwork) setPath(snap *Network, groups []Group, exclude *Reservation) {
+	for gi, g := range groups {
+		v := int(g.Node)
+		excluded := 0.0
 		if exclude != nil {
-			load -= exclude.NodeFrac[i]
+			excluded = exclude.NodeFrac[v]
 		}
-		nodes[i].Power = r.base.Nodes[i].Power * residualFraction(r.nodeCap[i], load)
-	}
-	links := append([]Link(nil), r.base.Links...)
-	for i := range links {
-		load := r.linkLoad[i]
+		snap.Nodes[v].Power = r.nodePower(v, excluded)
+		if gi+1 == len(groups) {
+			break
+		}
+		id, ok := r.base.topo.EdgeID(v, int(groups[gi+1].Node))
+		if !ok {
+			continue // no link: both evaluators score the mapping +Inf
+		}
+		excluded = 0
 		if exclude != nil {
-			load -= exclude.LinkFrac[i]
+			excluded = exclude.LinkFrac[id]
 		}
-		links[i].BWMbps = r.base.Links[i].BWMbps * residualFraction(r.linkCap[i], load)
+		snap.Links[id].BWMbps = r.linkBandwidth(id, excluded)
 	}
-	// The base was validated and scaling preserves positivity and endpoints,
-	// so the base topology index describes the snapshot exactly; reusing it
-	// skips the O(links) graph rebuild that used to dominate repair time.
-	return sharedTopoNetwork(nodes, links, r.base.topo)
 }

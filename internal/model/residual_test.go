@@ -1,7 +1,9 @@
 package model
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -196,5 +198,217 @@ func TestResidualShapeMismatch(t *testing.T) {
 	}
 	if r.Fits(bad) {
 		t.Error("Fits accepted a mis-shaped reservation")
+	}
+}
+
+// referenceSnapshotExcluding is the full materialization path scoring
+// replaced, kept as ScorePath's reference: every node and link of the view,
+// with exclude's load subtracted first when it is non-nil.
+func referenceSnapshotExcluding(r *ResidualNetwork, exclude *Reservation) *Network {
+	nodes := append([]Node(nil), r.base.Nodes...)
+	for i := range nodes {
+		load := r.nodeLoad[i]
+		if exclude != nil {
+			load -= exclude.NodeFrac[i]
+		}
+		nodes[i].Power = r.base.Nodes[i].Power * residualFraction(r.nodeCap[i], load)
+	}
+	links := append([]Link(nil), r.base.Links...)
+	for i := range links {
+		load := r.linkLoad[i]
+		if exclude != nil {
+			load -= exclude.LinkFrac[i]
+		}
+		links[i].BWMbps = r.base.Links[i].BWMbps * residualFraction(r.linkCap[i], load)
+	}
+	return sharedTopoNetwork(nodes, links, r.base.topo)
+}
+
+// networkBitsDiff describes the first element where two networks differ,
+// floats compared by bits; "" means bit-identical.
+func networkBitsDiff(a, b *Network) string {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if len(a.Nodes) != len(b.Nodes) || len(a.Links) != len(b.Links) {
+		return "shapes differ"
+	}
+	for i, n := range a.Nodes {
+		if o := b.Nodes[i]; n.ID != o.ID || n.Name != o.Name || !same(n.Power, o.Power) {
+			return fmt.Sprintf("node %d: %+v vs %+v", i, n, o)
+		}
+	}
+	for i, l := range a.Links {
+		if o := b.Links[i]; l.ID != o.ID || l.From != o.From || l.To != o.To || !same(l.BWMbps, o.BWMbps) || !same(l.MLDms, o.MLDms) {
+			return fmt.Sprintf("link %d: %+v vs %+v", i, l, o)
+		}
+	}
+	return ""
+}
+
+// randomReservation holds a fraction in [0, scale) of about half the nodes
+// and links of net.
+func randomReservation(rng *rand.Rand, net *Network, scale float64) Reservation {
+	res := Reservation{NodeFrac: make([]float64, net.N()), LinkFrac: make([]float64, net.M())}
+	for i := range res.NodeFrac {
+		if rng.IntN(2) == 0 {
+			res.NodeFrac[i] = scale * rng.Float64()
+		}
+	}
+	for i := range res.LinkFrac {
+		if rng.IntN(2) == 0 {
+			res.LinkFrac[i] = scale * rng.Float64()
+		}
+	}
+	return res
+}
+
+// randomChurn draws one batch that fails, degrades, and drifts random nodes
+// and links, drifting some past nominal so the factor clamps at 1.
+func randomChurn(rng *rand.Rand, net *Network) []ChurnEvent {
+	var evs []ChurnEvent
+	for v := 0; v < net.N(); v++ {
+		node := NodeID(v)
+		switch rng.IntN(6) {
+		case 0:
+			evs = append(evs, ChurnEvent{Kind: NodeDown, Node: node})
+		case 1:
+			evs = append(evs, ChurnEvent{Kind: CapacityDrift, Node: node, Factor: 0.2 + 0.7*rng.Float64()})
+		case 2:
+			evs = append(evs, ChurnEvent{Kind: CapacityDrift, Node: node, Factor: 1 + rng.Float64()})
+		}
+	}
+	for l := 0; l < net.M(); l++ {
+		switch rng.IntN(5) {
+		case 0:
+			evs = append(evs, ChurnEvent{Kind: LinkDegrade, Link: l, Factor: 0.05 + 0.9*rng.Float64()})
+		case 1:
+			evs = append(evs, ChurnEvent{Kind: CapacityDrift, Target: TargetLink, Link: l, Factor: 1 + rng.Float64()})
+		}
+	}
+	return evs
+}
+
+// TestScorePathMatchesFullMaterialization is ScorePath's property test:
+// over random networks, loads, churned capacity factors, and mappings —
+// node-reusing walks and arbitrary assignments with missing links among
+// them — scoring through one shared snapshot must equal, bit for bit,
+// scoring on a full materialization with the reservation excluded, for
+// several reservations in turn, and must leave the snapshot equal to
+// Snapshot() bit for bit. The coverage tally fails the test if a regime the
+// per-element expression distinguishes never reached a scored path.
+func TestScorePathMatchesFullMaterialization(t *testing.T) {
+	cover := map[string]int{}
+	for seed := uint64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 41))
+		net, pl, m := randomValidInstance(rng)
+		if rng.IntN(5) == 0 {
+			for j := range m.Assign {
+				m.Assign[j] = NodeID(rng.IntN(net.N()))
+			}
+		}
+		r := NewResidualNetwork(net)
+		held := []Reservation{
+			randomReservation(rng, net, 0.5),
+			randomReservation(rng, net, 0.5),
+			randomReservation(rng, net, 0.5),
+		}
+		if err := r.SetLoad(held); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.ApplyChurn(randomChurn(rng, net)); err != nil {
+			t.Fatalf("seed %d: churn: %v", seed, err)
+		}
+		if m.UsesReuse() {
+			cover["node reuse"]++
+		}
+
+		snap := r.Snapshot()
+		// The held reservations, then one the load does not carry, so the
+		// exclusion exceeds the recorded load.
+		for i, ex := range append(held, randomReservation(rng, net, 1.5)) {
+			opt := CostOptions{IncludeMLDInDelay: rng.IntN(2) == 0}
+			delay, bott, err := r.ScorePath(snap, pl, m, opt, ex)
+			if err != nil {
+				t.Fatalf("seed %d reservation %d: %v", seed, i, err)
+			}
+			ref := referenceSnapshotExcluding(r, &ex)
+			if want := TotalDelay(ref, pl, m, opt); math.Float64bits(delay) != math.Float64bits(want) {
+				t.Fatalf("seed %d reservation %d %v: delay %v, full materialization %v", seed, i, m, delay, want)
+			}
+			if want := SharedBottleneck(ref, pl, m); math.Float64bits(bott) != math.Float64bits(want) {
+				t.Fatalf("seed %d reservation %d %v: bottleneck %v, full materialization %v", seed, i, m, bott, want)
+			}
+			if d := networkBitsDiff(snap, r.Snapshot()); d != "" {
+				t.Fatalf("seed %d reservation %d: snapshot not restored: %s", seed, i, d)
+			}
+
+			regime := func(capFactor, load, excluded float64) {
+				switch f := capFactor - (load - excluded); {
+				case f < MinResidualFraction:
+					cover["residual floor"]++
+				case f > 1:
+					cover["residual clamped at 1"]++
+				}
+				if load > capFactor {
+					cover["over capacity"]++
+				}
+				if excluded > load {
+					cover["exclusion above load"]++
+				}
+			}
+			groups := m.Groups()
+			for gi, g := range groups {
+				if r.NodeIsDown(g.Node) {
+					cover["down node"]++
+				}
+				regime(r.nodeCap[g.Node], r.nodeLoad[g.Node], ex.NodeFrac[g.Node])
+				if gi+1 == len(groups) {
+					break
+				}
+				if l, ok := net.LinkBetween(g.Node, groups[gi+1].Node); ok {
+					regime(r.linkCap[l.ID], r.linkLoad[l.ID], ex.LinkFrac[l.ID])
+				} else {
+					cover["missing link"]++
+				}
+			}
+		}
+	}
+	for _, regime := range []string{"node reuse", "down node", "over capacity", "residual floor",
+		"exclusion above load", "residual clamped at 1", "missing link"} {
+		if cover[regime] == 0 {
+			t.Errorf("no scored path covered %q (coverage %v)", regime, cover)
+		}
+	}
+	t.Logf("coverage: %v", cover)
+}
+
+// TestScorePathRejectsMismatches checks ScorePath refuses a mis-shaped
+// reservation and any network that is not a snapshot of the view — the
+// base network above all, which a rewrite would corrupt — and leaves the
+// snapshot untouched when it refuses.
+func TestScorePathRejectsMismatches(t *testing.T) {
+	net := residualTestNet(t)
+	pl := residualTestPipe(t)
+	m := NewMapping([]NodeID{0, 1, 2})
+	r := NewResidualNetwork(net)
+	ok := Reservation{NodeFrac: []float64{0.1, 0.2, 0.3}, LinkFrac: []float64{0.1, 0.2}}
+	if err := r.SetLoad([]Reservation{ok}); err != nil {
+		t.Fatal(err)
+	}
+	snap := r.Snapshot()
+	bad := Reservation{NodeFrac: []float64{0.1}, LinkFrac: []float64{0.1, 0.1}}
+	if _, _, err := r.ScorePath(snap, pl, m, DefaultCostOptions(), bad); err == nil {
+		t.Error("ScorePath accepted a mis-shaped reservation")
+	}
+	if _, _, err := r.ScorePath(net, pl, m, DefaultCostOptions(), ok); err == nil {
+		t.Error("ScorePath accepted the base network as a snapshot")
+	}
+	if _, _, err := r.ScorePath(net.Clone(), pl, m, DefaultCostOptions(), ok); err == nil {
+		t.Error("ScorePath accepted a network with its own topology")
+	}
+	if d := networkBitsDiff(snap, r.Snapshot()); d != "" {
+		t.Errorf("refused score changed the snapshot: %s", d)
+	}
+	if net.Power(0) != 1000 || net.Links[0].BWMbps != 80 {
+		t.Error("refused score mutated the base network")
 	}
 }

@@ -43,61 +43,94 @@ const (
 	burnLongWindow  = 10 * time.Minute
 )
 
-// burnSample is one timestamped SLO evaluation outcome.
-type burnSample struct {
-	at        time.Time
-	violating int
-	evaluated int
+// burnBuckets is the number of one-second buckets the burn-rate ring
+// keeps: enough to cover the long window.
+const burnBuckets = int64(burnLongWindow / time.Second)
+
+// burnBucket accumulates the SLO evaluations of one second.
+type burnBucket struct {
+	// sec is the second the bucket holds, counted from the engine's first
+	// evaluation; a ring slot whose sec is not the one being written is
+	// stale and starts over.
+	sec int64
+	// sum adds up the violating fractions of the second's evaluations;
+	// count is how many there were (evaluations of an empty fleet count for
+	// nothing).
+	sum   float64
+	count int
 }
 
-// healthEngine retains the most recent SLO evaluation and a sliding window
-// of evaluation outcomes for burn-rate computation. All methods are safe
-// for concurrent use.
+// healthEngine retains the most recent SLO evaluation and a fixed ring of
+// one-second buckets covering the long burn window, so folding in an
+// evaluation is O(1) and the engine's memory stays constant however fast
+// evaluations arrive. All methods are safe for concurrent use.
 type healthEngine struct {
-	mu      sync.Mutex
-	last    fleet.SLOReport
-	lastAt  time.Time
-	samples []burnSample
+	mu   sync.Mutex
+	last fleet.SLOReport
+	// now is the clock: time.Now in a server, injected by tests. It is read
+	// under mu, so no evaluation is stamped before the one that set start.
+	now func() time.Time
+	// start anchors bucket seconds at the first evaluation (monotonic
+	// readings, so wall-clock steps do not move the windows).
+	start   time.Time
+	buckets [burnBuckets]burnBucket
 }
 
-// observe folds one evaluation into the engine, pruning samples older than
-// the long burn window.
+// secondLocked returns the bucket second t falls in.
+func (h *healthEngine) secondLocked(t time.Time) int64 {
+	return int64(t.Sub(h.start) / time.Second)
+}
+
+// observe folds one evaluation into the engine: it becomes the latest
+// report, and its violating fraction joins the current second's bucket.
 func (h *healthEngine) observe(rep fleet.SLOReport) {
-	now := time.Now()
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	now := h.now()
 	h.last = rep
-	h.lastAt = now
-	h.samples = append(h.samples, burnSample{at: now, violating: rep.Violating, evaluated: rep.Evaluated})
-	cutoff := now.Add(-burnLongWindow)
-	drop := 0
-	for drop < len(h.samples) && h.samples[drop].at.Before(cutoff) {
-		drop++
+	if h.start.IsZero() {
+		h.start = now
 	}
-	if drop > 0 {
-		h.samples = append(h.samples[:0], h.samples[drop:]...)
+	if rep.Evaluated == 0 {
+		return
 	}
+	sec := h.secondLocked(now)
+	b := &h.buckets[sec%burnBuckets]
+	if b.sec != sec {
+		*b = burnBucket{sec: sec}
+	}
+	b.sum += float64(rep.Violating) / float64(rep.Evaluated)
+	b.count++
+}
+
+// report returns the latest evaluation.
+func (h *healthEngine) report() fleet.SLOReport {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.last
 }
 
 // snapshot returns the latest report and the burn rates over both windows.
 func (h *healthEngine) snapshot() (rep fleet.SLOReport, burn1m, burn10m float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.last, h.burnLocked(burnShortWindow), h.burnLocked(burnLongWindow)
+	now := h.now()
+	return h.last, h.burnLocked(now, burnShortWindow), h.burnLocked(now, burnLongWindow)
 }
 
 // burnLocked is the mean violating fraction across the evaluations inside
 // the window (0 when nothing was evaluated — an idle fleet is not burning).
-func (h *healthEngine) burnLocked(window time.Duration) float64 {
-	cutoff := time.Now().Add(-window)
+// The window is whole buckets: the current second and the ones before it,
+// up to the window's length in seconds.
+func (h *healthEngine) burnLocked(now time.Time, window time.Duration) float64 {
+	cur, span := h.secondLocked(now), int64(window/time.Second)
 	var sum float64
 	n := 0
-	for _, s := range h.samples {
-		if s.at.Before(cutoff) || s.evaluated == 0 {
-			continue
+	for _, b := range h.buckets[:] {
+		if age := cur - b.sec; age >= 0 && age < span {
+			sum += b.sum
+			n += b.count
 		}
-		sum += float64(s.violating) / float64(s.evaluated)
-		n++
 	}
 	if n == 0 {
 		return 0

@@ -151,7 +151,7 @@ type Server struct {
 func NewServer(opt Options) *Server {
 	s := &Server{solver: NewSolver(opt), mux: http.NewServeMux(), start: time.Now()}
 	s.journal = journal.New(s.solver.opt.JournalCapacity)
-	s.health = &healthEngine{}
+	s.health = &healthEngine{now: time.Now}
 	s.tracer = telemetry.NewTracer(s.solver.opt.TraceCapacity)
 	s.slowRequest = s.solver.opt.SlowRequest
 	s.mux.HandleFunc("POST /v1/mindelay", s.planHandler(OpMinDelay))

@@ -211,11 +211,11 @@ func (s *Server) registerGauges() {
 	// SLO gauges read the health engine's latest evaluation — scrapes never
 	// take fleet locks; the evaluation runs after state-changing operations.
 	reg.GaugeFunc("elpc_slo_evaluated", "deployments scored in the latest SLO evaluation",
-		func() float64 { rep, _, _ := s.health.snapshot(); return float64(rep.Evaluated) })
+		func() float64 { return float64(s.health.report().Evaluated) })
 	reg.GaugeFunc("elpc_slo_compliant", "deployments meeting their SLO in the latest evaluation",
-		func() float64 { rep, _, _ := s.health.snapshot(); return float64(rep.Compliant) })
+		func() float64 { return float64(s.health.report().Compliant) })
 	reg.GaugeFunc("elpc_slo_violating", "deployments violating their SLO in the latest evaluation",
-		func() float64 { rep, _, _ := s.health.snapshot(); return float64(rep.Violating) })
+		func() float64 { return float64(s.health.report().Violating) })
 	reg.GaugeFunc(`elpc_slo_burn_rate{window="1m"}`, "mean violating fraction across SLO evaluations in the window",
 		func() float64 { _, b, _ := s.health.snapshot(); return b })
 	reg.GaugeFunc(`elpc_slo_burn_rate{window="10m"}`, "",
