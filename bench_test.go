@@ -361,18 +361,23 @@ func BenchmarkFleetDeploy(b *testing.B) {
 	b.ReportMetric(float64(resident)/float64(b.N), "resident")
 }
 
-// sloReportSink keeps BenchmarkSLOReport's reports observable.
-var sloReportSink fleet.SLOReport
+// reportFleet is one fleet shape BenchmarkSLOReport and
+// BenchmarkFleetRelease run on: a network, its shard count, the deployment
+// population to admit, and the endpoint draw.
+type reportFleet struct {
+	name      string
+	net       *model.Network
+	shards    int
+	target    int
+	endpoints func(rng *rand.Rand) (model.NodeID, model.NodeID)
+}
 
-// BenchmarkSLOReport measures one SLO report — the health engine's re-score
-// of every live deployment on the composed residual view, which elpcd runs
-// after every mutating request — on the two fleet shapes of the end-to-end
-// benchmark's fleet workloads: the plain fleet on the Suite20 case-8
-// network (50 nodes, 1000 links) holding 160 deployments, and 8 shards on
-// the clustered gen.DefaultClusterSpec network (504 nodes, 4896 links)
-// holding 128, 15% of them cross-cluster. Populations are admitted with the
-// workloads' request mix; the deployments metric reports the count reached.
-func BenchmarkSLOReport(b *testing.B) {
+// reportFleets returns the two fleet shapes of the end-to-end benchmark's
+// fleet workloads: the plain fleet on the Suite20 case-8 network (50 nodes,
+// 1000 links) holding 160 deployments, and 8 shards on the clustered
+// gen.DefaultClusterSpec network (504 nodes, 4896 links) holding 128, 15%
+// of them cross-cluster.
+func reportFleets(b *testing.B) []reportFleet {
 	suite8, err := gen.Suite20()[7].Build()
 	if err != nil {
 		b.Fatal(err)
@@ -382,13 +387,7 @@ func BenchmarkSLOReport(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cases := []struct {
-		name      string
-		net       *model.Network
-		shards    int
-		target    int
-		endpoints func(rng *rand.Rand) (model.NodeID, model.NodeID)
-	}{
+	return []reportFleet{
 		{"plain-n50-d160", suite8.Net, 1, 160, func(rng *rand.Rand) (model.NodeID, model.NodeID) {
 			src := rng.IntN(suite8.Net.N())
 			return model.NodeID(src), model.NodeID((src + 1 + rng.IntN(suite8.Net.N()-1)) % suite8.Net.N())
@@ -403,39 +402,99 @@ func BenchmarkSLOReport(b *testing.B) {
 			return model.NodeID(a*spec.Nodes + src), model.NodeID(c*spec.Nodes + dst)
 		}},
 	}
-	for _, tc := range cases {
+}
+
+// admitted is one live deployment of a loaded benchmark fleet and the
+// request that admitted it.
+type admitted struct {
+	id  string
+	req fleet.Request
+}
+
+// load builds the fleet and admits up to tc.target deployments with the
+// workloads' request mix, returning them in admission order.
+func (tc reportFleet) load(b *testing.B) (*fleet.ShardedFleet, []admitted) {
+	fl, err := fleet.NewSharded(tc.net, tc.shards)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := gen.RNG(2026)
+	classes := []fleet.Class{fleet.ClassGuaranteed, fleet.ClassStandard, fleet.ClassStandard, fleet.ClassStandard, fleet.ClassBestEffort}
+	var live []admitted
+	for attempt := 0; len(live) < tc.target && attempt < 8*tc.target; attempt++ {
+		pl, err := gen.Pipeline(4+rng.IntN(5), gen.DefaultRanges(), rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := fleet.Request{Pipeline: pl, Objective: model.MinDelay,
+			SLO: fleet.SLO{MinRateFPS: 1 + 5*rng.Float64(), Class: classes[rng.IntN(len(classes))]}}
+		req.Src, req.Dst = tc.endpoints(rng)
+		if rng.IntN(2) == 0 {
+			req.Objective = model.MaxFrameRate
+		}
+		switch d, err := fl.Deploy(req); {
+		case err == nil:
+			live = append(live, admitted{d.ID, req})
+		case !errors.Is(err, fleet.ErrRejected):
+			b.Fatal(err)
+		}
+	}
+	return fl, live
+}
+
+// sloReportSink keeps BenchmarkSLOReport's reports observable.
+var sloReportSink fleet.SLOReport
+
+// BenchmarkSLOReport measures one SLO report — the health engine's re-score
+// of every live deployment on the composed residual view, which elpcd runs
+// after every mutating request — on the reportFleets shapes. The
+// deployments metric reports the population reached.
+func BenchmarkSLOReport(b *testing.B) {
+	for _, tc := range reportFleets(b) {
 		b.Run(tc.name, func(b *testing.B) {
-			fl, err := fleet.NewSharded(tc.net, tc.shards)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := gen.RNG(2026)
-			classes := []fleet.Class{fleet.ClassGuaranteed, fleet.ClassStandard, fleet.ClassStandard, fleet.ClassStandard, fleet.ClassBestEffort}
-			admitted := 0
-			for attempt := 0; admitted < tc.target && attempt < 8*tc.target; attempt++ {
-				pl, err := gen.Pipeline(4+rng.IntN(5), gen.DefaultRanges(), rng)
-				if err != nil {
-					b.Fatal(err)
-				}
-				req := fleet.Request{Pipeline: pl, Objective: model.MinDelay,
-					SLO: fleet.SLO{MinRateFPS: 1 + 5*rng.Float64(), Class: classes[rng.IntN(len(classes))]}}
-				req.Src, req.Dst = tc.endpoints(rng)
-				if rng.IntN(2) == 0 {
-					req.Objective = model.MaxFrameRate
-				}
-				switch _, err := fl.Deploy(req); {
-				case err == nil:
-					admitted++
-				case !errors.Is(err, fleet.ErrRejected):
-					b.Fatal(err)
-				}
-			}
+			fl, _ := tc.load(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sloReportSink = fl.SLOReport()
 			}
 			b.ReportMetric(float64(sloReportSink.Evaluated), "deployments")
+		})
+	}
+}
+
+// BenchmarkFleetRelease measures a release and the re-admission that
+// restores occupancy on the reportFleets shapes: each op releases the
+// oldest live deployment — recomputing its region's load from the
+// outstanding set, and for a cross-region deployment every shard's and the
+// composed view — then deploys its request again and queues the new
+// deployment last. The readmit_frac metric is the share of re-admissions
+// that succeeded (a rejected one leaves the queue).
+func BenchmarkFleetRelease(b *testing.B) {
+	for _, tc := range reportFleets(b) {
+		b.Run(tc.name, func(b *testing.B) {
+			fl, live := tc.load(b)
+			readmitted := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(live) == 0 {
+					b.Fatal("every deployment was rejected on re-admission")
+				}
+				a := live[0]
+				live = live[1:]
+				if err := fl.Release(a.id); err != nil {
+					b.Fatal(err)
+				}
+				switch d, err := fl.Deploy(a.req); {
+				case err == nil:
+					live = append(live, admitted{d.ID, a.req})
+					readmitted++
+				case !errors.Is(err, fleet.ErrRejected):
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(readmitted)/float64(b.N), "readmit_frac")
 		})
 	}
 }

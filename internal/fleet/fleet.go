@@ -267,9 +267,9 @@ type region struct {
 	// is translated back to global node IDs. Nil solves on the whole
 	// network (a one-shard fleet's shard, and the coordinator).
 	view *model.RegionView
-	// external is a static load overlay (the coordinator's summed
-	// cross-region reservations) re-added on every recompute; a zero-length
-	// reservation means none.
+	// external is a static load overlay (the coordinator's merged
+	// cross-region reservations) re-added on every recompute; the zero
+	// Reservation means none.
 	external model.Reservation
 	// refresh, set on the coordinator only, replaces the load recompute: the
 	// coordinator's residual is the composed view of the whole network,
@@ -308,7 +308,9 @@ type region struct {
 	// the owner drains them (TakePreempted) into the re-queue loop.
 	preemptedQ []ParkedDeployment
 
-	// resScratch is recomputeLocked's reusable reservation-header slice.
+	// resScratch is the reusable reservation list recomputeLocked hands to
+	// SetLoad (which retains nothing); on the coordinator, refreshLocked and
+	// composeLocked use it under every lock.
 	resScratch []model.Reservation
 
 	// solves counts every objective solve run on the fleet's behalf
@@ -365,29 +367,25 @@ func (f *region) UsePool(p *engine.Pool) {
 }
 
 // recomputeLocked rebuilds the residual loads as the exact ordered sum of
-// outstanding reservations. Caller holds f.mu (on the coordinator: every
-// lock, see refresh). The reservation-header scratch is reused across calls
-// (SetLoad retains nothing).
+// outstanding reservations, then the external overlay. Caller holds f.mu
+// (on the coordinator: every lock, see refresh).
 func (f *region) recomputeLocked() {
 	if f.refresh != nil {
 		f.refresh()
 		return
 	}
-	outstanding := f.resScratch[:0]
+	f.resScratch = f.appendReservationsLocked(f.resScratch[:0])
+	f.residual.SetLoad(f.resScratch)
+	f.residual.AddLoad(f.external)
+}
+
+// appendReservationsLocked appends the region's reservations to dst in
+// admission order. Caller holds f.mu.
+func (f *region) appendReservationsLocked(dst []model.Reservation) []model.Reservation {
 	for _, id := range f.order {
-		outstanding = append(outstanding, f.deps[id].reservation)
+		dst = append(dst, f.deps[id].reservation)
 	}
-	f.resScratch = outstanding
-	if err := f.residual.SetLoad(outstanding); err != nil {
-		// Reservations are built against f.base; shapes cannot mismatch.
-		panic(fmt.Sprintf("fleet: recompute: %v", err))
-	}
-	if len(f.external.NodeFrac) > 0 {
-		if err := f.residual.AddLoad(f.external); err != nil {
-			// The overlay is built against the same base network.
-			panic(fmt.Sprintf("fleet: recompute external: %v", err))
-		}
-	}
+	return dst
 }
 
 // reject counts, logs and wraps an admission failure with the requesting
@@ -679,7 +677,6 @@ func (f *region) admitLocked(req Request, cost model.CostOptions, m *model.Mappi
 	if err != nil {
 		return Deployment{}, "", false, err
 	}
-	res.Class = string(req.SLO.Class.Canon())
 	if !f.residual.Fits(res) {
 		return Deployment{}, fmt.Sprintf("reservation at %.3f fps overcommits the network", reserved), true, nil
 	}
@@ -1110,10 +1107,7 @@ func (f *region) proposeLocked(ids []string, out []proposal, start, end, width i
 		// full nominal power and re-propose it, making the parallel path
 		// diverge from the sequential one on churned networks.
 		rn := f.residual.CloneEmpty()
-		if err := rn.SetLoad(others); err != nil {
-			out[i] = proposal{err: err}
-			return
-		}
+		rn.SetLoad(others)
 		req := Request{
 			Tenant:    d.Tenant,
 			Pipeline:  d.pipe,
@@ -1217,10 +1211,7 @@ func (f *region) rebalanceLocked(opt RebalanceOptions) Report {
 		// Free the candidate's own reservation for the scoring snapshot
 		// (and, in the sequential pass, the re-solve).
 		saved := d.reservation
-		d.reservation = model.Reservation{
-			NodeFrac: make([]float64, f.base.N()),
-			LinkFrac: make([]float64, f.base.M()),
-		}
+		d.reservation = model.Reservation{}
 		f.recomputeLocked()
 		snap := f.residual.Snapshot()
 

@@ -159,7 +159,6 @@ func (f *region) restoreDeployLocked(ds *wal.DeploymentState, out *Recovered) er
 		if err != nil {
 			return fmt.Errorf("reservation for %q: %w", ds.ID, err)
 		}
-		res.Class = ds.ResClass
 		d.Assignment = append([]model.NodeID(nil), ds.Assignment...)
 		d.Mapping = ds.Mapping
 		d.DelayMs = ds.DelayMs
@@ -189,7 +188,6 @@ func deploymentFromState(base *model.Network, ds *wal.DeploymentState) (*Deploym
 	if err != nil {
 		return nil, fmt.Errorf("reservation for %q: %w", ds.ID, err)
 	}
-	res.Class = ds.ResClass
 	return &Deployment{
 		ID:          ds.ID,
 		Tenant:      ds.Tenant,

@@ -239,7 +239,7 @@ func (f *region) repairLocked(ids []string, opt RepairOptions) RepairReport {
 		for _, id := range live {
 			d := f.deps[id]
 			saved := d.reservation
-			d.reservation = emptyReservation(f.base)
+			d.reservation = model.Reservation{}
 			f.recomputeLocked()
 			_, _, valid := f.placementScoreLocked(d, f.residual.Snapshot(), saved)
 			d.reservation = saved
@@ -272,7 +272,7 @@ func (f *region) repairLocked(ids []string, opt RepairOptions) RepairReport {
 		rep.Checked++
 
 		saved := d.reservation
-		d.reservation = emptyReservation(f.base)
+		d.reservation = model.Reservation{}
 		f.recomputeLocked()
 		snap := f.residual.Snapshot()
 
@@ -372,12 +372,4 @@ func (f *region) repairLocked(ids []string, opt RepairOptions) RepairReport {
 		})
 	}
 	return rep
-}
-
-// emptyReservation is an all-zero reservation shaped for net.
-func emptyReservation(net *model.Network) model.Reservation {
-	return model.Reservation{
-		NodeFrac: make([]float64, net.N()),
-		LinkFrac: make([]float64, net.M()),
-	}
 }

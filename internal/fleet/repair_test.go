@@ -270,6 +270,93 @@ func TestDeployRejectsDownNode(t *testing.T) {
 	}
 }
 
+// overloadedNode is the node TestDeployAdmitsBesideOverloadedNode and
+// TestRepairMigratesBesideOverloadedNode down under load: deployN's eight
+// deployments hold capacity on it, so downing it leaves it over capacity
+// until every deployment on it is repaired.
+const overloadedNode = model.NodeID(2)
+
+// downLoadedNode deploys deployN's eight deployments, downs overloadedNode
+// under their load, and returns the event.
+func downLoadedNode(t *testing.T, f *ShardedFleet) []model.ChurnEvent {
+	t.Helper()
+	deployN(t, f, 8)
+	if node, _ := f.Utilization(); node[overloadedNode] == 0 {
+		t.Fatalf("node v%d carries no load", overloadedNode)
+	}
+	events := []model.ChurnEvent{{Kind: model.NodeDown, Node: overloadedNode}}
+	if err := f.ApplyChurn(events); err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
+// TestDeployAdmitsBesideOverloadedNode checks that an element churn left
+// over capacity blocks only the admissions that would load it: before any
+// repair, deployments elsewhere in the network still admit.
+func TestDeployAdmitsBesideOverloadedNode(t *testing.T) {
+	f, err := New(testNetwork(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	downLoadedNode(t, f)
+	for i := 0; i < 8; i++ {
+		src, dst := model.NodeID(3+i%7), model.NodeID(3+(i+3)%7)
+		d, err := f.Deploy(Request{
+			Pipeline:  testPipeline(t, 4+i%3, uint64(100+i)),
+			Src:       src,
+			Dst:       dst,
+			Objective: model.MaxFrameRate,
+			SLO:       SLO{MinRateFPS: 1},
+		})
+		if err != nil {
+			t.Errorf("deploy %d -> %d beside down v%d: %v", src, dst, overloadedNode, err)
+			continue
+		}
+		for _, v := range d.Assignment {
+			if v == overloadedNode {
+				t.Errorf("%s placed a module on down v%d: %v", d.ID, overloadedNode, d.Assignment)
+			}
+		}
+	}
+}
+
+// TestRepairMigratesBesideOverloadedNode checks that repairing the
+// deployments on a node downed under load migrates each one whose endpoints
+// avoid it, although the node stays over capacity until the last of them
+// leaves; only the ones with an endpoint pinned there park.
+func TestRepairMigratesBesideOverloadedNode(t *testing.T) {
+	f, err := New(testNetwork(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := downLoadedNode(t, f)
+	ids := f.Affected(events)
+	movable := 0
+	for _, id := range ids {
+		if d, _ := f.Describe(id); d.src != overloadedNode && d.dst != overloadedNode {
+			movable++
+		}
+	}
+	rep := f.Repair(ids, RepairOptions{})
+	if rep.Migrated != movable || movable == 0 {
+		t.Errorf("migrated %d of %d affected, want the %d whose endpoints avoid v%d (outcomes %+v)",
+			rep.Migrated, len(ids), movable, overloadedNode, rep.Outcomes)
+	}
+	for _, p := range rep.Parked {
+		if p.Req.Src != overloadedNode && p.Req.Dst != overloadedNode {
+			t.Errorf("%s parked with endpoints %d -> %d: %s", p.ID, p.Req.Src, p.Req.Dst, p.Reason)
+		}
+	}
+	for _, d := range f.List() {
+		for _, v := range d.Assignment {
+			if v == overloadedNode {
+				t.Errorf("%s still runs on down v%d: %v", d.ID, overloadedNode, d.Assignment)
+			}
+		}
+	}
+}
+
 // TestRepairParallelInvariants runs the same broken fleet through a
 // sequential and a parallel repair pass. Both must leave the fleet
 // consistent — full accounting of the affected set, no survivor on a down

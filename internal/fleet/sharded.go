@@ -134,8 +134,8 @@ type ShardedFleet struct {
 	regions []*region
 	shards  []*region
 	coord   *region
-	// overlay is the ordered sum of the coordinator's reservations: every
-	// shard's external load and the load on the boundary links. Zero-length
+	// overlay is the coordinator's reservations merged in admission order:
+	// every shard's external load and the load on the boundary links. Zero
 	// while the coordinator holds nothing. Guarded by every lock.
 	overlay model.Reservation
 	// sloSnap is SLOReport's reusable snapshot of the composed view.
@@ -329,23 +329,12 @@ func (s *ShardedFleet) regionOf(id string) int {
 }
 
 // refreshLocked is the coordinator's recompute — its one step of its own:
-// push the ordered sum of its reservations onto every shard as their
-// external overlay, then compose its view. Caller holds every lock.
+// push its reservations, merged in admission order, onto every shard as
+// their external overlay, then compose its view. Caller holds every lock.
 func (s *ShardedFleet) refreshLocked() {
 	x := s.coord
-	s.overlay = model.Reservation{}
-	if len(x.order) > 0 {
-		s.overlay = emptyReservation(s.base)
-		for _, id := range x.order {
-			res := x.deps[id].reservation
-			for i, f := range res.NodeFrac {
-				s.overlay.NodeFrac[i] += f
-			}
-			for i, f := range res.LinkFrac {
-				s.overlay.LinkFrac[i] += f
-			}
-		}
-	}
+	x.resScratch = x.appendReservationsLocked(x.resScratch[:0])
+	s.overlay = model.MergeReservations(x.resScratch)
 	for _, sh := range s.shards {
 		sh.external = s.overlay
 		sh.recomputeLocked()
@@ -355,33 +344,32 @@ func (s *ShardedFleet) refreshLocked() {
 
 // composeLocked rebuilds the coordinator's residual as the view of the whole
 // network: every node and internal link reads its owning shard's churn
-// factor and load (shard loads already carry the overlay, so nothing is
-// counted twice); boundary links keep the coordinator's own churn factors —
-// the boundary-link ledger — and carry the overlay's load. Caller holds
-// every lock.
+// factor, boundary links keep the coordinator's own churn factors — the
+// boundary-link ledger — and the load is every shard's reservations in
+// shard order, then the overlay. A regional reservation holds only its own
+// region's elements, so each node and internal link sums exactly the terms
+// its owning shard sums, and each boundary link carries the overlay alone.
+// Caller holds every lock.
 func (s *ShardedFleet) composeLocked() {
 	x := s.coord
 	nodeCap, linkCap := x.residual.CapacityFactors()
-	load := emptyReservation(s.base)
 	for v := range nodeCap {
-		sh := s.shards[s.part.PartOf[v]]
-		nodeCap[v] = sh.residual.NodeCapacity(model.NodeID(v))
-		load.NodeFrac[v] = sh.residual.NodeLoad(model.NodeID(v))
+		nodeCap[v] = s.shards[s.part.PartOf[v]].residual.NodeCapacity(model.NodeID(v))
 	}
 	for l := range linkCap {
 		if owner := s.part.LinkOwner[l]; owner != model.BoundaryOwner {
 			linkCap[l] = s.shards[owner].residual.LinkCapacity(l)
-			load.LinkFrac[l] = s.shards[owner].residual.LinkLoad(l)
-		} else if len(s.overlay.LinkFrac) > 0 {
-			load.LinkFrac[l] = s.overlay.LinkFrac[l]
 		}
 	}
 	if err := x.residual.SetCapacityFactors(nodeCap, linkCap); err != nil {
 		panic(fmt.Sprintf("fleet: composed factors: %v", err)) // shapes match by construction
 	}
-	if err := x.residual.SetLoad([]model.Reservation{load}); err != nil {
-		panic(fmt.Sprintf("fleet: composed load: %v", err))
+	held := x.resScratch[:0]
+	for _, sh := range s.shards {
+		held = sh.appendReservationsLocked(held)
 	}
+	x.resScratch = append(held, s.overlay)
+	x.residual.SetLoad(x.resScratch)
 }
 
 // Deploy admits one pipeline, routed by placement affinity: same-region

@@ -420,51 +420,38 @@ func TestShardedReservationInvariant(t *testing.T) {
 
 	// Invariant 1: composed load equals the recomputed sum of the live
 	// deployments' reservations (tolerance for summation order).
-	wantNode := make([]float64, net.N())
-	wantLink := make([]float64, net.M())
+	var all, cross []model.Reservation
 	for _, d := range sf.List() {
 		res, err := model.MappingReservation(net, pipes[d.ID], model.NewMapping(d.Assignment), d.ReservedFPS)
 		if err != nil {
 			t.Fatalf("reservation of %s: %v", d.ID, err)
 		}
-		for i, f := range res.NodeFrac {
-			wantNode[i] += f
-		}
-		for i, f := range res.LinkFrac {
-			wantLink[i] += f
+		all = append(all, res)
+		if strings.HasPrefix(d.ID, "x-") {
+			cross = append(cross, res)
 		}
 	}
+	want := model.NewResidualNetwork(net)
+	want.SetLoad(all)
 	gotNode, gotLink := sf.Utilization()
 	const tol = 1e-9
-	for v := range wantNode {
-		if math.Abs(gotNode[v]-wantNode[v]) > tol {
-			t.Fatalf("node %d load %v, want %v", v, gotNode[v], wantNode[v])
+	for v := range gotNode {
+		if w := want.NodeLoad(model.NodeID(v)); math.Abs(gotNode[v]-w) > tol {
+			t.Fatalf("node %d load %v, want %v", v, gotNode[v], w)
 		}
 	}
-	for l := range wantLink {
-		if math.Abs(gotLink[l]-wantLink[l]) > tol {
-			t.Fatalf("link %d load %v, want %v", l, gotLink[l], wantLink[l])
+	for l := range gotLink {
+		if w := want.LinkLoad(l); math.Abs(gotLink[l]-w) > tol {
+			t.Fatalf("link %d load %v, want %v", l, gotLink[l], w)
 		}
 	}
 
 	// Invariant 2: boundary links carry load only from coordinator-owned
 	// deployments.
-	crossLink := make([]float64, net.M())
-	for _, d := range sf.List() {
-		if !strings.HasPrefix(d.ID, "x-") {
-			continue
-		}
-		res, err := model.MappingReservation(net, pipes[d.ID], model.NewMapping(d.Assignment), d.ReservedFPS)
-		if err != nil {
-			t.Fatalf("reservation of %s: %v", d.ID, err)
-		}
-		for i, f := range res.LinkFrac {
-			crossLink[i] += f
-		}
-	}
+	want.SetLoad(cross)
 	for _, l := range sf.Partition().Boundary {
-		if math.Abs(gotLink[l]-crossLink[l]) > tol {
-			t.Fatalf("boundary link %d load %v, want cross-only %v", l, gotLink[l], crossLink[l])
+		if w := want.LinkLoad(l); math.Abs(gotLink[l]-w) > tol {
+			t.Fatalf("boundary link %d load %v, want cross-only %v", l, gotLink[l], w)
 		}
 	}
 

@@ -109,8 +109,9 @@ func sloStatusOf(r *model.ResidualNetwork, snap *model.Network, d *Deployment, s
 	// The scorer only reads the mapping, so it may share the assignment.
 	delay, bottleneck, err := r.ScorePath(snap, d.pipe, &model.Mapping{Assign: d.Assignment}, d.cost, d.reservation)
 	if err != nil {
-		// Reservations are shaped by the fleet against the same base
-		// network; a mismatch means corrupted state, not a user error.
+		// ScorePath refuses only a network that is not a snapshot of r,
+		// which SLOReport's snapshot always is: corrupted state, not a user
+		// error.
 		st.Reason = fmt.Sprintf("unscorable: %v", err)
 		return st
 	}

@@ -55,18 +55,18 @@ func referenceStatus(t *testing.T, rn *model.ResidualNetwork, d *Deployment, sha
 			return st
 		}
 	}
-	base, res := rn.Base(), d.reservation
-	if len(res.NodeFrac) != base.N() || len(res.LinkFrac) != base.M() {
-		t.Fatalf("%s: reservation shaped %d/%d on a %d/%d network", d.ID, len(res.NodeFrac), len(res.LinkFrac), base.N(), base.M())
-	}
+	// res reads d's reservation element by element: its load on an
+	// otherwise empty view of the same network.
+	base, res := rn.Base(), model.NewResidualNetwork(rn.Base())
+	res.SetLoad([]model.Reservation{d.reservation})
 	nodes := append([]model.Node(nil), base.Nodes...)
 	for i := range nodes {
 		v := model.NodeID(i)
-		nodes[i].Power = base.Nodes[i].Power * referenceFraction(rn.NodeCapacity(v), rn.NodeLoad(v)-res.NodeFrac[i])
+		nodes[i].Power = base.Nodes[i].Power * referenceFraction(rn.NodeCapacity(v), rn.NodeLoad(v)-res.NodeLoad(v))
 	}
 	links := append([]model.Link(nil), base.Links...)
 	for i := range links {
-		links[i].BWMbps = base.Links[i].BWMbps * referenceFraction(rn.LinkCapacity(i), rn.LinkLoad(i)-res.LinkFrac[i])
+		links[i].BWMbps = base.Links[i].BWMbps * referenceFraction(rn.LinkCapacity(i), rn.LinkLoad(i)-res.LinkLoad(i))
 	}
 	net, err := model.NewNetwork(nodes, links)
 	if err != nil {

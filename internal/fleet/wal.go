@@ -189,7 +189,6 @@ func deployState(d *Deployment, requeueOf string) *wal.DeploymentState {
 		DelayMs:       d.DelayMs,
 		RateFPS:       d.RateFPS,
 		ReservedFPS:   d.ReservedFPS,
-		ResClass:      d.reservation.Class,
 		Seq:           d.Seq,
 		RequeueOf:     requeueOf,
 	}
@@ -208,7 +207,6 @@ func updateState(d *Deployment) *wal.DeploymentState {
 		DelayMs:     d.DelayMs,
 		RateFPS:     d.RateFPS,
 		ReservedFPS: d.ReservedFPS,
-		ResClass:    d.reservation.Class,
 		Update:      true,
 	}
 }

@@ -177,10 +177,7 @@ func TestApplyChurnTransactional(t *testing.T) {
 // TestChurnFitsInteraction verifies Fits against reduced capacity factors.
 func TestChurnFitsInteraction(t *testing.T) {
 	r := NewResidualNetwork(churnTestNetwork(t))
-	res := Reservation{
-		NodeFrac: []float64{0.5, 0, 0},
-		LinkFrac: []float64{0, 0, 0, 0},
-	}
+	res := reservationOf(denseReservation{node: []float64{0.5, 0, 0}, link: []float64{0, 0, 0, 0}})
 	if !r.Fits(res) {
 		t.Fatal("half-load reservation must fit a nominal node")
 	}

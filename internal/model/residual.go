@@ -11,48 +11,99 @@ import "fmt"
 // mappings that would overcommit them regardless.
 const MinResidualFraction = 1e-9
 
-// Reservation is the fractional capacity a deployment holds on every node
-// and link of a network: NodeFrac[v] (LinkFrac[l]) is the fraction of node
-// v's power (link l's bandwidth) consumed, each in [0, 1].
+// Reservation is the fractional capacity a deployment holds. Under the cost
+// model (Eq. 1–2) a mapping loads only the nodes its module groups run on
+// and the links between consecutive groups, so a reservation holds one
+// share per such node and link — O(path), not O(network) — each the
+// fraction of that element's nominal capacity consumed, in [0, 1]. The zero
+// Reservation holds nothing. MappingReservation builds reservations;
+// ResidualNetwork reads them.
 type Reservation struct {
-	NodeFrac []float64
-	LinkFrac []float64
-	// Class tags the reservation with the SLO class of the deployment that
-	// holds it ("guaranteed", "standard", "best_effort"; empty = standard).
-	// It is informational — stamped at admission so capacity accounting can
-	// attribute load per class — and never affects the numeric load math.
-	Class string
+	nodes, links []share
+}
+
+// share is the fraction of one node's power or one link's bandwidth a
+// reservation holds.
+type share struct {
+	id   int
+	frac float64
+}
+
+// shareOf returns the index of id's share in shares, appending a zero share
+// when shares does not hold id yet. A path holds a handful of elements, so
+// the scan is cheaper than any index.
+func shareOf(shares []share, id int) ([]share, int) {
+	for i, s := range shares {
+		if s.id == id {
+			return shares, i
+		}
+	}
+	return append(shares, share{id: id}), len(shares)
 }
 
 // MappingReservation computes the reservation a mapping imposes on net when
-// its pipeline streams at rateFPS frames per second: each resource's busy
-// time per frame (at nominal capacity) times the frame arrival rate. A
-// non-positive rate yields an all-zero reservation. Mappings that reuse a
-// node or link accumulate the utilization of every visit.
+// its pipeline streams at rateFPS frames per second: each held resource's
+// busy time per frame (at nominal capacity) times the frame arrival rate. A
+// non-positive rate yields the zero Reservation. Mappings that reuse a node
+// or link accumulate the utilization of every visit, module by module in
+// visit order.
 func MappingReservation(net *Network, pl *Pipeline, m *Mapping, rateFPS float64) (Reservation, error) {
-	res := Reservation{
-		NodeFrac: make([]float64, net.N()),
-		LinkFrac: make([]float64, net.M()),
-	}
 	if rateFPS <= 0 {
-		return res, nil
+		return Reservation{}, nil
 	}
 	framesPerMs := rateFPS / 1000.0
 	groups := m.Groups()
+	// A path holds at most one node per group and one link between groups.
+	res := Reservation{
+		nodes: make([]share, 0, len(groups)),
+		links: make([]share, 0, max(len(groups)-1, 0)),
+	}
 	for gi, g := range groups {
 		power := net.Power(g.Node)
+		var i int
+		res.nodes, i = shareOf(res.nodes, int(g.Node))
 		for j := g.First; j <= g.Last; j++ {
-			res.NodeFrac[g.Node] += pl.ComputeTime(j, power) * framesPerMs
+			res.nodes[i].frac += pl.ComputeTime(j, power) * framesPerMs
 		}
 		if gi+1 < len(groups) {
 			link, ok := net.LinkBetween(g.Node, groups[gi+1].Node)
 			if !ok {
 				return Reservation{}, fmt.Errorf("model: reservation: no link %d->%d", g.Node, groups[gi+1].Node)
 			}
-			res.LinkFrac[link.ID] += link.TransferTime(pl.OutBytes(g.Last), false) * framesPerMs
+			res.links, i = shareOf(res.links, link.ID)
+			res.links[i].frac += link.TransferTime(pl.OutBytes(g.Last), false) * framesPerMs
 		}
 	}
 	return res, nil
+}
+
+// MergeReservations returns one reservation holding, on every element any
+// of rs holds, the sum of their fractions accumulated in slice order — bit
+// for bit the load SetLoad(rs) puts there. The sharded fleet merges its
+// cross-region reservations into the overlay every shard adds on top of its
+// own load.
+func MergeReservations(rs []Reservation) Reservation {
+	var out Reservation
+	nodeAt, linkAt := make(map[int]int), make(map[int]int)
+	for _, res := range rs {
+		out.nodes = mergeShares(out.nodes, nodeAt, res.nodes)
+		out.links = mergeShares(out.links, linkAt, res.links)
+	}
+	return out
+}
+
+// mergeShares adds src into dst, where at indexes dst's shares by element.
+func mergeShares(dst []share, at map[int]int, src []share) []share {
+	for _, s := range src {
+		i, ok := at[s.id]
+		if !ok {
+			i = len(dst)
+			at[s.id] = i
+			dst = append(dst, share{id: s.id})
+		}
+		dst[i].frac += s.frac
+	}
+	return dst
 }
 
 // ResidualNetwork is a capacity view of a base Network shared by many
@@ -117,56 +168,31 @@ func (r *ResidualNetwork) CloneEmpty() *ResidualNetwork {
 	}
 }
 
-// checkShape validates that res matches the base network's dimensions.
-func (r *ResidualNetwork) checkShape(res Reservation) error {
-	if len(res.NodeFrac) != r.base.N() || len(res.LinkFrac) != r.base.M() {
-		return fmt.Errorf("model: reservation shape (%d nodes, %d links) does not match network (%d, %d)",
-			len(res.NodeFrac), len(res.LinkFrac), r.base.N(), r.base.M())
-	}
-	return nil
-}
-
 // SetLoad replaces the outstanding load with the exact sum of the given
 // reservations, accumulated in slice order. Recomputing from the outstanding
 // set — rather than incrementally adding and subtracting — makes Release
 // exact: the empty set restores every load to precisely zero, with no
-// floating-point residue.
-func (r *ResidualNetwork) SetLoad(outstanding []Reservation) error {
-	for i := range r.nodeLoad {
-		r.nodeLoad[i] = 0
-	}
-	for i := range r.linkLoad {
-		r.linkLoad[i] = 0
-	}
+// floating-point residue. Each element sums only the shares held on it.
+func (r *ResidualNetwork) SetLoad(outstanding []Reservation) {
+	clear(r.nodeLoad)
+	clear(r.linkLoad)
 	for _, res := range outstanding {
-		if err := r.checkShape(res); err != nil {
-			return err
-		}
-		for i, f := range res.NodeFrac {
-			r.nodeLoad[i] += f
-		}
-		for i, f := range res.LinkFrac {
-			r.linkLoad[i] += f
-		}
+		r.AddLoad(res)
 	}
-	return nil
 }
 
 // AddLoad adds res on top of the current outstanding load. The sharded
 // fleet uses it to overlay cross-region reservations onto a shard's own
 // recomputed load; the sum stays exact because every recompute replays the
-// same additions in the same order.
-func (r *ResidualNetwork) AddLoad(res Reservation) error {
-	if err := r.checkShape(res); err != nil {
-		return err
+// same additions in the same order. res must have been built against this
+// view's base network.
+func (r *ResidualNetwork) AddLoad(res Reservation) {
+	for _, s := range res.nodes {
+		r.nodeLoad[s.id] += s.frac
 	}
-	for i, f := range res.NodeFrac {
-		r.nodeLoad[i] += f
+	for _, s := range res.links {
+		r.linkLoad[s.id] += s.frac
 	}
-	for i, f := range res.LinkFrac {
-		r.linkLoad[i] += f
-	}
-	return nil
 }
 
 // CapacityFactors returns copies of the churn capacity factors per node and
@@ -199,20 +225,19 @@ func (r *ResidualNetwork) SetCapacityFactors(node, link []float64) error {
 	return nil
 }
 
-// Fits reports whether adding res keeps every node and link load at or below
-// its current capacity factor (load + reservation <= factor, checked
-// strictly; the factor is 1 unless churn reduced it).
+// Fits reports whether adding res keeps every node and link res holds at or
+// below its current capacity factor (load + share <= factor; the factor is
+// 1 unless churn reduced it). Elements res does not hold are not checked:
+// one that churn left over capacity blocks only the reservations that
+// would add to it, not every admission or migration in the view.
 func (r *ResidualNetwork) Fits(res Reservation) bool {
-	if r.checkShape(res) != nil {
-		return false
-	}
-	for i, f := range res.NodeFrac {
-		if r.nodeLoad[i]+f > r.nodeCap[i] {
+	for _, s := range res.nodes {
+		if r.nodeLoad[s.id]+s.frac > r.nodeCap[s.id] {
 			return false
 		}
 	}
-	for i, f := range res.LinkFrac {
-		if r.linkLoad[i]+f > r.linkCap[i] {
+	for _, s := range res.links {
+		if r.linkLoad[s.id]+s.frac > r.linkCap[s.id] {
 			return false
 		}
 	}
@@ -318,52 +343,34 @@ func (r *ResidualNetwork) SnapshotInto(buf *Network) *Network {
 // returns its Eq. 1 delay (TotalDelay under opt) and its shared Eq. 2
 // bottleneck (SharedBottleneck). snap must be a snapshot of r (Snapshot or
 // SnapshotInto) taken since r last changed. ScorePath rewrites in snap only
-// the elements those evaluators read — the nodes m's groups run on and the
-// links between consecutive groups — scores m on snap, and writes the
-// elements back. So the scores equal, bit for bit, the scores on a full
-// materialization with exclude subtracted from every load, and on return
-// snap equals Snapshot() again. The cost is O(path); nothing is allocated in
-// proportion to the network. The caller must serialize use of snap.
+// the elements exclude holds — every other element already has its value
+// with nothing excluded — scores m on snap, and writes those elements back.
+// So the scores equal, bit for bit, the scores on a full materialization
+// with exclude subtracted from every load, and on return snap equals
+// Snapshot() again. For a deployment's own reservation the cost is O(path);
+// nothing is allocated in proportion to the network. The caller must
+// serialize use of snap.
 func (r *ResidualNetwork) ScorePath(snap *Network, pl *Pipeline, m *Mapping, opt CostOptions, exclude Reservation) (delayMs, bottleneckMs float64, err error) {
-	if err := r.checkShape(exclude); err != nil {
-		return 0, 0, err
-	}
 	if snap == r.base || len(snap.Nodes) != len(r.base.Nodes) ||
 		len(snap.Links) != len(r.base.Links) || snap.topo != r.base.topo {
 		return 0, 0, fmt.Errorf("model: path score: network is not a snapshot of this residual view")
 	}
-	groups := m.Groups()
-	r.setPath(snap, groups, &exclude)
+	r.setShares(snap, exclude, 1)
 	delayMs = TotalDelay(snap, pl, m, opt)
 	bottleneckMs = SharedBottleneck(snap, pl, m)
-	r.setPath(snap, groups, nil)
+	r.setShares(snap, exclude, 0)
 	return delayMs, bottleneckMs, nil
 }
 
-// setPath writes into snap the materialized values of the path elements of
-// groups — each group's node and the link to the next group's node — with
-// exclude's load set aside when it is non-nil. It sets rather than
-// accumulates, so a node or link the mapping visits twice gets the same
-// value each time.
-func (r *ResidualNetwork) setPath(snap *Network, groups []Group, exclude *Reservation) {
-	for gi, g := range groups {
-		v := int(g.Node)
-		excluded := 0.0
-		if exclude != nil {
-			excluded = exclude.NodeFrac[v]
-		}
-		snap.Nodes[v].Power = r.nodePower(v, excluded)
-		if gi+1 == len(groups) {
-			break
-		}
-		id, ok := r.base.topo.EdgeID(v, int(groups[gi+1].Node))
-		if !ok {
-			continue // no link: both evaluators score the mapping +Inf
-		}
-		excluded = 0
-		if exclude != nil {
-			excluded = exclude.LinkFrac[id]
-		}
-		snap.Links[id].BWMbps = r.linkBandwidth(id, excluded)
+// setShares writes into snap the materialized value of every element res
+// holds with scale times res's share of its load set aside: scale 1
+// excludes res, scale 0 restores the snapshot's own value (shares are
+// finite and non-negative, so both products are exact).
+func (r *ResidualNetwork) setShares(snap *Network, res Reservation, scale float64) {
+	for _, s := range res.nodes {
+		snap.Nodes[s.id].Power = r.nodePower(s.id, scale*s.frac)
+	}
+	for _, s := range res.links {
+		snap.Links[s.id].BWMbps = r.linkBandwidth(s.id, scale*s.frac)
 	}
 }

@@ -64,14 +64,15 @@ func TestMappingReservationUtilization(t *testing.T) {
 		node: [3]float64{0, 0.5, 0.05},
 		link: [2]float64{0.01, 0.005},
 	}
+	got := res.dense(net)
 	for v, w := range want.node {
-		if math.Abs(res.NodeFrac[v]-w) > 1e-12 {
-			t.Errorf("node %d utilization = %v, want %v", v, res.NodeFrac[v], w)
+		if math.Abs(got.node[v]-w) > 1e-12 {
+			t.Errorf("node %d utilization = %v, want %v", v, got.node[v], w)
 		}
 	}
 	for l, w := range want.link {
-		if math.Abs(res.LinkFrac[l]-w) > 1e-12 {
-			t.Errorf("link %d utilization = %v, want %v", l, res.LinkFrac[l], w)
+		if math.Abs(got.link[l]-w) > 1e-12 {
+			t.Errorf("link %d utilization = %v, want %v", l, got.link[l], w)
 		}
 	}
 
@@ -80,10 +81,8 @@ func TestMappingReservationUtilization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range append(zero.NodeFrac, zero.LinkFrac...) {
-		if f != 0 {
-			t.Fatalf("zero-rate reservation has nonzero fraction %v", f)
-		}
+	if len(zero.nodes)+len(zero.links) != 0 {
+		t.Fatalf("zero-rate reservation holds %+v", zero)
 	}
 }
 
@@ -97,7 +96,10 @@ func TestMappingReservationAccumulatesReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// (10*10000 + 4*5000)/1000 = 120 ms/frame at 1 fps -> 0.12.
-	if got, want := res.NodeFrac[0], 0.12; math.Abs(got-want) > 1e-12 {
+	if len(res.nodes) != 1 {
+		t.Fatalf("reused node held as %d shares", len(res.nodes))
+	}
+	if got, want := res.dense(net).node[0], 0.12; math.Abs(got-want) > 1e-12 {
 		t.Errorf("reused node utilization = %v, want %v", got, want)
 	}
 }
@@ -106,13 +108,11 @@ func TestResidualSnapshotScalesCapacity(t *testing.T) {
 	net := residualTestNet(t)
 	r := NewResidualNetwork(net)
 
-	res := Reservation{NodeFrac: []float64{0.25, 0.5, 0}, LinkFrac: []float64{0.75, 0}}
+	res := reservationOf(denseReservation{node: []float64{0.25, 0.5, 0}, link: []float64{0.75, 0}})
 	if !r.Fits(res) {
 		t.Fatal("reservation should fit an empty network")
 	}
-	if err := r.SetLoad([]Reservation{res}); err != nil {
-		t.Fatal(err)
-	}
+	r.SetLoad([]Reservation{res})
 
 	snap := r.Snapshot()
 	if got, want := snap.Power(0), 750.0; math.Abs(got-want) > 1e-9 {
@@ -137,12 +137,7 @@ func TestResidualSnapshotScalesCapacity(t *testing.T) {
 func TestResidualSaturationFloor(t *testing.T) {
 	net := residualTestNet(t)
 	r := NewResidualNetwork(net)
-	if err := r.SetLoad([]Reservation{{
-		NodeFrac: []float64{1, 0, 0},
-		LinkFrac: []float64{1, 0},
-	}}); err != nil {
-		t.Fatal(err)
-	}
+	r.SetLoad([]Reservation{reservationOf(denseReservation{node: []float64{1, 0, 0}, link: []float64{1, 0}})})
 	snap := r.Snapshot()
 	if snap.Power(0) <= 0 {
 		t.Error("saturated node must keep positive (floored) power")
@@ -154,7 +149,7 @@ func TestResidualSaturationFloor(t *testing.T) {
 		t.Errorf("NodeResidual of saturated node = %v, want 0", r.NodeResidual(0))
 	}
 	// Anything more does not fit.
-	if r.Fits(Reservation{NodeFrac: []float64{1e-6, 0, 0}, LinkFrac: []float64{0, 0}}) {
+	if r.Fits(reservationOf(denseReservation{node: []float64{1e-6, 0, 0}, link: []float64{0, 0}})) {
 		t.Error("reservation on a saturated node must not fit")
 	}
 }
@@ -162,14 +157,10 @@ func TestResidualSaturationFloor(t *testing.T) {
 func TestResidualSetLoadExactRestore(t *testing.T) {
 	net := residualTestNet(t)
 	r := NewResidualNetwork(net)
-	a := Reservation{NodeFrac: []float64{0.1, 0.2, 0.3}, LinkFrac: []float64{0.05, 0.15}}
-	b := Reservation{NodeFrac: []float64{0.3, 0.1, 0.2}, LinkFrac: []float64{0.25, 0.05}}
-	if err := r.SetLoad([]Reservation{a, b}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.SetLoad(nil); err != nil {
-		t.Fatal(err)
-	}
+	a := reservationOf(denseReservation{node: []float64{0.1, 0.2, 0.3}, link: []float64{0.05, 0.15}})
+	b := reservationOf(denseReservation{node: []float64{0.3, 0.1, 0.2}, link: []float64{0.25, 0.05}})
+	r.SetLoad([]Reservation{a, b})
+	r.SetLoad(nil)
 	for v := 0; v < net.N(); v++ {
 		if got := r.NodeLoad(NodeID(v)); got != 0 {
 			t.Errorf("node %d load after full release = %v, want exactly 0", v, got)
@@ -189,27 +180,19 @@ func TestResidualSetLoadExactRestore(t *testing.T) {
 	}
 }
 
-func TestResidualShapeMismatch(t *testing.T) {
-	net := residualTestNet(t)
-	r := NewResidualNetwork(net)
-	bad := Reservation{NodeFrac: []float64{0.1}, LinkFrac: []float64{0.1, 0.1}}
-	if err := r.SetLoad([]Reservation{bad}); err == nil {
-		t.Error("SetLoad accepted a mis-shaped reservation")
-	}
-	if r.Fits(bad) {
-		t.Error("Fits accepted a mis-shaped reservation")
-	}
-}
-
 // referenceSnapshotExcluding is the full materialization path scoring
 // replaced, kept as ScorePath's reference: every node and link of the view,
 // with exclude's load subtracted first when it is non-nil.
 func referenceSnapshotExcluding(r *ResidualNetwork, exclude *Reservation) *Network {
+	var ex denseReservation
+	if exclude != nil {
+		ex = exclude.dense(r.base)
+	}
 	nodes := append([]Node(nil), r.base.Nodes...)
 	for i := range nodes {
 		load := r.nodeLoad[i]
 		if exclude != nil {
-			load -= exclude.NodeFrac[i]
+			load -= ex.node[i]
 		}
 		nodes[i].Power = r.base.Nodes[i].Power * residualFraction(r.nodeCap[i], load)
 	}
@@ -217,7 +200,7 @@ func referenceSnapshotExcluding(r *ResidualNetwork, exclude *Reservation) *Netwo
 	for i := range links {
 		load := r.linkLoad[i]
 		if exclude != nil {
-			load -= exclude.LinkFrac[i]
+			load -= ex.link[i]
 		}
 		links[i].BWMbps = r.base.Links[i].BWMbps * residualFraction(r.linkCap[i], load)
 	}
@@ -247,18 +230,18 @@ func networkBitsDiff(a, b *Network) string {
 // randomReservation holds a fraction in [0, scale) of about half the nodes
 // and links of net.
 func randomReservation(rng *rand.Rand, net *Network, scale float64) Reservation {
-	res := Reservation{NodeFrac: make([]float64, net.N()), LinkFrac: make([]float64, net.M())}
-	for i := range res.NodeFrac {
+	d := denseReservation{node: make([]float64, net.N()), link: make([]float64, net.M())}
+	for i := range d.node {
 		if rng.IntN(2) == 0 {
-			res.NodeFrac[i] = scale * rng.Float64()
+			d.node[i] = scale * rng.Float64()
 		}
 	}
-	for i := range res.LinkFrac {
+	for i := range d.link {
 		if rng.IntN(2) == 0 {
-			res.LinkFrac[i] = scale * rng.Float64()
+			d.link[i] = scale * rng.Float64()
 		}
 	}
-	return res
+	return reservationOf(d)
 }
 
 // randomChurn draws one batch that fails, degrades, and drifts random nodes
@@ -311,9 +294,7 @@ func TestScorePathMatchesFullMaterialization(t *testing.T) {
 			randomReservation(rng, net, 0.5),
 			randomReservation(rng, net, 0.5),
 		}
-		if err := r.SetLoad(held); err != nil {
-			t.Fatal(err)
-		}
+		r.SetLoad(held)
 		if err := r.ApplyChurn(randomChurn(rng, net)); err != nil {
 			t.Fatalf("seed %d: churn: %v", seed, err)
 		}
@@ -355,17 +336,18 @@ func TestScorePathMatchesFullMaterialization(t *testing.T) {
 					cover["exclusion above load"]++
 				}
 			}
+			exd := ex.dense(net)
 			groups := m.Groups()
 			for gi, g := range groups {
 				if r.NodeIsDown(g.Node) {
 					cover["down node"]++
 				}
-				regime(r.nodeCap[g.Node], r.nodeLoad[g.Node], ex.NodeFrac[g.Node])
+				regime(r.nodeCap[g.Node], r.nodeLoad[g.Node], exd.node[g.Node])
 				if gi+1 == len(groups) {
 					break
 				}
 				if l, ok := net.LinkBetween(g.Node, groups[gi+1].Node); ok {
-					regime(r.linkCap[l.ID], r.linkLoad[l.ID], ex.LinkFrac[l.ID])
+					regime(r.linkCap[l.ID], r.linkLoad[l.ID], exd.link[l.ID])
 				} else {
 					cover["missing link"]++
 				}
@@ -381,24 +363,17 @@ func TestScorePathMatchesFullMaterialization(t *testing.T) {
 	t.Logf("coverage: %v", cover)
 }
 
-// TestScorePathRejectsMismatches checks ScorePath refuses a mis-shaped
-// reservation and any network that is not a snapshot of the view — the
-// base network above all, which a rewrite would corrupt — and leaves the
-// snapshot untouched when it refuses.
+// TestScorePathRejectsMismatches checks ScorePath refuses any network that
+// is not a snapshot of the view — the base network above all, which a
+// rewrite would corrupt — and leaves the snapshot untouched when it refuses.
 func TestScorePathRejectsMismatches(t *testing.T) {
 	net := residualTestNet(t)
 	pl := residualTestPipe(t)
 	m := NewMapping([]NodeID{0, 1, 2})
 	r := NewResidualNetwork(net)
-	ok := Reservation{NodeFrac: []float64{0.1, 0.2, 0.3}, LinkFrac: []float64{0.1, 0.2}}
-	if err := r.SetLoad([]Reservation{ok}); err != nil {
-		t.Fatal(err)
-	}
+	ok := reservationOf(denseReservation{node: []float64{0.1, 0.2, 0.3}, link: []float64{0.1, 0.2}})
+	r.SetLoad([]Reservation{ok})
 	snap := r.Snapshot()
-	bad := Reservation{NodeFrac: []float64{0.1}, LinkFrac: []float64{0.1, 0.1}}
-	if _, _, err := r.ScorePath(snap, pl, m, DefaultCostOptions(), bad); err == nil {
-		t.Error("ScorePath accepted a mis-shaped reservation")
-	}
 	if _, _, err := r.ScorePath(net, pl, m, DefaultCostOptions(), ok); err == nil {
 		t.Error("ScorePath accepted the base network as a snapshot")
 	}

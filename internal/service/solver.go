@@ -261,10 +261,6 @@ func (s *Solver) Solve(ctx context.Context, req Request) (*Result, error) {
 	// exactly this.
 	solveSpan := parent.Child("solve")
 	go func() {
-		defer func() {
-			s.inFlight.Add(-1)
-			<-s.slots
-		}()
 		start := time.Now()
 		sol, err := solveProblem(req, s.pool)
 		elapsed := time.Since(start)
@@ -283,6 +279,10 @@ func (s *Solver) Solve(ctx context.Context, req Request) (*Result, error) {
 				}
 			}
 		}
+		// Retire the solve before publishing it: a caller the flight wakes
+		// must never still see it in flight or holding its slot.
+		s.inFlight.Add(-1)
+		<-s.slots
 		s.finishFlight(key, f, sol, err)
 		done <- outcome{solveMs: float64(elapsed) / float64(time.Millisecond)}
 	}()

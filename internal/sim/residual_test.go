@@ -51,12 +51,7 @@ func TestResidualCapacityMatchesSimulation(t *testing.T) {
 
 		// Materialize the residual view the next tenant would be solved
 		// against and solve + simulate on it.
-		nodeU, linkU := f.Utilization()
-		res := model.NewResidualNetwork(net)
-		if err := res.SetLoad([]model.Reservation{{NodeFrac: nodeU, LinkFrac: linkU}}); err != nil {
-			t.Fatal(err)
-		}
-		snap := res.Snapshot()
+		snap := f.Snapshot()
 		p := &model.Problem{Net: snap, Pipe: pipe, Src: 0, Dst: 9, Cost: model.DefaultCostOptions()}
 		m, err := core.MaxFrameRate(p)
 		if err != nil {

@@ -54,14 +54,13 @@ type DeploymentState struct {
 	SLOClass      string          `json:"slo_class,omitempty"`
 	CostMLD       bool            `json:"cost_mld,omitempty"`
 	// Assignment/Mapping/DelayMs/RateFPS/ReservedFPS snapshot the placement
-	// outcome; ResClass is the reservation's SLO class tag exactly as the
-	// live path set it (admissions tag it, migrations historically do not).
+	// outcome. Older logs may also carry "res_class", which decoding
+	// ignores.
 	Assignment  []model.NodeID `json:"assignment"`
 	Mapping     string         `json:"mapping,omitempty"`
 	DelayMs     float64        `json:"delay_ms"`
 	RateFPS     float64        `json:"rate_fps"`
 	ReservedFPS float64        `json:"reserved_fps,omitempty"`
-	ResClass    string         `json:"res_class,omitempty"`
 	// Seq is the fleet-local admission sequence number embedded in the ID.
 	Seq uint64 `json:"seq,omitempty"`
 	// RequeueOf names the parked entry this admission drained, so replay
