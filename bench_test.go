@@ -463,6 +463,30 @@ func BenchmarkSLOReport(b *testing.B) {
 	}
 }
 
+// rebalanceSink keeps BenchmarkFleetRebalance's reports observable.
+var rebalanceSink fleet.Report
+
+// BenchmarkFleetRebalance measures one default rebalance pass on the
+// reportFleets shapes. A pass that applies nothing re-solves every
+// candidate on its freed view under its region's lock — the longest lock
+// hold of any fleet request. The applied metric is the mean number of
+// migrations a pass applied.
+func BenchmarkFleetRebalance(b *testing.B) {
+	for _, tc := range reportFleets(b) {
+		b.Run(tc.name, func(b *testing.B) {
+			fl, _ := tc.load(b)
+			applied := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rebalanceSink = fl.Rebalance(fleet.RebalanceOptions{})
+				applied += rebalanceSink.Applied
+			}
+			b.ReportMetric(float64(applied)/float64(b.N), "applied")
+		})
+	}
+}
+
 // BenchmarkFleetRelease measures a release and the re-admission that
 // restores occupancy on the reportFleets shapes: each op releases the
 // oldest live deployment — recomputing its region's load from the

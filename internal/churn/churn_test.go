@@ -232,7 +232,7 @@ func TestChurnRebalanceRaceStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			f.Rebalance(fleet.RebalanceOptions{MaxMoves: 2, Workers: 2})
+			f.Rebalance(fleet.RebalanceOptions{MaxMoves: 2})
 		}
 	}()
 	go func() {

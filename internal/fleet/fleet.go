@@ -253,7 +253,7 @@ type region struct {
 	deps     map[string]*Deployment
 	order    []string // admission order; recompute accumulates in this order
 	seq      uint64
-	pool     *engine.Pool // shared parallel substrate for rebalance re-solves
+	pool     *engine.Pool // shared parallel substrate for repair re-solves
 
 	// scope names the region in the WAL ("s3" on shard 3, wal.ScopeCross on
 	// the coordinator, "" on the only shard of a one-shard fleet); idPrefix
@@ -355,7 +355,7 @@ func newRegion(base *model.Network, scope string) *region {
 	return f
 }
 
-// UsePool installs the engine pool that parallel rebalance passes fan their
+// UsePool installs the engine pool that parallel repair passes fan their
 // re-solves out over. Sharing the planning service's pool keeps fleet and
 // planning solves on one bounded concurrency budget, so neither can starve
 // the other. A nil pool (the default) makes parallel passes spin up a
@@ -647,38 +647,17 @@ func (f *region) tryAdmitLocked(req Request, cost model.CostOptions) (Deployment
 
 // admitLocked is admission control's guard-and-commit step for a solved
 // mapping m, scored (delay, rate) on the region's current residual view: it
-// declines mappings that use a down node, miss the delay SLO, or cannot
-// sustain the reserved rate, and commits the reservation when it fits.
-// A decline returns its reason, with overcommit set when the failing guard
-// was the fit — the one decline a fresher view can cure, which the
-// coordinator's two-phase path retries. The committed deployment keeps ws
-// (nil for none). Caller holds f.mu (the coordinator: every lock).
+// runs the placement guard (judgeLocked) at the request's reserved rate and
+// commits the reservation when the mapping passes. A decline returns the
+// guard's reason, with overcommit set when the failing check was the fit —
+// the one decline a fresher view can cure, which the coordinator's
+// two-phase path retries. The committed deployment keeps ws (nil for none).
+// Caller holds f.mu (the coordinator: every lock).
 func (f *region) admitLocked(req Request, cost model.CostOptions, m *model.Mapping, delay, rate float64, ws *core.WarmState) (dep Deployment, reason string, overcommit bool, err error) {
-	// The solver can still route zero-cost modules (the pinned source or
-	// sink, in particular) through a down node — the residual snapshot
-	// floors it at MinResidualFraction rather than removing it, and a
-	// zero-cost module reserves nothing there, so Fits would pass. A
-	// mapping with a hostless module must never be admitted; this is the
-	// admission-side twin of the Repair/Rebalance down-node guards, so
-	// repair, rebalance, requeue, and deploy agree.
-	for _, v := range m.Assign {
-		if f.residual.NodeIsDown(v) {
-			return Deployment{}, fmt.Sprintf("no feasible placement: node v%d is down", v), false, nil
-		}
-	}
-	if req.SLO.MaxDelayMs > 0 && delay > req.SLO.MaxDelayMs {
-		return Deployment{}, fmt.Sprintf("delay %.3f ms exceeds SLO %.3f ms", delay, req.SLO.MaxDelayMs), false, nil
-	}
 	reserved := admissionRate(req, rate)
-	if rate < reserved || math.IsInf(delay, 1) {
-		return Deployment{}, fmt.Sprintf("sustainable rate %.3f fps below demand %.3f fps", rate, reserved), false, nil
-	}
-	res, err := model.MappingReservation(f.base, req.Pipeline, m, reserved)
-	if err != nil {
-		return Deployment{}, "", false, err
-	}
-	if !f.residual.Fits(res) {
-		return Deployment{}, fmt.Sprintf("reservation at %.3f fps overcommits the network", reserved), true, nil
+	res, reason, overcommit, err := f.judgeLocked(req.Pipeline, m, delay, rate, req.SLO, reserved)
+	if reason != "" || err != nil {
+		return Deployment{}, reason, overcommit, err
 	}
 
 	f.seq++
@@ -1029,17 +1008,6 @@ type RebalanceOptions struct {
 	// its relative improvement (delay decrease or rate increase) is at
 	// least this fraction; <= 0 selects DefaultMinGain.
 	MinGain float64 `json:"min_gain,omitempty"`
-	// Workers > 1 enables the concurrent proposal phase: candidate
-	// re-solves run ahead of the application loop in chunks, each against
-	// its own residual snapshot of the committed state at chunk time (the
-	// candidate's reservation removed, everyone else's kept), then
-	// proposals are applied sequentially in the usual latest-first order
-	// with every guard re-validated against the live residual network.
-	// Concurrency is capped at Workers (further bounded by the installed
-	// engine pool — UsePool — or a transient pool). <= 1 keeps the fully
-	// sequential pass, whose re-solves additionally observe every earlier
-	// move of the same pass rather than only earlier chunks'.
-	Workers int `json:"workers,omitempty"`
 }
 
 // Defaults for RebalanceOptions.
@@ -1077,65 +1045,14 @@ type Report struct {
 	MeanGain float64 `json:"mean_gain"`
 }
 
-// proposal is one precomputed rebalance re-solve from the concurrent
-// proposal phase.
-type proposal struct {
-	m   *model.Mapping
-	err error
-}
-
-// proposeLocked concurrently re-solves the candidates ids[start:end], each
-// against its own residual snapshot of the current committed state (the
-// candidate's reservation removed, everyone else's kept), writing into
-// out[start:end]. Concurrency is capped at width on top of the pool's own
-// bound. Caller holds f.mu, which is exactly what makes the unlocked reads
-// inside the workers safe: nothing can mutate deployments or reservations
-// while the chunk solves. Per-goroutine snapshots and solver scratch make
-// the chunk embarrassingly parallel.
-func (f *region) proposeLocked(ids []string, out []proposal, start, end, width int, pool *engine.Pool) {
-	pool.ParallelForN(width, end-start, func(i int) {
-		i += start
-		d := f.deps[ids[i]]
-		others := make([]model.Reservation, 0, len(f.order)-1)
-		for _, oid := range f.order {
-			if oid != ids[i] {
-				others = append(others, f.deps[oid].reservation)
-			}
-		}
-		// CloneEmpty keeps the churn capacity factors: a proposal solved
-		// against a fresh NewResidualNetwork would see every down node at
-		// full nominal power and re-propose it, making the parallel path
-		// diverge from the sequential one on churned networks.
-		rn := f.residual.CloneEmpty()
-		rn.SetLoad(others)
-		req := Request{
-			Tenant:    d.Tenant,
-			Pipeline:  d.pipe,
-			Src:       d.src,
-			Dst:       d.dst,
-			Objective: d.Objective,
-			SLO:       d.SLO,
-		}
-		// Safe off the coordinating goroutine: each worker solves a distinct
-		// deployment, so the warm states never alias.
-		m, _, _, err := f.solveCounted(rn, req, d.cost, f.warmFor(d))
-		out[i] = proposal{m: m, err: err}
-	})
-}
-
 // Rebalance re-solves deployments against the capacity freed since they
 // were admitted: each candidate's own reservation is removed, its objective
 // re-solved on the resulting residual network, and the migration applied
 // only when the relative improvement clears opt.MinGain (the migration-cost
-// guard) and the new reservation fits. Deployments admitted latest are
-// considered first — they were solved against the most contended network,
-// so freed capacity helps them most.
-//
-// With opt.Workers > 1 the re-solves run concurrently in chunks ahead of
-// the application loop (see RebalanceOptions.Workers); applications stay
-// sequential and every guard — gain, SLO, reserved rate, fit — is evaluated
-// against the live residual network at application time, so a stale
-// proposal can be skipped but never corrupt capacity accounting.
+// guard) and the new mapping passes the placement guard (judgeLocked).
+// Deployments admitted latest are considered first — they were solved
+// against the most contended network, so freed capacity helps them most —
+// and each re-solve observes every earlier move of the same pass.
 func (f *region) Rebalance(opt RebalanceOptions) Report {
 	if opt.MaxMoves <= 0 {
 		opt.MaxMoves = DefaultMaxMoves
@@ -1169,67 +1086,21 @@ func (f *region) rebalanceLocked(opt RebalanceOptions) Report {
 		return di.Seq > dj.Seq
 	})
 
-	// Parallel mode solves candidates ahead of the application loop in
-	// chunks, so a pass that stops at MaxMoves applied migrations wastes at
-	// most one chunk of speculative solves — and every Deploy/Release
-	// blocked on f.mu waits for at most the current chunk, not all of ids.
-	parallel := opt.Workers > 1 && len(ids) > 1
-	var proposals []proposal
-	var pool *engine.Pool
-	proposed := 0
-	chunk := 0
-	if parallel {
-		proposals = make([]proposal, len(ids))
-		pool = f.pool
-		if pool == nil {
-			transient := engine.NewPool(opt.Workers)
-			defer transient.Close()
-			pool = transient
-		}
-		chunk = 2 * opt.Workers
-		if chunk < opt.MaxMoves {
-			chunk = opt.MaxMoves
-		}
-	}
-
 	var rep Report
-	for ci, id := range ids {
+	for _, id := range ids {
 		if rep.Applied >= opt.MaxMoves {
 			break
-		}
-		if parallel && ci >= proposed {
-			end := ci + chunk
-			if end > len(ids) {
-				end = len(ids)
-			}
-			f.proposeLocked(ids, proposals, ci, end, opt.Workers, pool)
-			proposed = end
 		}
 		d := f.deps[id]
 		rep.Considered++
 
-		// Free the candidate's own reservation for the scoring snapshot
-		// (and, in the sequential pass, the re-solve).
+		// Free the candidate's own reservation for the re-solve and the
+		// scoring snapshot.
 		saved := d.reservation
 		d.reservation = model.Reservation{}
 		f.recomputeLocked()
 		snap := f.residual.Snapshot()
-
-		var m *model.Mapping
-		var err error
-		if parallel {
-			m, err = proposals[ci].m, proposals[ci].err
-		} else {
-			req := Request{
-				Tenant:    d.Tenant,
-				Pipeline:  d.pipe,
-				Src:       d.src,
-				Dst:       d.dst,
-				Objective: d.Objective,
-				SLO:       d.SLO,
-			}
-			m, _, _, err = f.solveCounted(f.residual, req, d.cost, f.warmFor(d))
-		}
+		m, _, _, err := f.solveCounted(f.residual, requestOf(d), d.cost, f.warmFor(d))
 		move := Move{ID: id}
 		restore := func(reason string) {
 			d.reservation = saved
@@ -1242,26 +1113,6 @@ func (f *region) rebalanceLocked(opt RebalanceOptions) Report {
 			restore(fmt.Sprintf("re-solve failed: %v", err))
 			continue
 		}
-		// Never migrate onto a down node: a zero-cost module (pinned
-		// source/sink) reserves nothing there, so the capacity guards
-		// alone would let a hostless mapping commit. Deploy and Repair
-		// carry the same guard.
-		downNode := -1
-		for _, v := range m.Assign {
-			if f.residual.NodeIsDown(v) {
-				downNode = int(v)
-				break
-			}
-		}
-		if downNode >= 0 {
-			restore(fmt.Sprintf("proposed mapping uses down node v%d", downNode))
-			continue
-		}
-		// Score the proposed mapping on the live freed snapshot. In the
-		// sequential pass this snapshot is the one the solve ran against;
-		// in the parallel pass it additionally reflects moves applied
-		// earlier in this pass, keeping the guards honest for stale
-		// proposals.
 		delay := model.TotalDelay(snap, d.pipe, m, d.cost)
 		rate := model.FrameRate(model.SharedBottleneck(snap, d.pipe, m))
 		// Baseline: the existing mapping re-scored on the same freed
@@ -1285,30 +1136,15 @@ func (f *region) rebalanceLocked(opt RebalanceOptions) Report {
 			restore("gain below migration-cost guard")
 			continue
 		}
-		if d.SLO.MaxDelayMs > 0 && delay > d.SLO.MaxDelayMs {
-			restore("migration would violate the delay SLO")
-			continue
-		}
-		if rate < d.ReservedFPS {
-			restore("re-solve cannot sustain reserved rate")
-			continue
-		}
-		res, err := model.MappingReservation(f.base, d.pipe, m, d.ReservedFPS)
+		res, reason, _, err := f.judgeLocked(d.pipe, m, delay, rate, d.SLO, d.ReservedFPS)
 		if err != nil {
-			restore(fmt.Sprintf("reservation: %v", err))
+			reason = fmt.Sprintf("reservation: %v", err)
+		}
+		if reason != "" {
+			restore(reason)
 			continue
 		}
-		if !f.residual.Fits(res) {
-			restore("new reservation does not fit")
-			continue
-		}
-		// Commit the migration; the reserved rate is unchanged.
-		d.Assignment = m.Assign
-		d.Mapping = m.String()
-		d.DelayMs = delay
-		d.RateFPS = rate
-		d.reservation = res
-		f.recomputeLocked()
+		f.placeLocked(d, m, delay, rate, res)
 		f.moves++
 		f.logOp(wal.Op{
 			Kind:   wal.RebalanceMove,

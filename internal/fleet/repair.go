@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -89,37 +88,27 @@ func requestOf(d *Deployment) Request {
 // placementScoreLocked evaluates d's current mapping on snap (the residual
 // snapshot with d's own reservation removed) and reports whether the
 // placement is still valid: its reservation fits the (possibly reduced)
-// capacity factors, the delay SLO holds, and the reserved rate is still
-// sustainable. Caller holds f.mu with d's reservation zeroed and loads
+// capacity factors and the placement guard's host and SLO checks (downHost,
+// shortfall) pass. Caller holds f.mu with d's reservation zeroed and loads
 // recomputed; saved is the reservation under test.
 func (f *region) placementScoreLocked(d *Deployment, snap *model.Network, saved model.Reservation) (delay, rate float64, valid bool) {
 	m := model.NewMapping(d.Assignment)
 	delay = model.TotalDelay(snap, d.pipe, m, d.cost)
 	rate = model.FrameRate(model.SharedBottleneck(snap, d.pipe, m))
 	valid = f.residual.Fits(saved) &&
-		!math.IsInf(delay, 1) &&
-		(d.SLO.MaxDelayMs <= 0 || delay <= d.SLO.MaxDelayMs) &&
-		rate >= d.ReservedFPS
-	// A mapping using a down node is broken even when the cost model says
-	// it reserves nothing there (zero-complexity sources and sinks): the
-	// module has no host.
-	if valid {
-		for _, v := range d.Assignment {
-			if f.residual.NodeIsDown(v) {
-				valid = false
-				break
-			}
-		}
-	}
+		downHost(f.residual, d.Assignment) == "" &&
+		shortfall(delay, rate, d.SLO, d.ReservedFPS) == ""
 	return delay, rate, valid
 }
 
 // RepairOptions tunes a Repair pass.
 type RepairOptions struct {
 	// Workers > 1 precomputes the broken candidates' re-solves concurrently
-	// (chunked over the installed engine pool, like parallel Rebalance)
-	// before the sequential application loop. <= 1 solves each candidate
-	// inline against the live residual state.
+	// over the installed engine pool (UsePool; a transient pool of Workers
+	// when none is installed) before the sequential application loop, each
+	// on the view the sequential pass would solve it on. <= 1 solves each
+	// candidate inline against the live residual state. The service sets
+	// it to the size of the engine pool it installs (churn.Options.Workers).
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -176,6 +165,44 @@ type RepairReport struct {
 // Displaced is the number of deployments the pass moved or evicted.
 func (r *RepairReport) Displaced() int { return r.Migrated + len(r.Parked) }
 
+// proposal is one precomputed repair re-solve from the concurrent proposal
+// phase.
+type proposal struct {
+	m   *model.Mapping
+	err error
+}
+
+// proposeLocked concurrently re-solves the candidates ids, writing out[i]
+// for ids[i]. Each candidate is solved on its own view of the committed
+// state without its reservation, loaded by recomputeLocked's rule — the
+// other reservations in admission order, then the external overlay — so a
+// proposal is the mapping a sequential pass would solve on the same state.
+// Concurrency is capped at width on top of the pool's own bound. Caller
+// holds f.mu, which is exactly what makes the unlocked reads inside the
+// workers safe: nothing can mutate deployments or reservations while the
+// candidates solve. Per-goroutine views and solver scratch make the phase
+// embarrassingly parallel.
+func (f *region) proposeLocked(ids []string, out []proposal, width int, pool *engine.Pool) {
+	pool.ParallelForN(width, len(ids), func(i int) {
+		d := f.deps[ids[i]]
+		others := make([]model.Reservation, 0, len(f.order)-1)
+		for _, oid := range f.order {
+			if oid != ids[i] {
+				others = append(others, f.deps[oid].reservation)
+			}
+		}
+		// CloneEmpty keeps the churn capacity factors: a view built with
+		// NewResidualNetwork would see every down node at full nominal power.
+		rn := f.residual.CloneEmpty()
+		rn.SetLoad(others)
+		rn.AddLoad(f.external)
+		// Safe off the coordinating goroutine: each worker solves a distinct
+		// deployment, so the warm states never alias.
+		m, _, _, err := f.solveCounted(rn, requestOf(d), d.cost, f.warmFor(d))
+		out[i] = proposal{m: m, err: err}
+	})
+}
+
 // Repair is the incremental post-churn reconciliation pass: it examines
 // exactly the given deployments (normally Affected(events)), keeps every
 // placement that is still valid under the new capacity factors without
@@ -185,8 +212,9 @@ func (r *RepairReport) Displaced() int { return r.Migrated + len(r.Parked) }
 // feasible placement. Unknown IDs are skipped.
 //
 // With opt.Workers > 1 the broken candidates' re-solves are precomputed
-// concurrently against the pre-repair residual state; every guard is then
-// re-validated live at application time, so a stale proposal can park a
+// concurrently against the pre-repair residual state (proposeLocked); the
+// placement guard then judges each proposal live at application time, so a
+// proposal made stale by an earlier repair of the same pass can park a
 // candidate a sequential pass would have re-fit (the re-queue loop recovers
 // it) but can never corrupt capacity accounting.
 func (f *region) Repair(ids []string, opt RepairOptions) RepairReport {
@@ -256,7 +284,7 @@ func (f *region) repairLocked(ids []string, opt RepairOptions) RepairReport {
 				pool = transient
 			}
 			out := make([]proposal, len(broken))
-			f.proposeLocked(broken, out, 0, len(broken), opt.Workers, pool)
+			f.proposeLocked(broken, out, opt.Workers, pool)
 			proposals = make(map[string]proposal, len(broken))
 			for i, id := range broken {
 				proposals[id] = out[i]
@@ -320,50 +348,17 @@ func (f *region) repairLocked(ids []string, opt RepairOptions) RepairReport {
 			continue
 		}
 		m := prop.m
-		// A re-solve can still route zero-cost modules (the pinned source
-		// or sink, in particular) through a down node, because the cost
-		// model prices them at zero there; such a mapping has a hostless
-		// module and cannot be applied.
-		downNode := -1
-		for _, v := range m.Assign {
-			if f.residual.NodeIsDown(v) {
-				downNode = int(v)
-				break
-			}
-		}
-		if downNode >= 0 {
-			park(fmt.Sprintf("no feasible placement: node v%d is down", downNode))
-			continue
-		}
 		newDelay := model.TotalDelay(snap, d.pipe, m, d.cost)
 		newRate := model.FrameRate(model.SharedBottleneck(snap, d.pipe, m))
-		if math.IsInf(newDelay, 1) {
-			park("re-solve has unbounded delay on the degraded network")
-			continue
-		}
-		if d.SLO.MaxDelayMs > 0 && newDelay > d.SLO.MaxDelayMs {
-			park(fmt.Sprintf("re-solve delay %.3f ms violates SLO %.3f ms", newDelay, d.SLO.MaxDelayMs))
-			continue
-		}
-		if newRate < d.ReservedFPS {
-			park(fmt.Sprintf("re-solve rate %.3f fps below reserved %.3f fps", newRate, d.ReservedFPS))
-			continue
-		}
-		res, err := model.MappingReservation(f.base, d.pipe, m, d.ReservedFPS)
+		res, reason, _, err := f.judgeLocked(d.pipe, m, newDelay, newRate, d.SLO, d.ReservedFPS)
 		if err != nil {
-			park(fmt.Sprintf("reservation: %v", err))
+			reason = fmt.Sprintf("reservation: %v", err)
+		}
+		if reason != "" {
+			park(reason)
 			continue
 		}
-		if !f.residual.Fits(res) {
-			park("re-solved reservation does not fit the degraded network")
-			continue
-		}
-		d.Assignment = m.Assign
-		d.Mapping = m.String()
-		d.DelayMs = newDelay
-		d.RateFPS = newRate
-		d.reservation = res
-		f.recomputeLocked()
+		f.placeLocked(d, m, newDelay, newRate, res)
 		f.repairMoves++
 		rep.Migrated++
 		f.logOp(wal.Op{Kind: wal.RepairMigrated, Deploy: updateState(d)})

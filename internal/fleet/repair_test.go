@@ -2,8 +2,12 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
+	"elpc/internal/engine"
+	"elpc/internal/gen"
 	"elpc/internal/model"
 )
 
@@ -432,37 +436,89 @@ func TestRepairParallelInvariants(t *testing.T) {
 	}
 }
 
-// TestRebalanceSeesChurnedCapacity is the rebalance-side regression test
-// for the stale-capacity proposal bug: with a node down, neither the
-// sequential nor the parallel rebalance pass may migrate a deployment
-// onto it.
-func TestRebalanceSeesChurnedCapacity(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		net := testNetwork(t)
-		f, err := New(net)
-		if err != nil {
-			t.Fatal(err)
+// TestShardProposalsSeeOverlay: on a shard, a parallel repair proposal must
+// be the mapping the sequential pass would solve on the live view with the
+// candidate's reservation freed — which includes the coordinator's
+// cross-region overlay. A proposal view missing the overlay solves as if
+// cross-region deployments held nothing on the shard, and the live guard
+// can then park a deployment the sequential pass would have migrated.
+func TestShardProposalsSeeOverlay(t *testing.T) {
+	pool := engine.NewPool(2)
+	defer pool.Close()
+	compared, overlaid := 0, 0
+	for seed := uint64(1); seed <= 20; seed++ {
+		sf, net, _ := testClusteredFleet(t, 2, seed)
+		rng := gen.RNG(seed)
+		for i, cross := 0, 0; cross < 12; i++ {
+			req := randomRequest(t, net, rng, i)
+			if sf.part.SameRegion(req.Src, req.Dst) {
+				continue
+			}
+			cross++
+			_, _ = sf.Deploy(req) // rejections just thin the population
 		}
-		deployN(t, f, 8)
-		events := []model.ChurnEvent{{Kind: model.NodeDown, Node: 3}}
-		if err := f.ApplyChurn(events); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 28; i++ {
+			_, _ = sf.Deploy(randomRequest(t, net, rng, 100+i))
 		}
-		f.Repair(f.Affected(events), RepairOptions{})
-		// Free capacity so rebalance has migrations to propose.
-		for i, d := range f.List() {
-			if i%2 == 0 {
-				if err := f.Release(d.ID); err != nil {
-					t.Fatal(err)
+		if len(sf.coord.deps) > 0 {
+			overlaid++
+		}
+		for _, sh := range sf.shards {
+			sh.mu.Lock()
+			ids := append([]string(nil), sh.order...)
+			props := make([]proposal, len(ids))
+			sh.proposeLocked(ids, props, 2, pool)
+			for i, id := range ids {
+				d := sh.deps[id]
+				saved := d.reservation
+				d.reservation = model.Reservation{}
+				sh.recomputeLocked()
+				m, _, _, err := sh.solveCounted(sh.residual, requestOf(d), d.cost, nil)
+				d.reservation = saved
+				sh.recomputeLocked()
+				got, want := fmt.Sprint(props[i].err), fmt.Sprint(err)
+				if got != want || (err == nil && !reflect.DeepEqual(props[i].m.Assign, m.Assign)) {
+					t.Errorf("seed %d %s: proposal %v (err %s), sequential re-solve %v (err %s)",
+						seed, id, props[i].m, got, m, want)
 				}
+				compared++
+			}
+			sh.mu.Unlock()
+		}
+	}
+	if compared == 0 || overlaid == 0 {
+		t.Fatalf("compared %d proposals on %d fleets with a cross-region overlay: nothing exercised", compared, overlaid)
+	}
+}
+
+// TestRebalanceSeesChurnedCapacity is the rebalance-side regression test
+// for the stale-capacity proposal bug: with a node down, a rebalance pass
+// may not migrate a deployment onto it.
+func TestRebalanceSeesChurnedCapacity(t *testing.T) {
+	net := testNetwork(t)
+	f, err := New(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deployN(t, f, 8)
+	events := []model.ChurnEvent{{Kind: model.NodeDown, Node: 3}}
+	if err := f.ApplyChurn(events); err != nil {
+		t.Fatal(err)
+	}
+	f.Repair(f.Affected(events), RepairOptions{})
+	// Free capacity so rebalance has migrations to propose.
+	for i, d := range f.List() {
+		if i%2 == 0 {
+			if err := f.Release(d.ID); err != nil {
+				t.Fatal(err)
 			}
 		}
-		f.Rebalance(RebalanceOptions{MaxMoves: 8, Workers: workers})
-		for _, d := range f.List() {
-			for _, v := range d.Assignment {
-				if v == 3 {
-					t.Errorf("workers=%d: rebalance moved %s onto down node v3 (%s)", workers, d.ID, d.Mapping)
-				}
+	}
+	f.Rebalance(RebalanceOptions{MaxMoves: 8})
+	for _, d := range f.List() {
+		for _, v := range d.Assignment {
+			if v == 3 {
+				t.Errorf("rebalance moved %s onto down node v3 (%s)", d.ID, d.Mapping)
 			}
 		}
 	}

@@ -59,7 +59,7 @@ type Manager interface {
 	Repair([]string, RepairOptions) RepairReport
 	// Network returns the shared base network.
 	Network() *model.Network
-	// UsePool installs the engine pool parallel passes fan out over.
+	// UsePool installs the engine pool parallel repair passes fan out over.
 	UsePool(*engine.Pool)
 	// UseJournal installs the event journal state transitions are recorded
 	// into (nil disables recording).
@@ -215,7 +215,7 @@ func (s *ShardedFleet) Partition() *model.Partition { return s.part }
 func (s *ShardedFleet) Shards() int { return s.part.K }
 
 // UsePool installs the engine pool on every region (see
-// RebalanceOptions.Workers).
+// RepairOptions.Workers).
 func (s *ShardedFleet) UsePool(p *engine.Pool) {
 	for _, f := range s.regions {
 		f.UsePool(p)

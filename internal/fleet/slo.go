@@ -88,9 +88,10 @@ func (r SLOReport) ViolatingTenants() []string {
 // sloStatusOf scores one deployment on the residual view r through snap, a
 // snapshot of r taken since r last changed: the current mapping is
 // re-evaluated with the deployment's own reservation excluded (the network
-// as this tenant sees it), so a compliant verdict means the admission
-// placement still delivers its SLO on the churned network. Caller must
-// serialize access to r and snap.
+// as this tenant sees it) and judged by the placement guard's host and SLO
+// checks (downHost, shortfall) — the report judges but never reserves — so
+// a compliant verdict means the admission placement still delivers its SLO
+// on the churned network. Caller must serialize access to r and snap.
 func sloStatusOf(r *model.ResidualNetwork, snap *model.Network, d *Deployment, shard string) SLOStatus {
 	st := SLOStatus{
 		ID:          d.ID,
@@ -99,12 +100,9 @@ func sloStatusOf(r *model.ResidualNetwork, snap *model.Network, d *Deployment, s
 		MaxDelayMs:  d.SLO.MaxDelayMs,
 		ReservedFPS: d.ReservedFPS,
 	}
-	for _, v := range d.Assignment {
-		if r.NodeIsDown(v) {
-			st.DelayMs = math.Inf(1)
-			st.Reason = fmt.Sprintf("node v%d hosting a module is down", v)
-			return st
-		}
+	if st.Reason = downHost(r, d.Assignment); st.Reason != "" {
+		st.DelayMs = math.Inf(1)
+		return st
 	}
 	// The scorer only reads the mapping, so it may share the assignment.
 	delay, bottleneck, err := r.ScorePath(snap, d.pipe, &model.Mapping{Assign: d.Assignment}, d.cost, d.reservation)
@@ -117,16 +115,8 @@ func sloStatusOf(r *model.ResidualNetwork, snap *model.Network, d *Deployment, s
 	}
 	st.DelayMs = delay
 	st.RateFPS = model.FrameRate(bottleneck)
-	switch {
-	case math.IsInf(st.DelayMs, 1):
-		st.Reason = "mapping traverses an unusable path"
-	case d.SLO.MaxDelayMs > 0 && st.DelayMs > d.SLO.MaxDelayMs:
-		st.Reason = fmt.Sprintf("delay %.3f ms exceeds SLO %.3f ms", st.DelayMs, d.SLO.MaxDelayMs)
-	case st.RateFPS < d.ReservedFPS:
-		st.Reason = fmt.Sprintf("sustainable rate %.3f fps below reserved %.3f fps", st.RateFPS, d.ReservedFPS)
-	default:
-		st.Compliant = true
-	}
+	st.Reason = shortfall(st.DelayMs, st.RateFPS, d.SLO, d.ReservedFPS)
+	st.Compliant = st.Reason == ""
 	return st
 }
 

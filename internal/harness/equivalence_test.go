@@ -10,7 +10,7 @@ package harness
 // mappings included), fleet stats, reconciler stats, the final residual
 // network, and a Pareto front solved on that residual. Plain fleets run the
 // full suite; one-shard and three-shard sharded fleets run a spread subset.
-// The whole suite is -race clean (repair and rebalance run with Workers: 2).
+// The whole suite is -race clean (repair runs with Workers: 2).
 
 import (
 	"fmt"
@@ -105,7 +105,7 @@ func runEquivalenceTrace(t *testing.T, mk func(*model.Network) (*fleet.ShardedFl
 		r.RepairMs = 0
 		fp.records = append(fp.records, r)
 		if (i+1)%equivRebalanceEvery == 0 {
-			fp.rebalances = append(fp.rebalances, m.Rebalance(fleet.RebalanceOptions{Workers: 2}))
+			fp.rebalances = append(fp.rebalances, m.Rebalance(fleet.RebalanceOptions{}))
 		}
 	}
 

@@ -200,6 +200,9 @@ func TestUnknownFieldsRejected(t *testing.T) {
 		{"/v1/fleet/deploy", `{"tenant":"x","bogus_field":1}`},
 		{"/v1/fleet/deploy-batch", `{"requests":[],"bogus_field":1}`},
 		{"/v1/fleet/release", `{"id":"d-1","bogus_field":1}`},
+		// Rebalance has one mode; the field that selected a parallel one
+		// is gone.
+		{"/v1/fleet/rebalance", `{"max_moves":2,"workers":2}`},
 	} {
 		resp, err := http.Post(ts.URL+tc.url, "application/json", strings.NewReader(tc.body))
 		if err != nil {

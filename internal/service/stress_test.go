@@ -113,7 +113,7 @@ func TestConcurrentFrontAndFleetStress(t *testing.T) {
 					errc <- fmt.Errorf("deploy: %w", err)
 					return
 				}
-				f.Rebalance(fleet.RebalanceOptions{MaxMoves: 2, Workers: 4})
+				f.Rebalance(fleet.RebalanceOptions{MaxMoves: 2})
 				if len(mine) > 2 {
 					if err := f.Release(mine[0]); err != nil {
 						errc <- fmt.Errorf("release: %w", err)
