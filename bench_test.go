@@ -756,3 +756,25 @@ func BenchmarkShardedDeploy(b *testing.B) {
 		})
 	}
 }
+
+// partitionSink keeps BenchmarkPartitionNetwork's result live.
+var partitionSink *model.Partition
+
+// BenchmarkPartitionNetwork measures the K-way region partition a sharded
+// fleet computes on every install and every durable restart: one
+// model.PartitionNetwork call (graph.PartitionK plus link ownership and the
+// boundary set) on the 8-cluster n504/l4896 network the
+// fleet-sharded-durable workload installs, at k = 8.
+func BenchmarkPartitionNetwork(b *testing.B) {
+	net, err := gen.ClusteredNetwork(gen.DefaultClusterSpec(), gen.DefaultRanges(), gen.RNG(2026))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if partitionSink, err = model.PartitionNetwork(net, 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

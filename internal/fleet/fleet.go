@@ -261,6 +261,11 @@ type region struct {
 	// stay unique and routable across regions.
 	scope    string
 	idPrefix string
+	// scoreSnap is the snapshot buffer on which rebalance, repair and
+	// two-phase admission score a candidate's mappings
+	// (scoringSnapshotLocked). Nothing holds it past that candidate: solves
+	// and proposals take their own snapshots.
+	scoreSnap *model.Network
 	// view, when non-nil, restricts every solve to the region's
 	// sub-network: the solver runs on an extraction of the residual snapshot
 	// holding only region nodes and internal links, and the winning mapping
@@ -1071,6 +1076,14 @@ func (f *region) Rebalance(opt RebalanceOptions) Report {
 	return rep
 }
 
+// scoringSnapshotLocked materializes the residual view into the region's
+// scoring buffer and returns it; the next call overwrites it. Caller holds
+// f.mu.
+func (f *region) scoringSnapshotLocked() *model.Network {
+	f.scoreSnap = f.residual.SnapshotInto(f.scoreSnap)
+	return f.scoreSnap
+}
+
 // rebalanceLocked is the rebalance pass body. Caller holds f.mu inside a
 // WAL epoch.
 func (f *region) rebalanceLocked(opt RebalanceOptions) Report {
@@ -1099,7 +1112,7 @@ func (f *region) rebalanceLocked(opt RebalanceOptions) Report {
 		saved := d.reservation
 		d.reservation = model.Reservation{}
 		f.recomputeLocked()
-		snap := f.residual.Snapshot()
+		snap := f.scoringSnapshotLocked()
 		m, _, _, err := f.solveCounted(f.residual, requestOf(d), d.cost, f.warmFor(d))
 		move := Move{ID: id}
 		restore := func(reason string) {

@@ -269,7 +269,7 @@ func (f *region) repairLocked(ids []string, opt RepairOptions) RepairReport {
 			saved := d.reservation
 			d.reservation = model.Reservation{}
 			f.recomputeLocked()
-			_, _, valid := f.placementScoreLocked(d, f.residual.Snapshot(), saved)
+			_, _, valid := f.placementScoreLocked(d, f.scoringSnapshotLocked(), saved)
 			d.reservation = saved
 			if !valid {
 				broken = append(broken, id)
@@ -302,7 +302,7 @@ func (f *region) repairLocked(ids []string, opt RepairOptions) RepairReport {
 		saved := d.reservation
 		d.reservation = model.Reservation{}
 		f.recomputeLocked()
-		snap := f.residual.Snapshot()
+		snap := f.scoringSnapshotLocked()
 
 		delay, rate, valid := f.placementScoreLocked(d, snap, saved)
 		if valid {

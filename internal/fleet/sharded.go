@@ -544,7 +544,7 @@ func (s *ShardedFleet) twoPhaseLocked(req Request, fallback bool, cost model.Cos
 		// boundary-link capacity in one atomic step.
 		s.lockShards()
 		s.composeLocked()
-		live := x.residual.Snapshot()
+		live := x.scoringSnapshotLocked()
 		delay := model.TotalDelay(live, req.Pipeline, m, cost)
 		rate := model.FrameRate(model.SharedBottleneck(live, req.Pipeline, m))
 		d, reason, overcommit, err := x.admitLocked(req, cost, m, delay, rate, nil)

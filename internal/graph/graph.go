@@ -28,11 +28,11 @@ type Arc struct {
 }
 
 // New creates an empty graph with n nodes. It panics if n < 0.
-func New(n int) *Graph { return NewSized(n, 0) }
+func New(n int) *Graph { return newSized(n, 0) }
 
-// NewSized is New with the edge list and the (from,to) index sized for m
-// edges up front, so adding up to m edges never regrows them.
-func NewSized(n, m int) *Graph {
+// newSized is New with the edge list and the (from,to) index sized for m
+// edges.
+func newSized(n, m int) *Graph {
 	if n < 0 {
 		panic("graph: negative node count")
 	}
@@ -43,6 +43,39 @@ func NewSized(n, m int) *Graph {
 		edges: make([]Arc, 0, m),
 		index: make(map[[2]int32]int32, m),
 	}
+}
+
+// NewFor is New with room for the m arcs a caller is about to add, where
+// arc(i) returns the i-th. It builds the adjacency in two passes: the first
+// counts every node's out- and in-degree (skipping arcs with an endpoint
+// outside [0, n), which AddEdge rejects), the second carves each node's
+// out-list and in-list from one shared array per direction. Adding those
+// arcs with AddEdge then allocates nothing per edge. A carved list's
+// capacity ends where the next node's begins, so an AddEdge past a node's
+// counted degree regrows that node's list alone.
+func NewFor(n, m int, arc func(i int) (from, to int)) *Graph {
+	g := newSized(n, m)
+	outOff := make([]int, n+1)
+	inOff := make([]int, n+1)
+	for i := 0; i < m; i++ {
+		u, v := arc(i)
+		if u < 0 || u >= n || v < 0 || v >= n {
+			continue
+		}
+		outOff[u+1]++
+		inOff[v+1]++
+	}
+	for v := 0; v < n; v++ {
+		outOff[v+1] += outOff[v]
+		inOff[v+1] += inOff[v]
+	}
+	outIDs := make([]int32, outOff[n])
+	inIDs := make([]int32, inOff[n])
+	for v := 0; v < n; v++ {
+		g.out[v] = outIDs[outOff[v]:outOff[v]:outOff[v+1]]
+		g.in[v] = inIDs[inOff[v]:inOff[v]:inOff[v+1]]
+	}
+	return g
 }
 
 // N returns the number of nodes.
@@ -110,25 +143,6 @@ func (g *Graph) OutDegree(v int) int { return len(g.out[v]) }
 
 // InDegree returns the in-degree of v.
 func (g *Graph) InDegree(v int) int { return len(g.in[v]) }
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := NewSized(g.n, len(g.edges))
-	for _, e := range g.edges {
-		c.MustAddEdge(e.From, e.To)
-	}
-	return c
-}
-
-// Reverse returns a new graph with every edge direction flipped. Edge IDs are
-// not preserved.
-func (g *Graph) Reverse() *Graph {
-	r := NewSized(g.n, len(g.edges))
-	for _, e := range g.edges {
-		r.MustAddEdge(e.To, e.From)
-	}
-	return r
-}
 
 // WeightFunc assigns a non-negative weight to an edge ID.
 type WeightFunc func(edgeID int) float64

@@ -79,21 +79,6 @@ func TestDegreesAndAdjacency(t *testing.T) {
 	}
 }
 
-func TestCloneAndReverse(t *testing.T) {
-	g := New(3)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(1, 2)
-	c := g.Clone()
-	c.MustAddEdge(2, 0)
-	if g.M() != 2 || c.M() != 3 {
-		t.Error("Clone should be independent")
-	}
-	r := g.Reverse()
-	if !r.HasEdge(1, 0) || !r.HasEdge(2, 1) || r.HasEdge(0, 1) {
-		t.Error("Reverse edges wrong")
-	}
-}
-
 func TestHopsFromTo(t *testing.T) {
 	// 0 -> 1 -> 2, plus 0 -> 2 direct; node 3 isolated.
 	g := New(4)

@@ -73,11 +73,12 @@ func (g *Graph) PartitionK(k int) []int {
 	// to its region's medoid, regrow — farthest-point seeds can land
 	// off-center (near a boundary, or two in one community), and one or two
 	// reseeding rounds pull them into the community cores.
-	seeds := g.farthestPointSeeds(k)
+	p := newPartitioner(g)
+	seeds := p.farthestPointSeeds(k)
 	var sizes []int
 	for iter := 0; iter < 4; iter++ {
-		part, sizes = g.growRegions(seeds, k)
-		next := g.regionMedoids(part, k)
+		part, sizes = p.growRegions(seeds, k)
+		next := p.regionMedoids(part, k)
 		same := true
 		for i := range seeds {
 			if next[i] != seeds[i] {
@@ -90,8 +91,56 @@ func (g *Graph) PartitionK(k int) []int {
 		}
 		seeds = next
 	}
-	g.refinePartition(part, sizes, k)
+	p.refinePartition(part, sizes, k)
 	return part
+}
+
+// partitioner is one PartitionK call's working state: the graph's
+// adjacency with edge directions ignored, flat, and the BFS work arrays every
+// search reuses.
+type partitioner struct {
+	n int
+	// Node u's undirected neighbors are nbr[off[u]:off[u+1]]: the heads of
+	// its out-edges, then the tails of its in-edges, each in edge-ID order.
+	// A link present in both directions lists its neighbor twice, so
+	// counting neighbors counts undirected edges.
+	off []int
+	nbr []int32
+	// A search marks node v visited by setting seen[v] to its own stamp;
+	// dist and queue hold its hop distances and frontier.
+	seen  []int
+	stamp int
+	dist  []int
+	queue []int32
+}
+
+func newPartitioner(g *Graph) *partitioner {
+	p := &partitioner{
+		n:    g.n,
+		off:  make([]int, g.n+1),
+		nbr:  make([]int32, 0, 2*len(g.edges)),
+		seen: make([]int, g.n),
+		dist: make([]int, g.n),
+	}
+	for u := 0; u < g.n; u++ {
+		for _, eid := range g.out[u] {
+			p.nbr = append(p.nbr, int32(g.edges[eid].To))
+		}
+		for _, eid := range g.in[u] {
+			p.nbr = append(p.nbr, int32(g.edges[eid].From))
+		}
+		p.off[u+1] = len(p.nbr)
+	}
+	return p
+}
+
+// neighbors returns u's undirected neighbors (see partitioner.off).
+func (p *partitioner) neighbors(u int) []int32 { return p.nbr[p.off[u]:p.off[u+1]] }
+
+// search starts a new search: no node is seen by it yet.
+func (p *partitioner) search() int {
+	p.stamp++
+	return p.stamp
 }
 
 // growRegions grows k regions around the seeds by attachment strength:
@@ -99,8 +148,8 @@ func (g *Graph) PartitionK(k int) []int {
 // among the unclaimed nodes adjacent to it, the one with the most
 // undirected edges into the region (lowest node ID on ties). Nodes in
 // components holding no seed are appended to the smallest region.
-func (g *Graph) growRegions(seeds []int, k int) (part, sizes []int) {
-	part = make([]int, g.n)
+func (p *partitioner) growRegions(seeds []int, k int) (part, sizes []int) {
+	part = make([]int, p.n)
 	for v := range part {
 		part[v] = -1
 	}
@@ -113,9 +162,9 @@ func (g *Graph) growRegions(seeds []int, k int) (part, sizes []int) {
 		part[v] = r
 		sizes[r]++
 		delete(attach[r], v)
-		for _, w := range g.undirectedNeighbors(v) {
+		for _, w := range p.neighbors(v) {
 			if part[w] == -1 {
-				attach[r][w]++
+				attach[r][int(w)]++
 			}
 		}
 	}
@@ -124,7 +173,7 @@ func (g *Graph) growRegions(seeds []int, k int) (part, sizes []int) {
 		claim(r, s)
 	}
 	assigned := len(seeds)
-	for assigned < g.n {
+	for assigned < p.n {
 		// The smallest region with any adjacent unclaimed node grows next
 		// (lowest index on ties).
 		r := -1
@@ -176,47 +225,63 @@ func (g *Graph) growRegions(seeds []int, k int) (part, sizes []int) {
 // within the region-induced undirected subgraph (lowest node ID on ties;
 // unreachable members count as infinitely far, so medoids sit in the
 // region's main component).
-func (g *Graph) regionMedoids(part []int, k int) []int {
+func (p *partitioner) regionMedoids(part []int, k int) []int {
 	medoids := make([]int, k)
+	var members []int
 	for r := 0; r < k; r++ {
-		var members []int
-		for v, p := range part {
-			if p == r {
+		members = members[:0]
+		for v, pr := range part {
+			if pr == r {
 				members = append(members, v)
 			}
 		}
-		best, bestEcc := members[0], g.n+1
+		best, bestEcc := members[0], p.n+1
 		for _, s := range members {
-			// BFS from s inside the region.
-			dist := map[int]int{s: 0}
-			queue := []int{s}
-			ecc := 0
-			for len(queue) > 0 {
-				u := queue[0]
-				queue = queue[1:]
-				for _, w := range g.undirectedNeighbors(u) {
-					if part[w] != r {
-						continue
-					}
-					if _, ok := dist[w]; !ok {
-						dist[w] = dist[u] + 1
-						if dist[w] > ecc {
-							ecc = dist[w]
-						}
-						queue = append(queue, w)
-					}
-				}
-			}
-			if len(dist) < len(members) {
-				ecc = g.n // disconnected region: prefer the main component
-			}
-			if ecc < bestEcc {
+			if ecc := p.eccentricity(part, s, len(members), bestEcc); ecc < bestEcc {
 				best, bestEcc = s, ecc
 			}
 		}
 		medoids[r] = best
 	}
 	return medoids
+}
+
+// eccentricity returns s's eccentricity within its region of part, which
+// has the given number of members: the largest hop distance from s to a
+// member, or n when some member is unreachable inside the region. The BFS
+// stops once a distance reaches bound and returns it; a member that far
+// out cannot undercut a best eccentricity of bound.
+func (p *partitioner) eccentricity(part []int, s, members, bound int) int {
+	r := part[s]
+	stamp := p.search()
+	p.seen[s] = stamp
+	p.dist[s] = 0
+	queue := append(p.queue[:0], int32(s))
+	ecc := 0
+	for i := 0; i < len(queue); i++ {
+		u := queue[i]
+		for _, w := range p.neighbors(int(u)) {
+			if part[w] != r || p.seen[w] == stamp {
+				continue
+			}
+			p.seen[w] = stamp
+			d := p.dist[u] + 1
+			p.dist[w] = d
+			if d > ecc {
+				ecc = d
+				if ecc >= bound {
+					p.queue = queue
+					return ecc
+				}
+			}
+			queue = append(queue, w)
+		}
+	}
+	p.queue = queue
+	if len(queue) < members {
+		return p.n // disconnected region: prefer the main component
+	}
+	return ecc
 }
 
 // refinePartition is a deterministic boundary-refinement sweep
@@ -226,9 +291,9 @@ func (g *Graph) regionMedoids(part []int, k int) []int {
 // region it leaves. Growth by attachment can misplace a handful of nodes
 // when seeds land off-center; a few sweeps snap the regions onto the
 // graph's community structure.
-func (g *Graph) refinePartition(part, sizes []int, k int) {
+func (p *partitioner) refinePartition(part, sizes []int, k int) {
 	// Balance bounds around the ideal region size.
-	ideal := g.n / k
+	ideal := p.n / k
 	maxSize := ideal + ideal/2 + 1
 	minSize := ideal / 2
 	if minSize < 1 {
@@ -237,7 +302,7 @@ func (g *Graph) refinePartition(part, sizes []int, k int) {
 	counts := make([]int, k)
 	for sweep := 0; sweep < 8; sweep++ {
 		moved := false
-		for v := 0; v < g.n; v++ {
+		for v := 0; v < p.n; v++ {
 			a := part[v]
 			if sizes[a] <= minSize {
 				continue
@@ -245,7 +310,7 @@ func (g *Graph) refinePartition(part, sizes []int, k int) {
 			for i := range counts {
 				counts[i] = 0
 			}
-			for _, w := range g.undirectedNeighbors(v) {
+			for _, w := range p.neighbors(v) {
 				counts[part[w]]++
 			}
 			b, best := a, counts[a]
@@ -254,7 +319,7 @@ func (g *Graph) refinePartition(part, sizes []int, k int) {
 					b, best = r, counts[r]
 				}
 			}
-			if b == a || !g.removableFrom(part, v, a) {
+			if b == a || !p.removableFrom(part, v, a) {
 				continue
 			}
 			part[v] = b
@@ -270,10 +335,10 @@ func (g *Graph) refinePartition(part, sizes []int, k int) {
 
 // removableFrom reports whether region r stays connected (in the undirected
 // sense) after node v leaves it.
-func (g *Graph) removableFrom(part []int, v, r int) bool {
+func (p *partitioner) removableFrom(part []int, v, r int) bool {
 	start := -1
 	members := 0
-	for u := 0; u < g.n; u++ {
+	for u := 0; u < p.n; u++ {
 		if u != v && part[u] == r {
 			members++
 			if start == -1 {
@@ -284,29 +349,28 @@ func (g *Graph) removableFrom(part []int, v, r int) bool {
 	if members <= 1 {
 		return true
 	}
-	seen := make(map[int]bool, members)
-	seen[start] = true
-	queue := []int{start}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, w := range g.undirectedNeighbors(u) {
-			if w != v && part[w] == r && !seen[w] {
-				seen[w] = true
+	stamp := p.search()
+	p.seen[start] = stamp
+	queue := append(p.queue[:0], int32(start))
+	for i := 0; i < len(queue); i++ {
+		for _, w := range p.neighbors(int(queue[i])) {
+			if int(w) != v && part[w] == r && p.seen[w] != stamp {
+				p.seen[w] = stamp
 				queue = append(queue, w)
 			}
 		}
 	}
-	return len(seen) == members
+	p.queue = queue
+	return len(queue) == members
 }
 
 // farthestPointSeeds picks k well-separated seed nodes: the first is node 0;
 // each next seed is the node maximizing undirected hop distance to the seeds
 // chosen so far (lowest index on ties), the classic farthest-point
 // clustering heuristic.
-func (g *Graph) farthestPointSeeds(k int) []int {
+func (p *partitioner) farthestPointSeeds(k int) []int {
 	const unreached = int(^uint(0) >> 1) // max int
-	dist := make([]int, g.n)
+	dist := p.dist
 	for i := range dist {
 		dist[i] = unreached
 	}
@@ -316,22 +380,22 @@ func (g *Graph) farthestPointSeeds(k int) []int {
 		seeds = append(seeds, next)
 		// Relax distances from the new seed (undirected BFS).
 		dist[next] = 0
-		queue := []int{next}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range g.undirectedNeighbors(u) {
+		queue := append(p.queue[:0], int32(next))
+		for i := 0; i < len(queue); i++ {
+			u := queue[i]
+			for _, v := range p.neighbors(int(u)) {
 				if dist[u]+1 < dist[v] {
 					dist[v] = dist[u] + 1
 					queue = append(queue, v)
 				}
 			}
 		}
+		p.queue = queue
 		// The next seed is the node farthest from every seed so far,
 		// preferring never-reached nodes (isolated components).
 		next = -1
 		best := -1
-		for v := 0; v < g.n; v++ {
+		for v := 0; v < p.n; v++ {
 			if dist[v] > best {
 				best = dist[v]
 				next = v
@@ -342,18 +406,4 @@ func (g *Graph) farthestPointSeeds(k int) []int {
 		}
 	}
 	return seeds
-}
-
-// undirectedNeighbors returns the neighbors of u ignoring edge direction, in
-// deterministic (out-edge then in-edge insertion) order, possibly with
-// duplicates when both directions of a link exist; callers tolerate them.
-func (g *Graph) undirectedNeighbors(u int) []int {
-	out := make([]int, 0, len(g.out[u])+len(g.in[u]))
-	for _, eid := range g.out[u] {
-		out = append(out, g.edges[eid].To)
-	}
-	for _, eid := range g.in[u] {
-		out = append(out, g.edges[eid].From)
-	}
-	return out
 }

@@ -114,7 +114,14 @@ func TestPartitionKRegionsConnected(t *testing.T) {
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for _, v := range g.undirectedNeighbors(u) {
+			var nbrs []int
+			for _, eid := range g.OutEdges(u) {
+				nbrs = append(nbrs, g.Edge(int(eid)).To)
+			}
+			for _, eid := range g.InEdges(u) {
+				nbrs = append(nbrs, g.Edge(int(eid)).From)
+			}
+			for _, v := range nbrs {
 				if part[v] == r && !seen[v] {
 					seen[v] = true
 					queue = append(queue, v)

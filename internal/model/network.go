@@ -86,7 +86,9 @@ func NewNetwork(nodes []Node, links []Link) (*Network, error) {
 			return nil, fmt.Errorf("model: node %d has non-positive power %v", i, n.Power)
 		}
 	}
-	topo := graph.NewSized(len(nodes), len(links))
+	topo := graph.NewFor(len(nodes), len(links), func(i int) (int, int) {
+		return int(links[i].From), int(links[i].To)
+	})
 	for i, l := range links {
 		if l.ID != i {
 			return nil, fmt.Errorf("model: link %d has ID %d; links must be densely numbered", i, l.ID)

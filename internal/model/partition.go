@@ -36,9 +36,18 @@ type Partition struct {
 const BoundaryOwner = -1
 
 // PartitionNetwork splits net into k regions using the deterministic
-// balanced graph partitioner (graph.PartitionK: farthest-point seeds plus
-// lockstep BFS region growth) and derives the link ownership and boundary
-// sets. It requires 1 <= k <= net.N().
+// balanced graph partitioner (graph.PartitionK: farthest-point seeds →
+// lockstep attachment-strength growth → Lloyd reseeding on region medoids
+// → boundary refinement) and derives the link ownership and boundary sets.
+// It requires 1 <= k <= net.N().
+//
+// A sharded fleet pays for it on every install and every durable restart.
+// Every step of the partitioner reads one flat undirected adjacency built
+// per call in O(N+M), and every BFS reuses one set of work arrays, so a
+// call allocates O(N+M) memory. Its time goes mostly to the medoid rounds:
+// up to four, each running one BFS inside its region from every node. On
+// the 8-cluster n504/l4896 network at k = 8 a call takes ~12 ms and 450
+// allocations on a 2-vCPU VM (BenchmarkPartitionNetwork).
 func PartitionNetwork(net *Network, k int) (*Partition, error) {
 	if net == nil {
 		return nil, fmt.Errorf("model: partition of nil network")
@@ -128,7 +137,10 @@ func (p *Partition) View(net *Network, r int) *RegionView {
 			v.Links = append(v.Links, i)
 		}
 	}
-	v.topo = graph.New(len(v.Nodes))
+	v.topo = graph.NewFor(len(v.Nodes), len(v.Links), func(i int) (int, int) {
+		l := net.Links[v.Links[i]]
+		return v.LocalNode[l.From], v.LocalNode[l.To]
+	})
 	for _, g := range v.Links {
 		l := net.Links[g]
 		if _, err := v.topo.AddEdge(v.LocalNode[l.From], v.LocalNode[l.To]); err != nil {
