@@ -466,22 +466,29 @@ func BenchmarkSLOReport(b *testing.B) {
 // rebalanceSink keeps BenchmarkFleetRebalance's reports observable.
 var rebalanceSink fleet.Report
 
-// BenchmarkFleetRebalance measures one default rebalance pass on the
-// reportFleets shapes. A pass that applies nothing re-solves every
-// candidate on its freed view under its region's lock — the longest lock
-// hold of any fleet request. The applied metric is the mean number of
-// migrations a pass applied.
+// BenchmarkFleetRebalance measures the first default rebalance pass on a
+// freshly loaded fleet of each reportFleets shape: every iteration loads a
+// new fleet outside the timer and times one pass on it. A pass that applies
+// nothing re-solves every candidate on its freed view under its region's
+// lock — the longest lock hold of any fleet request; a pass stops once it
+// has applied DefaultMaxMoves. The loaded fleets are identical, so every
+// pass does the same work, and its metrics — the candidates that first pass
+// considered and the migrations it applied — do not depend on b.N.
 func BenchmarkFleetRebalance(b *testing.B) {
 	for _, tc := range reportFleets(b) {
 		b.Run(tc.name, func(b *testing.B) {
-			fl, _ := tc.load(b)
-			applied := 0
+			considered, applied := 0, 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fl, _ := tc.load(b)
+				b.StartTimer()
 				rebalanceSink = fl.Rebalance(fleet.RebalanceOptions{})
+				considered += rebalanceSink.Considered
 				applied += rebalanceSink.Applied
 			}
+			b.ReportMetric(float64(considered)/float64(b.N), "considered")
 			b.ReportMetric(float64(applied)/float64(b.N), "applied")
 		})
 	}

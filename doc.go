@@ -62,10 +62,11 @@
 // independently locked region per shard. Same-region deployments take
 // only their shard's lock and solve on the region's sub-network (K×
 // smaller); cross-region deployments go through a coordinator region that
-// two-phase-reserves boundary links; churn events route to the owning
-// shard so repair stays regional. NewFleet is the one-shard case: the
-// same ShardedFleet, the only FleetManager, which elpcd installs with the
-// shards option of POST /v1/fleet/network.
+// two-phase-reserves boundary links; churn commits once to the fleet's one
+// ledger of capacity factors, which every region reads, and repair stays
+// regional. NewFleet is the one-shard case: the same ShardedFleet, the only
+// FleetManager, which elpcd installs with the shards option of
+// POST /v1/fleet/network.
 //
 //	sf, _ := elpc.NewShardedFleet(net, 8)
 //	d, _ = sf.Deploy(elpc.FleetRequest{Pipeline: pl, Src: 0, Dst: 9})

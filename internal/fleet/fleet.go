@@ -261,15 +261,18 @@ type region struct {
 	// stay unique and routable across regions.
 	scope    string
 	idPrefix string
-	// scoreSnap is the snapshot buffer on which rebalance, repair and
-	// two-phase admission score a candidate's mappings
-	// (scoringSnapshotLocked). Nothing holds it past that candidate: solves
-	// and proposals take their own snapshots.
+	// scoreSnap is the snapshot buffer on which rebalance, repair,
+	// two-phase admission and (on the coordinator) the SLO report score
+	// mappings (scoringSnapshotLocked, scoreLocked): the region's
+	// sub-network on a shard of a sharded fleet, the whole network on the
+	// coordinator and on a one-shard fleet's shard. Nothing holds it past
+	// one candidate or report: solves and proposals take their own
+	// snapshots.
 	scoreSnap *model.Network
-	// view, when non-nil, restricts every solve to the region's
-	// sub-network: the solver runs on an extraction of the residual snapshot
-	// holding only region nodes and internal links, and the winning mapping
-	// is translated back to global node IDs. Nil solves on the whole
+	// view, when non-nil, restricts every solve and score to the region's
+	// sub-network: the solver runs on a residual snapshot holding only
+	// region nodes and internal links (RegionSnapshot), and the winning
+	// mapping is translated back to global node IDs. Nil solves on the whole
 	// network (a one-shard fleet's shard, and the coordinator).
 	view *model.RegionView
 	// external is a static load overlay (the coordinator's merged
@@ -345,12 +348,13 @@ type region struct {
 	lockWait     *telemetry.Histogram
 }
 
-// newRegion builds an empty region over the shared base network, named by
-// its WAL scope ("" for the only shard of a one-shard fleet).
-func newRegion(base *model.Network, scope string) *region {
+// newRegion builds an empty region over the residual view rn of the shared
+// base network, named by its WAL scope ("" for the only shard of a
+// one-shard fleet).
+func newRegion(rn *model.ResidualNetwork, scope string) *region {
 	f := &region{
-		base:     base,
-		residual: model.NewResidualNetwork(base),
+		base:     rn.Base(),
+		residual: rn,
 		deps:     make(map[string]*Deployment),
 		scope:    scope,
 	}
@@ -1077,11 +1081,34 @@ func (f *region) Rebalance(opt RebalanceOptions) Report {
 }
 
 // scoringSnapshotLocked materializes the residual view into the region's
-// scoring buffer and returns it; the next call overwrites it. Caller holds
-// f.mu.
+// scoring buffer — its sub-network when the region has a view, the whole
+// network otherwise — and returns it; the next call overwrites it. Caller
+// holds f.mu.
 func (f *region) scoringSnapshotLocked() *model.Network {
-	f.scoreSnap = f.residual.SnapshotInto(f.scoreSnap)
+	if f.view != nil {
+		f.scoreSnap = f.residual.RegionSnapshotInto(f.view, f.scoreSnap)
+	} else {
+		f.scoreSnap = f.residual.SnapshotInto(f.scoreSnap)
+	}
 	return f.scoreSnap
+}
+
+// scoreLocked scores mapping m of pl, in global node IDs, on snap, a
+// scoring snapshot of the region (scoringSnapshotLocked): its Eq. 1 delay
+// under cost and its Eq. 2 shared-bottleneck rate. On a region's
+// sub-network m is scored in local IDs; every element a regional mapping
+// reads has the value a full snapshot gives it, so the scores are the
+// full-network ones bit for bit. A mapping with a module outside the
+// region has no path there: +Inf delay, zero rate. Caller holds f.mu.
+func (f *region) scoreLocked(snap *model.Network, pl *model.Pipeline, m *model.Mapping, cost model.CostOptions) (delay, rate float64) {
+	if f.view != nil {
+		local, ok := f.view.ToLocal(m)
+		if !ok {
+			return math.Inf(1), 0
+		}
+		m = local
+	}
+	return model.TotalDelay(snap, pl, m, cost), model.FrameRate(model.SharedBottleneck(snap, pl, m))
 }
 
 // rebalanceLocked is the rebalance pass body. Caller holds f.mu inside a
@@ -1126,14 +1153,11 @@ func (f *region) rebalanceLocked(opt RebalanceOptions) Report {
 			restore(fmt.Sprintf("re-solve failed: %v", err))
 			continue
 		}
-		delay := model.TotalDelay(snap, d.pipe, m, d.cost)
-		rate := model.FrameRate(model.SharedBottleneck(snap, d.pipe, m))
+		delay, rate := f.scoreLocked(snap, d.pipe, m, d.cost)
 		// Baseline: the existing mapping re-scored on the same freed
 		// snapshot, so gain measures better placement rather than the
 		// freed capacity both mappings would enjoy.
-		curM := model.NewMapping(d.Assignment)
-		curDelay := model.TotalDelay(snap, d.pipe, curM, d.cost)
-		curRate := model.FrameRate(model.SharedBottleneck(snap, d.pipe, curM))
+		curDelay, curRate := f.scoreLocked(snap, d.pipe, &model.Mapping{Assign: d.Assignment}, d.cost)
 		if d.Objective == model.MinDelay {
 			move.OldValue, move.NewValue = curDelay, delay
 			if curDelay > 0 && !math.IsInf(curDelay, 1) {

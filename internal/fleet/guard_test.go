@@ -13,7 +13,7 @@ import (
 // unusable path, delay SLO, reserved rate, fit — is the reason reported,
 // and only a failed fit reports an overcommit.
 func TestPlacementGuardOrder(t *testing.T) {
-	f := newRegion(testNetwork(t), "")
+	f := newRegion(model.NewResidualNetwork(testNetwork(t)), "")
 	if err := f.residual.ApplyChurn([]model.ChurnEvent{{Kind: model.NodeDown, Node: 3}}); err != nil {
 		t.Fatal(err)
 	}

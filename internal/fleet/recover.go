@@ -243,6 +243,7 @@ func restoreSnapshot(out *Recovered, snap *wal.Snapshot) error {
 	out.Install = snap.Install
 	out.Parked = ParkedFromStates(snap.Parked)
 	out.Churn = snap.Churn
+	blocks := make(map[*region]*wal.ScopeState, len(snap.Scopes))
 	for i := range snap.Scopes {
 		sc := &snap.Scopes[i]
 		f, err := m.scopeRegion(sc.Scope)
@@ -252,19 +253,21 @@ func restoreSnapshot(out *Recovered, snap *wal.Snapshot) error {
 		if err := f.restoreScopeState(sc); err != nil {
 			return err
 		}
+		blocks[f] = sc
 	}
-	return nil
+	return m.restoreFactors(blocks)
 }
 
-// restoreScopeState rebuilds one region from its snapshot block: churn
-// capacity factors, counters, and deployments in admission order.
+// restoreScopeState rebuilds one region from its snapshot block: counters
+// and deployments in admission order, after checking the shape of the
+// block's churn capacity factors (restoreFactors reads them).
 func (f *region) restoreScopeState(sc *wal.ScopeState) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(sc.NodeFactors) > 0 || len(sc.LinkFactors) > 0 {
-		if err := f.residual.SetCapacityFactors(sc.NodeFactors, sc.LinkFactors); err != nil {
-			return fmt.Errorf("fleet: snapshot scope %q factors: %w", sc.Scope, err)
-		}
+	if (len(sc.NodeFactors) > 0 || len(sc.LinkFactors) > 0) &&
+		(len(sc.NodeFactors) != f.base.N() || len(sc.LinkFactors) != f.base.M()) {
+		return fmt.Errorf("fleet: snapshot scope %q factors: shape (%d nodes, %d links) does not match network (%d, %d)",
+			sc.Scope, len(sc.NodeFactors), len(sc.LinkFactors), f.base.N(), f.base.M())
 	}
 	f.applyCountersLocked(sc.Counters)
 	for i := range sc.Deploys {
@@ -278,8 +281,40 @@ func (f *region) restoreScopeState(sc *wal.ScopeState) error {
 	return nil
 }
 
-// captureScopeLocked snapshots the region's durable state: churn factors,
-// counters, and deployments in admission order. Caller holds f.mu.
+// restoreFactors rebuilds the churn ledger from the snapshot's scope
+// blocks, each element from the block of the region that owned it while
+// each region kept its own factors: node v from its shard's block, an
+// internal link from its owner's, a boundary link from the coordinator's.
+// An element whose block holds no factors stays nominal. Snapshots captured
+// since the ledger is shared hold the same factors in every block, so the
+// rule restores both kinds.
+func (s *ShardedFleet) restoreFactors(blocks map[*region]*wal.ScopeState) error {
+	s.lockAll()
+	defer s.unlockAll()
+	node, link := s.coord.residual.CapacityFactors()
+	for v := range node {
+		if sc := blocks[s.shards[s.part.PartOf[v]]]; sc != nil && len(sc.NodeFactors) > 0 {
+			node[v] = sc.NodeFactors[v]
+		}
+	}
+	for l, owner := range s.part.LinkOwner {
+		f := s.coord
+		if owner != model.BoundaryOwner {
+			f = s.shards[owner]
+		}
+		if sc := blocks[f]; sc != nil && len(sc.LinkFactors) > 0 {
+			link[l] = sc.LinkFactors[l]
+		}
+	}
+	if err := s.coord.residual.SetCapacityFactors(node, link); err != nil {
+		return fmt.Errorf("fleet: snapshot factors: %w", err)
+	}
+	return nil
+}
+
+// captureScopeLocked snapshots the region's durable state: churn factors
+// (the shared ledger, so every block holds the same copy), counters, and
+// deployments in admission order. Caller holds f.mu.
 func (f *region) captureScopeLocked() wal.ScopeState {
 	node, link := f.residual.CapacityFactors()
 	sc := wal.ScopeState{

@@ -85,16 +85,14 @@ func requestOf(d *Deployment) Request {
 	}
 }
 
-// placementScoreLocked evaluates d's current mapping on snap (the residual
-// snapshot with d's own reservation removed) and reports whether the
+// placementScoreLocked evaluates d's current mapping on snap (the region's
+// scoring snapshot with d's own reservation removed) and reports whether the
 // placement is still valid: its reservation fits the (possibly reduced)
 // capacity factors and the placement guard's host and SLO checks (downHost,
 // shortfall) pass. Caller holds f.mu with d's reservation zeroed and loads
 // recomputed; saved is the reservation under test.
 func (f *region) placementScoreLocked(d *Deployment, snap *model.Network, saved model.Reservation) (delay, rate float64, valid bool) {
-	m := model.NewMapping(d.Assignment)
-	delay = model.TotalDelay(snap, d.pipe, m, d.cost)
-	rate = model.FrameRate(model.SharedBottleneck(snap, d.pipe, m))
+	delay, rate = f.scoreLocked(snap, d.pipe, &model.Mapping{Assign: d.Assignment}, d.cost)
 	valid = f.residual.Fits(saved) &&
 		downHost(f.residual, d.Assignment) == "" &&
 		shortfall(delay, rate, d.SLO, d.ReservedFPS) == ""
@@ -348,8 +346,7 @@ func (f *region) repairLocked(ids []string, opt RepairOptions) RepairReport {
 			continue
 		}
 		m := prop.m
-		newDelay := model.TotalDelay(snap, d.pipe, m, d.cost)
-		newRate := model.FrameRate(model.SharedBottleneck(snap, d.pipe, m))
+		newDelay, newRate := f.scoreLocked(snap, d.pipe, m, d.cost)
 		res, reason, _, err := f.judgeLocked(d.pipe, m, newDelay, newRate, d.SLO, d.ReservedFPS)
 		if err != nil {
 			reason = fmt.Sprintf("reservation: %v", err)

@@ -115,10 +115,11 @@ const TwoPhaseAttempts = 2
 // through the same code as every shard. Its one step of its own is
 // refreshing its view (refreshLocked).
 //
-// Churn events are routed to the shard owning the mutated element (boundary
-// links to the coordinator), so Repair stays incremental per shard: an event
-// inside one region never examines, locks, or re-solves another region's
-// deployments.
+// The fleet holds one churn ledger: the coordinator's residual view owns the
+// capacity factors, and every shard's view shares them (with loads of its
+// own), so ApplyChurn commits a batch once, under every lock. Affected and
+// Repair stay incremental per shard: an event inside one region never
+// examines, locks, or re-solves another region's deployments.
 //
 // New builds the one-shard fleet: one region holding the whole network,
 // unprefixed IDs, and a coordinator that never receives traffic.
@@ -138,9 +139,6 @@ type ShardedFleet struct {
 	// every shard's external load and the load on the boundary links. Zero
 	// while the coordinator holds nothing. Guarded by every lock.
 	overlay model.Reservation
-	// sloSnap is SLOReport's reusable snapshot of the composed view.
-	// Guarded by every lock.
-	sloSnap *model.Network
 	// betweenPhases, when non-nil, runs between a two-phase admission's
 	// solve and its reservation, with only the coordinator's lock held.
 	// Tests set it to land a regional admission there; it is nil otherwise.
@@ -188,18 +186,20 @@ func NewShardedWithPartition(base *model.Network, part *model.Partition) (*Shard
 		return nil, fmt.Errorf("fleet: partition does not match network shape")
 	}
 	s := &ShardedFleet{base: base, part: part}
+	// The coordinator's view holds the churn ledger; every shard's view
+	// shares its capacity factors.
+	coord := newRegion(model.NewResidualNetwork(base), wal.ScopeCross)
+	coord.warmOff = true // cold solves, see SetWarmStart
+	coord.refresh = s.refreshLocked
 	for r := 0; r < part.K; r++ {
 		scope, view := "", (*model.RegionView)(nil)
 		if part.K > 1 {
 			scope, view = fmt.Sprintf("s%d", r), part.View(base, r)
 		}
-		f := newRegion(base, scope)
+		f := newRegion(coord.residual.ShareEmpty(), scope)
 		f.view = view
 		s.regions = append(s.regions, f)
 	}
-	coord := newRegion(base, wal.ScopeCross)
-	coord.warmOff = true // cold solves, see SetWarmStart
-	coord.refresh = s.refreshLocked
 	s.regions = append(s.regions, coord)
 	s.shards, s.coord = s.regions[:part.K], coord
 	return s, nil
@@ -342,28 +342,15 @@ func (s *ShardedFleet) refreshLocked() {
 	s.composeLocked()
 }
 
-// composeLocked rebuilds the coordinator's residual as the view of the whole
-// network: every node and internal link reads its owning shard's churn
-// factor, boundary links keep the coordinator's own churn factors — the
-// boundary-link ledger — and the load is every shard's reservations in
-// shard order, then the overlay. A regional reservation holds only its own
-// region's elements, so each node and internal link sums exactly the terms
-// its owning shard sums, and each boundary link carries the overlay alone.
+// composeLocked rebuilds the coordinator's residual load as the load of the
+// whole network: every shard's reservations in shard order, then the
+// overlay. A regional reservation holds only its own region's elements, so
+// each node and internal link sums exactly the terms its owning shard sums,
+// and each boundary link carries the overlay alone. The capacity factors
+// need no composing: the coordinator's view holds the one churn ledger.
 // Caller holds every lock.
 func (s *ShardedFleet) composeLocked() {
 	x := s.coord
-	nodeCap, linkCap := x.residual.CapacityFactors()
-	for v := range nodeCap {
-		nodeCap[v] = s.shards[s.part.PartOf[v]].residual.NodeCapacity(model.NodeID(v))
-	}
-	for l := range linkCap {
-		if owner := s.part.LinkOwner[l]; owner != model.BoundaryOwner {
-			linkCap[l] = s.shards[owner].residual.LinkCapacity(l)
-		}
-	}
-	if err := x.residual.SetCapacityFactors(nodeCap, linkCap); err != nil {
-		panic(fmt.Sprintf("fleet: composed factors: %v", err)) // shapes match by construction
-	}
 	held := x.resScratch[:0]
 	for _, sh := range s.shards {
 		held = sh.appendReservationsLocked(held)
@@ -544,9 +531,7 @@ func (s *ShardedFleet) twoPhaseLocked(req Request, fallback bool, cost model.Cos
 		// boundary-link capacity in one atomic step.
 		s.lockShards()
 		s.composeLocked()
-		live := x.scoringSnapshotLocked()
-		delay := model.TotalDelay(live, req.Pipeline, m, cost)
-		rate := model.FrameRate(model.SharedBottleneck(live, req.Pipeline, m))
+		delay, rate := x.scoreLocked(x.scoringSnapshotLocked(), req.Pipeline, m, cost)
 		d, reason, overcommit, err := x.admitLocked(req, cost, m, delay, rate, nil)
 		s.unlockShards()
 		switch {
@@ -765,16 +750,18 @@ func (s *ShardedFleet) Utilization() (node, link []float64) {
 	return node, link
 }
 
-// Capacity returns the churn capacity factor per node and per link on the
-// composed view (copies; 1 = nominal, 0 = down; indices match the base
-// network).
+// Capacity returns the churn ledger's capacity factor per node and per
+// link (copies; 1 = nominal, 0 = down; indices match the base network).
+// Every factor write holds every lock, so the coordinator's lock alone
+// makes the read consistent.
 func (s *ShardedFleet) Capacity() (node, link []float64) {
-	s.composed(func(rn *model.ResidualNetwork) { node, link = rn.CapacityFactors() })
-	return node, link
+	s.coord.mu.Lock()
+	defer s.coord.mu.Unlock()
+	return s.coord.residual.CapacityFactors()
 }
 
 // Snapshot materializes the composed residual network (all shards' loads
-// and churn factors plus the boundary ledger) as a standalone Network.
+// and the churn ledger's factors) as a standalone Network.
 func (s *ShardedFleet) Snapshot() *model.Network {
 	var snap *model.Network
 	s.composed(func(rn *model.ResidualNetwork) { snap = rn.Snapshot() })
@@ -804,76 +791,21 @@ func (s *ShardedFleet) Rebalance(opt RebalanceOptions) Report {
 	return rep
 }
 
-// splitChurn routes each event to the shard owning its target element;
-// boundary-link events go to the coordinator. Events naming out-of-range
-// targets are routed to shard 0, whose transactional validation produces
-// the canonical unknown-target error.
-func (s *ShardedFleet) splitChurn(events []model.ChurnEvent) (perShard [][]model.ChurnEvent, boundary []model.ChurnEvent) {
-	perShard = make([][]model.ChurnEvent, s.part.K)
-	for _, ev := range events {
-		owner := 0
-		if ev.OnLink() {
-			if ev.Link >= 0 && ev.Link < s.base.M() {
-				if owner = s.part.LinkOwner[ev.Link]; owner == model.BoundaryOwner {
-					boundary = append(boundary, ev)
-					continue
-				}
-			}
-		} else if s.base.ValidNode(ev.Node) {
-			owner = s.part.PartOf[ev.Node]
-		}
-		perShard[owner] = append(perShard[owner], ev)
-	}
-	return perShard, boundary
-}
-
-// ApplyChurn applies the events to the owning shards' capacity views and
-// the coordinator's boundary ledger, all or nothing across the whole fleet:
-// every sub-batch is validated on a scratch copy first, so an invalid event
-// in one region leaves every region unchanged. Event indices in error
-// messages refer to the owning region's sub-batch.
+// ApplyChurn commits the events to the fleet's one churn ledger under
+// every lock, all or nothing: model.ResidualNetwork.ApplyChurn validates
+// the whole batch before it commits any of it, and every region's view
+// shares the ledger. An error names the first invalid event by its index
+// in events, at every shard count.
 func (s *ShardedFleet) ApplyChurn(events []model.ChurnEvent) error {
-	perShard, boundary := s.splitChurn(events)
 	s.lockAll()
-	err := s.applyChurnLocked(perShard, boundary)
-	var commit func()
+	err := s.coord.residual.ApplyChurn(events)
+	commit := func() {}
 	if err == nil {
 		commit = s.logChurnLocked(events)
 	}
 	s.unlockAll()
-	if commit != nil {
-		commit()
-	}
+	commit()
 	return err
-}
-
-// applyChurnLocked validates and commits the split churn batch. Caller
-// holds every lock.
-func (s *ShardedFleet) applyChurnLocked(perShard [][]model.ChurnEvent, boundary []model.ChurnEvent) error {
-	// Validate every non-empty sub-batch on a clone, then commit the clones'
-	// factors — the commit step cannot fail, which is what makes the
-	// cross-shard batch atomic. Boundary events validate and commit on the
-	// coordinator, whose own boundary-link factors are the ledger.
-	subs := append(perShard, boundary)
-	clones := make([]*model.ResidualNetwork, len(s.regions))
-	for r, sub := range subs {
-		if len(sub) == 0 {
-			continue
-		}
-		clones[r] = s.regions[r].residual.CloneEmpty()
-		if err := clones[r].ApplyChurn(sub); err != nil {
-			return err
-		}
-	}
-	for r, c := range clones {
-		if c == nil {
-			continue
-		}
-		if err := s.regions[r].residual.SetCapacityFactors(c.CapacityFactors()); err != nil {
-			panic(fmt.Sprintf("fleet: churn commit: %v", err)) // clone factors are valid by construction
-		}
-	}
-	return nil
 }
 
 // Affected returns the IDs of deployments whose placements touch any

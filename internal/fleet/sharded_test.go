@@ -107,7 +107,7 @@ func TestShardedK1Equivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("network: %v", err)
 		}
-		bare := newRegion(net, "")
+		bare := newRegion(model.NewResidualNetwork(net), "")
 		sharded, err := New(net)
 		if err != nil {
 			t.Fatalf("fleet: %v", err)
@@ -567,5 +567,236 @@ func TestShardedChurnRouting(t *testing.T) {
 	}
 	if err := sf.ApplyChurn([]model.ChurnEvent{{Kind: model.LinkRestore, Link: bl}}); err != nil {
 		t.Fatalf("boundary restore: %v", err)
+	}
+}
+
+// TestChurnAnswersIndependentOfShards applies the same churn batches, in
+// the same order, to K=1, 3 and 8 fleets over one clustered network: two
+// fixed batches that mix events on nodes of different regions with an
+// invalid one, then seeded random batches, valid and invalid — unknown
+// nodes and links, conflicts, bad factors and targets, on internal and
+// boundary links alike. After every batch all three fleets must return
+// byte-identical errors (the first invalid event, named by its index in
+// the batch) and equal Capacity(), and a refused batch must leave the
+// capacity factors as they were.
+func TestChurnAnswersIndependentOfShards(t *testing.T) {
+	ks := []int{1, 3, 8}
+	fleets := make([]*ShardedFleet, len(ks))
+	var net *model.Network
+	for i, k := range ks {
+		fleets[i], net, _ = testClusteredFleet(t, k, 13)
+	}
+	boundary := fleets[len(fleets)-1].Partition().Boundary
+	batches := [][]model.ChurnEvent{
+		{{Kind: model.NodeDown, Node: 6}, {Kind: model.NodeUp, Node: 0}},
+		{{Kind: model.NodeUp, Node: 6}, {Kind: model.NodeDown, Node: 17}},
+	}
+	// Well-formed events may still conflict with the state earlier batches
+	// left; a third of the batches get one malformed event as well.
+	rng := gen.RNG(23)
+	node := func() model.NodeID { return model.NodeID(rng.IntN(net.N())) }
+	link := func() int {
+		if rng.IntN(2) == 0 {
+			return boundary[rng.IntN(len(boundary))]
+		}
+		return rng.IntN(net.M())
+	}
+	wellFormed := func() model.ChurnEvent {
+		switch rng.IntN(6) {
+		case 0:
+			return model.ChurnEvent{Kind: model.NodeDown, Node: node()}
+		case 1:
+			return model.ChurnEvent{Kind: model.NodeUp, Node: node()}
+		case 2:
+			return model.ChurnEvent{Kind: model.LinkDegrade, Link: link(), Factor: 0.1 + 0.8*rng.Float64()}
+		case 3:
+			return model.ChurnEvent{Kind: model.LinkRestore, Link: link()}
+		case 4:
+			return model.ChurnEvent{Kind: model.CapacityDrift, Node: node(), Factor: 0.5 + rng.Float64()}
+		}
+		return model.ChurnEvent{Kind: model.CapacityDrift, Target: model.TargetLink, Link: link(), Factor: 0.5 + rng.Float64()}
+	}
+	malformed := func() model.ChurnEvent {
+		unknownNode := model.NodeID([]int{-1, net.N(), net.N() + 5}[rng.IntN(3)])
+		unknownLink := []int{-1, net.M(), net.M() + 9}[rng.IntN(3)]
+		switch rng.IntN(7) {
+		case 0:
+			return model.ChurnEvent{Kind: model.NodeDown, Node: unknownNode}
+		case 1:
+			return model.ChurnEvent{Kind: model.CapacityDrift, Node: unknownNode, Factor: 0.5}
+		case 2:
+			return model.ChurnEvent{Kind: model.LinkRestore, Link: unknownLink}
+		case 3:
+			return model.ChurnEvent{Kind: model.LinkDegrade, Link: link(), Factor: []float64{-0.5, 0, 1, 1.6}[rng.IntN(4)]}
+		case 4:
+			return model.ChurnEvent{Kind: model.CapacityDrift, Target: model.TargetLink, Link: link(), Factor: []float64{-1, 0}[rng.IntN(2)]}
+		case 5:
+			return model.ChurnEvent{Kind: model.CapacityDrift, Target: "rack", Node: node(), Factor: 0.5}
+		}
+		return model.ChurnEvent{Kind: "node_reboot", Node: node()}
+	}
+	for b := 0; b < 300; b++ {
+		batch := make([]model.ChurnEvent, 1+rng.IntN(4))
+		for i := range batch {
+			batch[i] = wellFormed()
+		}
+		if rng.IntN(3) == 0 {
+			batch[rng.IntN(len(batch))] = malformed()
+		}
+		batches = append(batches, batch)
+	}
+
+	outcomes := map[string]int{}
+	for b, batch := range batches {
+		var wantErr string
+		var wantNode, wantLink []float64
+		for i, sf := range fleets {
+			preNode, preLink := sf.Capacity()
+			err := sf.ApplyChurn(batch)
+			gotErr := ""
+			if err != nil {
+				gotErr = err.Error()
+			}
+			gotNode, gotLink := sf.Capacity()
+			if err != nil && (!reflect.DeepEqual(gotNode, preNode) || !reflect.DeepEqual(gotLink, preLink)) {
+				t.Fatalf("batch %d %v: K=%d refused it (%v) but changed the capacity factors", b, batch, ks[i], err)
+			}
+			if i == 0 {
+				wantErr, wantNode, wantLink = gotErr, gotNode, gotLink
+				switch {
+				case errors.Is(err, model.ErrUnknownTarget):
+					outcomes["unknown target"]++
+				case errors.Is(err, model.ErrChurnConflict):
+					outcomes["conflict"]++
+				case err != nil:
+					outcomes["malformed"]++
+				default:
+					outcomes["applied"]++
+				}
+				continue
+			}
+			if gotErr != wantErr {
+				t.Fatalf("batch %d %v: K=%d error %q, K=1 error %q", b, batch, ks[i], gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(gotNode, wantNode) || !reflect.DeepEqual(gotLink, wantLink) {
+				t.Fatalf("batch %d %v: K=%d capacity differs from K=1", b, batch, ks[i])
+			}
+		}
+	}
+	for _, outcome := range []string{"applied", "unknown target", "conflict", "malformed"} {
+		if outcomes[outcome] == 0 {
+			t.Errorf("no batch had outcome %q (outcomes %v)", outcome, outcomes)
+		}
+	}
+	t.Logf("outcomes: %v", outcomes)
+}
+
+// TestShardedChurnUnderConcurrentTraffic commits churn to a four-shard
+// fleet's one ledger while regional and cross-region deploys, releases,
+// repairs, rebalances and SLO reports read it from other goroutines (run
+// under -race), then checks that every region reads the ledger's factors:
+// balanced down/up and degrade/restore cycles leave it nominal, and one
+// more batch shows in every region's view.
+func TestShardedChurnUnderConcurrentTraffic(t *testing.T) {
+	spec := gen.ClusterSpec{Clusters: 4, Nodes: 6, Links: 16, InterLinks: 10}
+	net, err := gen.ClusteredNetwork(spec, gen.DefaultRanges(), gen.RNG(5))
+	if err != nil {
+		t.Fatalf("clustered network: %v", err)
+	}
+	part, err := spec.ClusterPartition(net)
+	if err != nil {
+		t.Fatalf("partition: %v", err)
+	}
+	sf, err := NewShardedWithPartition(net, part)
+	if err != nil {
+		t.Fatalf("sharded: %v", err)
+	}
+	bl := part.Boundary[0]
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			a := model.NodeID((i%spec.Clusters)*spec.Nodes + 1)
+			b := model.NodeID(((i+1)%spec.Clusters)*spec.Nodes + 2)
+			for _, batch := range [][]model.ChurnEvent{
+				{{Kind: model.NodeDown, Node: a}, {Kind: model.NodeDown, Node: b}, {Kind: model.LinkDegrade, Link: bl, Factor: 0.3}},
+				{{Kind: model.NodeUp, Node: a}, {Kind: model.NodeUp, Node: b}, {Kind: model.LinkRestore, Link: bl}},
+			} {
+				if err := sf.ApplyChurn(batch); err != nil {
+					t.Errorf("churn %v: %v", batch, err)
+					return
+				}
+				sf.Repair(sf.Affected(batch), RepairOptions{})
+			}
+		}
+	}()
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := gen.RNG(uint64(200 + w))
+			for i := 0; i < 15; i++ {
+				pl, err := gen.Pipeline(3+rng.IntN(3), gen.DefaultRanges(), rng)
+				if err != nil {
+					t.Errorf("pipeline: %v", err)
+					return
+				}
+				home, other := rng.IntN(spec.Clusters), rng.IntN(spec.Clusters)
+				if rng.IntN(3) != 0 {
+					other = home
+				}
+				src := model.NodeID(home*spec.Nodes + rng.IntN(spec.Nodes))
+				dst := model.NodeID(other*spec.Nodes + rng.IntN(spec.Nodes))
+				if src == dst {
+					continue
+				}
+				d, err := sf.Deploy(Request{Pipeline: pl, Src: src, Dst: dst, Objective: model.MinDelay})
+				if err != nil {
+					if !errors.Is(err, ErrRejected) {
+						t.Errorf("deploy: %v", err)
+					}
+					continue
+				}
+				if rng.IntN(2) == 0 {
+					if err := sf.Release(d.ID); err != nil && !errors.Is(err, ErrNotFound) {
+						t.Errorf("release %s: %v", d.ID, err)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 15; i++ {
+			sf.Rebalance(RebalanceOptions{})
+			sf.SLOReport()
+			sf.Stats()
+			sf.Capacity()
+		}
+	}()
+	wg.Wait()
+
+	node, link := sf.Capacity()
+	for v, f := range node {
+		if f != 1 {
+			t.Fatalf("node %d factor %v after balanced churn, want 1", v, f)
+		}
+	}
+	for l, f := range link {
+		if f != 1 {
+			t.Fatalf("link %d factor %v after balanced churn, want 1", l, f)
+		}
+	}
+	probe := model.NodeID(spec.Nodes + 3)
+	if err := sf.ApplyChurn([]model.ChurnEvent{{Kind: model.NodeDown, Node: probe}}); err != nil {
+		t.Fatalf("probe churn: %v", err)
+	}
+	for _, f := range sf.regions {
+		if !f.residual.NodeIsDown(probe) {
+			t.Fatalf("region %q does not see node %d down", f.scope, probe)
+		}
 	}
 }

@@ -128,10 +128,11 @@ func sloStatusOf(r *model.ResidualNetwork, snap *model.Network, d *Deployment, s
 func (s *ShardedFleet) SLOReport() SLOReport {
 	var rep SLOReport
 	s.composed(func(rn *model.ResidualNetwork) {
-		s.sloSnap = rn.SnapshotInto(s.sloSnap)
+		// Every lock is held, so the coordinator's scoring buffer is free.
+		snap := s.coord.scoringSnapshotLocked()
 		for _, f := range s.regions {
 			for _, id := range f.order {
-				rep.add(sloStatusOf(rn, s.sloSnap, f.deps[id], shardLabel(f.idPrefix)))
+				rep.add(sloStatusOf(rn, snap, f.deps[id], shardLabel(f.idPrefix)))
 			}
 		}
 	})

@@ -135,9 +135,9 @@ func (f *region) logOp(op wal.Op) {
 
 // logChurnLocked records one whole-fleet churn batch as a single
 // manager-level record (scope "", no counters — replay routes it back
-// through ApplyChurn, which re-splits events across shards and the
-// boundary ledger exactly like the live path), so its churn_applied events
-// precede the repairs the batch causes. Caller holds every lock, so the
+// through ApplyChurn, which commits it to the churn ledger exactly like the
+// live path), so its churn_applied events precede the repairs the batch
+// causes. Caller holds every lock, so the
 // record cannot interleave with any region's epoch; the sink is read under
 // the coordinator's. An empty batch changes nothing and records nothing.
 func (s *ShardedFleet) logChurnLocked(events []model.ChurnEvent) func() {

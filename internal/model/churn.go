@@ -186,12 +186,15 @@ func clampCap(f float64) float64 {
 
 // ApplyChurn applies the events to the residual view's capacity factors in
 // order, transactionally: either every event applies and the new factors
-// commit atomically, or the first invalid event (unknown target, conflicting
-// state, bad factor) aborts the whole batch and the view is left exactly as
-// it was. Outstanding loads are untouched — churn changes what the network
-// can carry, not what tenants have reserved — so after a capacity-reducing
-// batch, Fits/NodeResidual may report elements over capacity until the
-// caller repairs or evicts the touching reservations.
+// commit at once, or the first invalid event in batch order (unknown
+// target, conflicting state, bad factor) aborts the whole batch and the
+// view is left exactly as it was; the error names that event by its index
+// in events. The commit copies into the factor slices in place, so every
+// view sharing them (ShareEmpty) sees the batch. Outstanding loads are
+// untouched — churn changes what the network can carry, not what tenants
+// have reserved — so after a capacity-reducing batch, Fits may report
+// elements over capacity until the caller repairs or evicts the touching
+// reservations.
 func (r *ResidualNetwork) ApplyChurn(events []ChurnEvent) error {
 	nodeCap := append([]float64(nil), r.nodeCap...)
 	linkCap := append([]float64(nil), r.linkCap...)
@@ -200,8 +203,8 @@ func (r *ResidualNetwork) ApplyChurn(events []ChurnEvent) error {
 			return fmt.Errorf("event %d (%s): %w", i, ev, err)
 		}
 	}
-	r.nodeCap = nodeCap
-	r.linkCap = linkCap
+	copy(r.nodeCap, nodeCap)
+	copy(r.linkCap, linkCap)
 	return nil
 }
 

@@ -152,43 +152,14 @@ func (p *Partition) View(net *Network, r int) *RegionView {
 	return v
 }
 
-// Covers reports whether the view spans the whole network with identity
-// numbering (the K=1 region), in which case extraction is a no-op.
-func (v *RegionView) Covers(net *Network) bool {
-	return len(v.Nodes) == net.N() && len(v.Links) == net.M()
-}
-
-// Extract materializes the region's sub-network from a full-network
-// snapshot: region nodes and internal links keep their (possibly
-// residual-scaled) attributes, renumbered densely per the view. Attribute
-// values are copied bit-for-bit, so a solver that runs on the extraction of
-// the K=1 view behaves byte-identically to one run on the snapshot itself.
-func (v *RegionView) Extract(snap *Network) (*Network, error) {
-	nodes := make([]Node, len(v.Nodes))
-	for local, g := range v.Nodes {
-		nodes[local] = snap.Nodes[g]
-		nodes[local].ID = NodeID(local)
-	}
-	links := make([]Link, len(v.Links))
-	for local, g := range v.Links {
-		l := snap.Links[g]
-		l.ID = local
-		l.From = NodeID(v.LocalNode[l.From])
-		l.To = NodeID(v.LocalNode[l.To])
-		links[local] = l
-	}
-	sub, err := NewNetwork(nodes, links)
-	if err != nil {
-		return nil, fmt.Errorf("model: region %d extraction: %w", v.Region, err)
-	}
-	return sub, nil
-}
-
 // RegionSnapshot materializes one region's residual-scaled sub-network
 // directly from the view — the hot path of a sharded fleet's regional
-// solves. It is equivalent to v.Extract(r.Snapshot()) (same bit-for-bit
-// attribute scaling) but costs O(region) instead of O(network), which is
-// where sharding's per-deploy speedup comes from.
+// solves. Region nodes and internal links keep their attributes, renumbered
+// densely per the view, and each power and bandwidth is the value a full
+// Snapshot gives that element, bit for bit (the same nodePower and
+// linkBandwidth expressions), so a regional mapping scores the same on
+// either. It costs O(region) instead of O(network), which is where
+// sharding's per-deploy speedup comes from.
 func (r *ResidualNetwork) RegionSnapshot(v *RegionView) *Network {
 	nodes := make([]Node, len(v.Nodes))
 	for local, g := range v.Nodes {
@@ -238,4 +209,18 @@ func (v *RegionView) ToGlobal(m *Mapping) *Mapping {
 		assign[j] = v.Nodes[local]
 	}
 	return NewMapping(assign)
+}
+
+// ToLocal translates a mapping in global node IDs to the region
+// sub-network's local IDs, the inverse of ToGlobal; ok is false when a
+// module runs on a node outside the region.
+func (v *RegionView) ToLocal(m *Mapping) (local *Mapping, ok bool) {
+	assign := make([]NodeID, len(m.Assign))
+	for j, g := range m.Assign {
+		if g < 0 || int(g) >= len(v.LocalNode) || v.LocalNode[g] < 0 {
+			return nil, false
+		}
+		assign[j] = NodeID(v.LocalNode[g])
+	}
+	return &Mapping{Assign: assign}, true
 }

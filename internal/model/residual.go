@@ -119,14 +119,20 @@ func mergeShares(dst []share, at map[int]int, src []share) []share {
 // fractions of *nominal* capacity, so a factor drop can leave an element
 // over capacity until its reservations are repaired.
 //
+// Views built by ShareEmpty share one set of capacity factors, each with
+// loads of its own: a factor written through any of them (ApplyChurn,
+// SetCapacityFactors) is what all of them read.
+//
 // ResidualNetwork performs no synchronization; callers that share one across
-// goroutines (internal/fleet does) must serialize access.
+// goroutines (internal/fleet does) must serialize access, and a factor write
+// must be serialized against every reader of every view sharing the factors.
 type ResidualNetwork struct {
 	base     *Network
 	nodeLoad []float64
 	linkLoad []float64
 	// nodeCap and linkCap are the churn capacity factors in [0, 1]
-	// (1 = nominal); see ApplyChurn in churn.go.
+	// (1 = nominal), possibly shared with other views; see ApplyChurn in
+	// churn.go. Writes copy into them and never replace them.
 	nodeCap []float64
 	linkCap []float64
 }
@@ -154,7 +160,7 @@ func NewResidualNetwork(base *Network) *ResidualNetwork {
 func (r *ResidualNetwork) Base() *Network { return r.base }
 
 // CloneEmpty returns a new residual view of the same base network carrying
-// the same churn capacity factors but zero outstanding load. Parallel
+// a copy of the churn capacity factors but zero outstanding load. Parallel
 // proposal phases use it to build per-goroutine views that still see the
 // churned network — a plain NewResidualNetwork would silently reset every
 // down node to full capacity.
@@ -165,6 +171,20 @@ func (r *ResidualNetwork) CloneEmpty() *ResidualNetwork {
 		linkLoad: make([]float64, r.base.M()),
 		nodeCap:  append([]float64(nil), r.nodeCap...),
 		linkCap:  append([]float64(nil), r.linkCap...),
+	}
+}
+
+// ShareEmpty returns a new residual view of the same base network with zero
+// outstanding load that shares r's churn capacity factors: churn committed
+// through either view is seen by both. The sharded fleet builds every
+// shard's view this way, so the whole fleet holds one set of factors.
+func (r *ResidualNetwork) ShareEmpty() *ResidualNetwork {
+	return &ResidualNetwork{
+		base:     r.base,
+		nodeLoad: make([]float64, r.base.N()),
+		linkLoad: make([]float64, r.base.M()),
+		nodeCap:  r.nodeCap,
+		linkCap:  r.linkCap,
 	}
 }
 
@@ -201,10 +221,11 @@ func (r *ResidualNetwork) CapacityFactors() (node, link []float64) {
 	return append([]float64(nil), r.nodeCap...), append([]float64(nil), r.linkCap...)
 }
 
-// SetCapacityFactors replaces the churn capacity factors wholesale. Factors
-// must be in [0, 1] and shaped like the base network. The sharded
-// coordinator uses it to commit a validated cross-shard churn batch
-// atomically; loads are untouched.
+// SetCapacityFactors replaces the churn capacity factors wholesale, in
+// place, so every view sharing them sees the new values. Factors must be in
+// [0, 1] and shaped like the base network; loads are untouched. It does not
+// commit churn — ApplyChurn does; snapshot restore uses it to put back the
+// factors a snapshot recorded.
 func (r *ResidualNetwork) SetCapacityFactors(node, link []float64) error {
 	if len(node) != r.base.N() || len(link) != r.base.M() {
 		return fmt.Errorf("model: capacity factors shape (%d nodes, %d links) does not match network (%d, %d)",
@@ -260,28 +281,6 @@ func residualFraction(capFactor, load float64) float64 {
 	}
 	if f > 1 {
 		return 1
-	}
-	return f
-}
-
-// NodeResidual returns the unreserved fraction of node v's nominal power
-// (capacity factor minus load), clamped to [0, 1]: overcommitment — which
-// admission control prevents for load, but churn can force — never reads as
-// negative capacity.
-func (r *ResidualNetwork) NodeResidual(v NodeID) float64 {
-	f := r.nodeCap[v] - r.nodeLoad[v]
-	if f < 0 {
-		return 0
-	}
-	return f
-}
-
-// LinkResidual returns the unreserved fraction of link id's nominal
-// bandwidth, clamped to [0, 1].
-func (r *ResidualNetwork) LinkResidual(id int) float64 {
-	f := r.linkCap[id] - r.linkLoad[id]
-	if f < 0 {
-		return 0
 	}
 	return f
 }

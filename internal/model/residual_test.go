@@ -145,9 +145,6 @@ func TestResidualSaturationFloor(t *testing.T) {
 	if got, want := snap.Power(0), 1000*MinResidualFraction; math.Abs(got-want) > 1e-18 {
 		t.Errorf("saturated node power = %v, want floor %v", got, want)
 	}
-	if r.NodeResidual(0) != 0 {
-		t.Errorf("NodeResidual of saturated node = %v, want 0", r.NodeResidual(0))
-	}
 	// Anything more does not fit.
 	if r.Fits(reservationOf(denseReservation{node: []float64{1e-6, 0, 0}, link: []float64{0, 0}})) {
 		t.Error("reservation on a saturated node must not fit")
