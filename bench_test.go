@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -446,7 +447,7 @@ func (tc reportFleet) load(b *testing.B) (*fleet.ShardedFleet, []admitted) {
 var sloReportSink fleet.SLOReport
 
 // BenchmarkSLOReport measures one SLO report — the health engine's re-score
-// of every live deployment on the composed residual view, which elpcd runs
+// of every live deployment on the fleet's load ledger, which elpcd runs
 // after every mutating request — on the reportFleets shapes. The
 // deployments metric reports the population reached.
 func BenchmarkSLOReport(b *testing.B) {
@@ -496,11 +497,11 @@ func BenchmarkFleetRebalance(b *testing.B) {
 
 // BenchmarkFleetRelease measures a release and the re-admission that
 // restores occupancy on the reportFleets shapes: each op releases the
-// oldest live deployment — recomputing its region's load from the
-// outstanding set, and for a cross-region deployment every shard's and the
-// composed view — then deploys its request again and queues the new
-// deployment last. The readmit_frac metric is the share of re-admissions
-// that succeeded (a rejected one leaves the queue).
+// oldest live deployment — recomputing its region's loads from the
+// outstanding set, and for a cross-region deployment the whole ledger —
+// then deploys its request again and queues the new deployment last. The
+// readmit_frac metric is the share of re-admissions that succeeded (a
+// rejected one leaves the queue).
 func BenchmarkFleetRelease(b *testing.B) {
 	for _, tc := range reportFleets(b) {
 		b.Run(tc.name, func(b *testing.B) {
@@ -783,5 +784,45 @@ func BenchmarkPartitionNetwork(b *testing.B) {
 		if partitionSink, err = model.PartitionNetwork(net, 8); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// shardedSink keeps BenchmarkNewSharded's fleet live.
+var shardedSink *fleet.ShardedFleet
+
+// BenchmarkNewSharded measures what a sharded fleet costs to build and to
+// hold: one fleet.NewSharded call (partition, regions and the one ledger)
+// on a 500-node, 1500-link random network at k = 8, 100 and 500 shards.
+// Beside B/op and allocs/op it reports live-MB, the heap a built fleet
+// still holds after a GC, which grows with the shard count only as far as
+// each shard's own state does.
+func BenchmarkNewSharded(b *testing.B) {
+	net, err := gen.Network(500, 1500, gen.DefaultRanges(), gen.RNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, k := range []int{8, 100, 500} {
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			shardedSink = nil
+			before := heap()
+			if shardedSink, err = fleet.NewSharded(net, k); err != nil {
+				b.Fatal(err)
+			}
+			live := heap() - before
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if shardedSink, err = fleet.NewSharded(net, k); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(live)/(1<<20), "live-MB")
+		})
 	}
 }

@@ -241,14 +241,16 @@ type Stats struct {
 }
 
 // region is one independently locked placement scope: the deployments it
-// owns, its residual view of the shared network, its counters, and its WAL
+// owns, its share of the fleet's residual ledger, its counters, and its WAL
 // epochs. ShardedFleet runs one region per shard plus a coordinator region
 // for cross-region deployments. All methods are safe for concurrent use;
 // admission is serialized internally so the solve and the reservation it
 // justifies are atomic.
 type region struct {
-	mu       sync.Mutex
-	base     *model.Network
+	mu   sync.Mutex
+	base *model.Network
+	// residual is the fleet's one ledger, shared by every region; see
+	// ShardedFleet for who writes and reads which elements under which lock.
 	residual *model.ResidualNetwork
 	deps     map[string]*Deployment
 	order    []string // admission order; recompute accumulates in this order
@@ -261,28 +263,24 @@ type region struct {
 	// stay unique and routable across regions.
 	scope    string
 	idPrefix string
-	// scoreSnap is the snapshot buffer on which rebalance, repair,
-	// two-phase admission and (on the coordinator) the SLO report score
-	// mappings (scoringSnapshotLocked, scoreLocked): the region's
-	// sub-network on a shard of a sharded fleet, the whole network on the
-	// coordinator and on a one-shard fleet's shard. Nothing holds it past
-	// one candidate or report: solves and proposals take their own
-	// snapshots.
+	// scoreSnap is the snapshot buffer (scoringSnapshotLocked) rebalance,
+	// repair, two-phase admission and the SLO report score mappings on, and
+	// the coordinator's two-phase proposal solves on: the region's
+	// sub-network with a view, the whole network without. Nothing holds it
+	// past one candidate, proposal or report.
 	scoreSnap *model.Network
 	// view, when non-nil, restricts every solve and score to the region's
-	// sub-network: the solver runs on a residual snapshot holding only
-	// region nodes and internal links (RegionSnapshot), and the winning
-	// mapping is translated back to global node IDs. Nil solves on the whole
-	// network (a one-shard fleet's shard, and the coordinator).
+	// sub-network (RegionSnapshot), translating mappings back to global
+	// node IDs. Nil solves on the whole network (a one-shard fleet's shard,
+	// and the coordinator).
 	view *model.RegionView
 	// external is a static load overlay (the coordinator's merged
-	// cross-region reservations) re-added on every recompute; the zero
-	// Reservation means none.
+	// cross-region reservations) re-added on the region's elements on every
+	// recompute; the zero Reservation means none.
 	external model.Reservation
-	// refresh, set on the coordinator only, replaces the load recompute: the
-	// coordinator's residual is the composed view of the whole network,
-	// rebuilt from the shards (ShardedFleet.refreshLocked), so every shard
-	// lock must be held wherever the coordinator recomputes.
+	// refresh, set on the coordinator only, replaces the load recompute
+	// with ShardedFleet.refreshLocked, which rewrites the whole ledger, so
+	// every shard lock must be held wherever the coordinator recomputes.
 	refresh func()
 	// out, when non-nil, receives one wal.Record per mutating lock epoch,
 	// labeled with scope, describing each of its transitions as one op —
@@ -316,9 +314,8 @@ type region struct {
 	// the owner drains them (TakePreempted) into the re-queue loop.
 	preemptedQ []ParkedDeployment
 
-	// resScratch is the reusable reservation list recomputeLocked hands to
-	// SetLoad (which retains nothing); on the coordinator, refreshLocked and
-	// composeLocked use it under every lock.
+	// resScratch is the reusable reservation list recomputeLocked (on the
+	// coordinator, refreshLocked) hands to the ledger, which retains nothing.
 	resScratch []model.Reservation
 
 	// solves counts every objective solve run on the fleet's behalf
@@ -375,17 +372,16 @@ func (f *region) UsePool(p *engine.Pool) {
 	f.mu.Unlock()
 }
 
-// recomputeLocked rebuilds the residual loads as the exact ordered sum of
-// outstanding reservations, then the external overlay. Caller holds f.mu
-// (on the coordinator: every lock, see refresh).
+// recomputeLocked rebuilds the loads of the region's elements as the exact
+// ordered sum of its outstanding reservations, then the external overlay.
+// Caller holds f.mu (on the coordinator: every lock, see refresh).
 func (f *region) recomputeLocked() {
 	if f.refresh != nil {
 		f.refresh()
 		return
 	}
-	f.resScratch = f.appendReservationsLocked(f.resScratch[:0])
-	f.residual.SetLoad(f.resScratch)
-	f.residual.AddLoad(f.external)
+	f.resScratch = append(f.appendReservationsLocked(f.resScratch[:0]), f.external)
+	f.residual.SetRegionLoad(f.view, f.resScratch)
 }
 
 // appendReservationsLocked appends the region's reservations to dst in
@@ -444,14 +440,13 @@ func solve(snap *model.Network, req Request, cost model.CostOptions, ws *core.Wa
 	return m, delay, model.FrameRate(period), nil
 }
 
-// solveCounted is solve plus the fleet's solver-call accounting; every
-// fleet-initiated solve goes through it, materializing its own snapshot of
-// the given residual view. On a region-scoped fleet the snapshot is the
-// region's sub-network alone (model.ResidualNetwork.RegionSnapshot — the
-// O(region) hot path sharding's speedup rests on); node powers and link
-// bandwidths are scaled bit-identically to a full snapshot, so the returned
-// delay and rate match a full-network evaluation of the same mapping, and
-// the mapping comes back in global node IDs.
+// solveCounted is solve plus the fleet's solver-call accounting, on its own
+// snapshot of rn (the coordinator's two-phase proposal solves on its
+// scoring buffer and counts itself). A region with a view solves on its
+// sub-network alone (RegionSnapshot, the O(region) hot path sharding rests
+// on), scaled bit-identically to a full snapshot, so the returned delay and
+// rate match a full-network evaluation and the mapping comes back in global
+// node IDs.
 func (f *region) solveCounted(rn *model.ResidualNetwork, req Request, cost model.CostOptions, ws *core.WarmState) (*model.Mapping, float64, float64, error) {
 	f.solves.Add(1)
 	if f.warmOff {
@@ -472,7 +467,7 @@ func (f *region) solveCounted(rn *model.ResidualNetwork, req Request, cost model
 		f.noteWarm(ws)
 		return m, delay, rate, err
 	}
-	ls, ld := f.view.LocalNode[req.Src], f.view.LocalNode[req.Dst]
+	ls, ld := f.view.Local(req.Src), f.view.Local(req.Dst)
 	if ls < 0 || ld < 0 {
 		return nil, 0, 0, fmt.Errorf("fleet: %w: endpoints %d -> %d leave region %d", model.ErrInfeasible, req.Src, req.Dst, f.view.Region)
 	}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -87,41 +88,45 @@ type Manager interface {
 var _ Manager = (*ShardedFleet)(nil)
 
 // TwoPhaseAttempts is the number of propose/commit rounds a cross-region
-// deployment gets before admission control gives up: the solve runs without
-// any shard lock held, so a concurrent single-shard admission can invalidate
-// the proposal, in which case the coordinator re-solves against the fresher
-// composed view.
+// deployment gets before admission control gives up: the solve runs with no
+// shard lock held, so a concurrent single-shard admission can invalidate
+// the proposal, and the coordinator then re-solves on the fresher ledger.
 const TwoPhaseAttempts = 2
 
 // ShardedFleet partitions the shared network into K regions and runs one
 // region per shard, each with its own mutex, so placements in different
-// regions never contend. Deployments are routed by placement affinity:
-//
-//   - Src and Dst in the same region: the deployment is solved entirely
-//     inside that region's sub-network under that shard's lock alone. If
-//     the region rejects it (no in-region path, or regional capacity
-//     exhausted) and K > 1, the request falls back to the coordinator.
-//   - Src and Dst in different regions — or a regional fallback: the
-//     coordinator solves on the composed residual view of the whole network
-//     and two-phase-reserves the result: the solve runs with no shard lock
-//     held (phase 1), then every shard is locked in index order and the
-//     regional guard-and-commit step re-validates the reservation —
-//     including the cross-region boundary links no shard owns — against the
-//     live composed view and commits it atomically (phase 2), retrying the
-//     solve when a concurrent admission invalidated it.
+// regions never contend. A deployment whose Src and Dst share a region is
+// solved on that region's sub-network under that shard's lock alone;
+// otherwise — or when that region rejects it and K > 1 — the coordinator
+// solves it on a snapshot of the whole network with no shard lock held
+// (phase 1), then locks every shard in index order and re-validates and
+// commits the reservation, boundary links included, against the live
+// ledger (phase 2), re-solving when a concurrent admission invalidated it.
 //
 // The coordinator is itself a region (scope "x", IDs "x-d-…", journal actor
-// "coordinator", cold solves): it admits, repairs, parks, logs, and recovers
-// through the same code as every shard. Its one step of its own is
-// refreshing its view (refreshLocked).
+// "coordinator", cold solves) that admits, repairs, parks, logs and
+// recovers through the same code as every shard; its one step of its own
+// is recomputing the whole ledger (refreshLocked).
 //
-// The fleet holds one churn ledger: the coordinator's residual view owns the
-// capacity factors, and every shard's view shares them (with loads of its
-// own), so ApplyChurn commits a batch once, under every lock. Affected and
-// Repair stay incremental per shard: an event inside one region never
-// examines, locks, or re-solves another region's deployments.
+// The fleet holds one ledger, a model.ResidualNetwork of every node's and
+// link's load and churn capacity factor, shared by every region. A node or
+// internal link of region r holds shard r's reservations in admission
+// order, then the coordinator's merged overlay; a boundary link holds the
+// overlay alone. The rules:
 //
-// New builds the one-shard fleet: one region holding the whole network,
+//   - shard r writes only region r's nodes and internal links
+//     (SetRegionLoad), under its own lock;
+//   - only the coordinator writes boundary links, under every lock;
+//   - a shard reads only its region's elements (RegionSnapshot, and Fits of
+//     a regional reservation);
+//   - every whole-ledger read holds every shard lock: the SLO report, Stats,
+//     Utilization, Snapshot, both two-phase phases, the coordinator's
+//     release and repair, and snapshot capture;
+//   - every factor write (ApplyChurn, snapshot restore) holds every lock.
+//
+// Affected and Repair stay incremental per shard: an event inside one region
+// never examines, locks, or re-solves another region's deployments. New
+// builds the one-shard fleet: one region holding the whole network,
 // unprefixed IDs, and a coordinator that never receives traffic.
 //
 // All methods are safe for concurrent use. Lock order is the coordinator
@@ -135,10 +140,6 @@ type ShardedFleet struct {
 	regions []*region
 	shards  []*region
 	coord   *region
-	// overlay is the coordinator's reservations merged in admission order:
-	// every shard's external load and the load on the boundary links. Zero
-	// while the coordinator holds nothing. Guarded by every lock.
-	overlay model.Reservation
 	// betweenPhases, when non-nil, runs between a two-phase admission's
 	// solve and its reservation, with only the coordinator's lock held.
 	// Tests set it to land a regional admission there; it is nil otherwise.
@@ -155,7 +156,7 @@ func New(base *model.Network) (*ShardedFleet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	return NewShardedWithPartition(base, part)
+	return newSharded(base, part), nil
 }
 
 // NewSharded partitions base into the given number of regions (via
@@ -172,23 +173,33 @@ func NewSharded(base *model.Network, shards int) (*ShardedFleet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	return NewShardedWithPartition(base, part)
+	return newSharded(base, part), nil
 }
 
 // NewShardedWithPartition builds a ShardedFleet over a caller-supplied
 // partition of base (for callers that partition along known cluster or
-// datacenter boundaries instead of the default graph partitioner).
+// datacenter boundaries instead of the default graph partitioner). It reads
+// only part.K and part.PartOf and rebuilds the rest from them, so an
+// assignment outside [0, K) is an error.
 func NewShardedWithPartition(base *model.Network, part *model.Partition) (*ShardedFleet, error) {
 	if base == nil {
 		return nil, fmt.Errorf("fleet: nil network")
 	}
-	if part == nil || part.K < 1 || len(part.PartOf) != base.N() || len(part.LinkOwner) != base.M() {
-		return nil, fmt.Errorf("fleet: partition does not match network shape")
+	if part == nil {
+		return nil, fmt.Errorf("fleet: nil partition")
 	}
+	rebuilt, err := model.NewPartitionFromAssignment(base, part.K, slices.Clone(part.PartOf))
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
+	return newSharded(base, rebuilt), nil
+}
+
+// newSharded builds the fleet over a model-built part; regions share one ledger.
+func newSharded(base *model.Network, part *model.Partition) *ShardedFleet {
 	s := &ShardedFleet{base: base, part: part}
-	// The coordinator's view holds the churn ledger; every shard's view
-	// shares its capacity factors.
-	coord := newRegion(model.NewResidualNetwork(base), wal.ScopeCross)
+	ledger := model.NewResidualNetwork(base)
+	coord := newRegion(ledger, wal.ScopeCross)
 	coord.warmOff = true // cold solves, see SetWarmStart
 	coord.refresh = s.refreshLocked
 	for r := 0; r < part.K; r++ {
@@ -196,13 +207,13 @@ func NewShardedWithPartition(base *model.Network, part *model.Partition) (*Shard
 		if part.K > 1 {
 			scope, view = fmt.Sprintf("s%d", r), part.View(base, r)
 		}
-		f := newRegion(coord.residual.ShareEmpty(), scope)
+		f := newRegion(ledger, scope)
 		f.view = view
 		s.regions = append(s.regions, f)
 	}
 	s.regions = append(s.regions, coord)
 	s.shards, s.coord = s.regions[:part.K], coord
-	return s, nil
+	return s
 }
 
 // Network returns the shared base network (full nominal capacity).
@@ -232,9 +243,9 @@ func (s *ShardedFleet) SolveCount() uint64 {
 }
 
 // SetWarmStart toggles warm-start solving on every shard. Coordinator
-// (cross-region) solves always run cold: their composed snapshots are
-// rebuilt per attempt and owned by no shard, so there is no stable residual
-// view to retain grids against.
+// (cross-region) solves always run cold: they solve on a snapshot of the
+// whole ledger taken per attempt while every shard keeps writing its
+// region, so there is no stable residual view to retain grids against.
 func (s *ShardedFleet) SetWarmStart(on bool) {
 	for _, sh := range s.shards {
 		sh.SetWarmStart(on)
@@ -283,7 +294,7 @@ func (s *ShardedFleet) unlockAll() {
 
 // coordEpoch runs body as one coordinator epoch under every lock: the
 // coordinator's reservations are overlaid on every shard, so changing them
-// rewrites every shard's load.
+// rewrites loads in every region.
 func (s *ShardedFleet) coordEpoch(body func(x *region)) {
 	x := s.coord
 	s.lockAll()
@@ -329,33 +340,22 @@ func (s *ShardedFleet) regionOf(id string) int {
 }
 
 // refreshLocked is the coordinator's recompute — its one step of its own:
-// push its reservations, merged in admission order, onto every shard as
-// their external overlay, then compose its view. Caller holds every lock.
+// merge its reservations in admission order into the overlay every shard
+// adds on its region, then set the whole ledger to every shard's
+// reservations in shard order, then the overlay. A regional reservation
+// holds only its own region's elements, so each node and internal link sums
+// exactly the terms its owning shard's recompute sums, and each boundary
+// link carries the overlay alone. Caller holds every lock.
 func (s *ShardedFleet) refreshLocked() {
 	x := s.coord
 	x.resScratch = x.appendReservationsLocked(x.resScratch[:0])
-	s.overlay = model.MergeReservations(x.resScratch)
-	for _, sh := range s.shards {
-		sh.external = s.overlay
-		sh.recomputeLocked()
-	}
-	s.composeLocked()
-}
-
-// composeLocked rebuilds the coordinator's residual load as the load of the
-// whole network: every shard's reservations in shard order, then the
-// overlay. A regional reservation holds only its own region's elements, so
-// each node and internal link sums exactly the terms its owning shard sums,
-// and each boundary link carries the overlay alone. The capacity factors
-// need no composing: the coordinator's view holds the one churn ledger.
-// Caller holds every lock.
-func (s *ShardedFleet) composeLocked() {
-	x := s.coord
+	overlay := model.MergeReservations(x.resScratch)
 	held := x.resScratch[:0]
 	for _, sh := range s.shards {
+		sh.external = overlay
 		held = sh.appendReservationsLocked(held)
 	}
-	x.resScratch = append(held, s.overlay)
+	x.resScratch = append(held, overlay)
 	x.residual.SetLoad(x.resScratch)
 }
 
@@ -468,13 +468,10 @@ func (s *ShardedFleet) TakePreempted() []ParkedDeployment {
 	return out
 }
 
-// deployCross is the coordinator path, one coordinator epoch: solve on
-// the composed residual view of the whole network with no shard lock held
-// (phase 1), then lock every shard and run the regional guard-and-commit
-// step against the live composed view, boundary links included (phase 2).
-// Only an overcommit — a concurrent single-shard admission consumed the
-// capacity the proposal was solved against — is retried, up to
-// TwoPhaseAttempts rounds.
+// deployCross is the coordinator path: one coordinator epoch of two-phase
+// admission (twoPhaseLocked). Only an overcommit — a concurrent
+// single-shard admission consumed the capacity the proposal was solved
+// against — is retried, up to TwoPhaseAttempts rounds.
 func (s *ShardedFleet) deployCross(req Request, fallback bool) (Deployment, error) {
 	t0 := time.Now()
 	defer deploySeconds.ObserveSince(t0)
@@ -494,7 +491,8 @@ func (s *ShardedFleet) deployCross(req Request, fallback bool) (Deployment, erro
 }
 
 // twoPhaseLocked is the two-phase admission body. Caller holds the
-// coordinator's mutex inside its epoch.
+// coordinator's mutex inside its epoch: that lock alone guards the
+// coordinator's scoring buffer, so phase 1 may solve on it unlocked.
 func (s *ShardedFleet) twoPhaseLocked(req Request, fallback bool, cost model.CostOptions) (Deployment, error) {
 	x := s.coord
 	if fallback {
@@ -502,14 +500,15 @@ func (s *ShardedFleet) twoPhaseLocked(req Request, fallback bool, cost model.Cos
 		tpcFallbacksTotal.Inc()
 	}
 	for round := 1; round <= TwoPhaseAttempts; round++ {
-		// Phase 1 — propose: compose the current view (briefly locking the
-		// shards), then solve with no shard lock held, so regional traffic
-		// keeps flowing underneath the expensive solve. The composed view
-		// stays put meanwhile: only coordinator paths write it.
+		// Phase 1 — propose: snapshot the ledger into the coordinator's
+		// scoring buffer under the shard locks (shards write their regions
+		// under their own), then solve cold on it with no shard lock held,
+		// so regional traffic keeps flowing underneath the solve.
 		s.lockShards()
-		s.composeLocked()
+		snap := x.scoringSnapshotLocked()
 		s.unlockShards()
-		m, _, _, err := x.solveCounted(x.residual, req, cost, nil)
+		x.solves.Add(1)
+		m, _, _, err := solve(snap, req, cost, nil)
 		if err != nil {
 			if errors.Is(err, model.ErrInfeasible) {
 				return Deployment{}, x.reject(req, "no feasible mapping on residual network: %v", err)
@@ -526,11 +525,10 @@ func (s *ShardedFleet) twoPhaseLocked(req Request, fallback bool, cost model.Cos
 		}
 
 		// Phase 2 — reserve: under every shard lock, re-score the proposed
-		// mapping on the live composed view and run the regional
-		// guard-and-commit step, which commits node, internal-link, and
-		// boundary-link capacity in one atomic step.
+		// mapping on the live ledger and run the regional guard-and-commit
+		// step, which commits node, internal-link, and boundary-link
+		// capacity in one atomic step.
 		s.lockShards()
-		s.composeLocked()
 		delay, rate := x.scoreLocked(x.scoringSnapshotLocked(), req.Pipeline, m, cost)
 		d, reason, overcommit, err := x.admitLocked(req, cost, m, delay, rate, nil)
 		s.unlockShards()
@@ -607,7 +605,7 @@ func (s *ShardedFleet) List() []Deployment {
 }
 
 // Stats merges counters across regions and gauges utilization on the
-// composed view. Admitted/Rejected count request outcomes: a regional
+// whole ledger. Admitted/Rejected count request outcomes: a regional
 // rejection that the coordinator fallback then admits contributes one
 // admission and no rejection (the fallback counter reconciles the per-shard
 // tallies, which ShardStats exposes raw).
@@ -623,7 +621,6 @@ func (s *ShardedFleet) Stats() Stats {
 	// outcome — the request went on to the coordinator, which recorded its
 	// own admission or rejection.
 	st.Rejected -= s.coord.fallbacks
-	s.composeLocked()
 	st.setUtilization(s.coord.residual)
 	return st
 }
@@ -662,7 +659,7 @@ type CoordinatorStats struct {
 	Released uint64 `json:"released"`
 	// Fallbacks counts regional rejections retried through the coordinator;
 	// TwoPhaseRetries counts phase-2 validation failures that forced a
-	// re-solve against a fresher composed view; TwoPhaseAborts counts
+	// re-solve against a fresher ledger; TwoPhaseAborts counts
 	// admissions abandoned after exhausting every round.
 	Fallbacks       uint64 `json:"fallbacks"`
 	TwoPhaseRetries uint64 `json:"two_phase_retries"`
@@ -725,28 +722,18 @@ func (s *ShardedFleet) ShardStats() ShardedStats {
 	return out
 }
 
-// composed runs read on the freshly composed view of the whole network
+// composed runs read on the whole ledger — every region's load composed —
 // under every lock.
 func (s *ShardedFleet) composed(read func(*model.ResidualNetwork)) {
 	s.lockAll()
 	defer s.unlockAll()
-	s.composeLocked()
 	read(s.coord.residual)
 }
 
 // Utilization returns the outstanding load fraction per node and per link
-// on the composed view (indices match the base network).
+// (copies; indices match the base network).
 func (s *ShardedFleet) Utilization() (node, link []float64) {
-	s.composed(func(rn *model.ResidualNetwork) {
-		node = make([]float64, s.base.N())
-		for v := range node {
-			node[v] = rn.NodeLoad(model.NodeID(v))
-		}
-		link = make([]float64, s.base.M())
-		for l := range link {
-			link[l] = rn.LinkLoad(l)
-		}
-	})
+	s.composed(func(rn *model.ResidualNetwork) { node, link = rn.Loads() })
 	return node, link
 }
 
@@ -760,8 +747,8 @@ func (s *ShardedFleet) Capacity() (node, link []float64) {
 	return s.coord.residual.CapacityFactors()
 }
 
-// Snapshot materializes the composed residual network (all shards' loads
-// and the churn ledger's factors) as a standalone Network.
+// Snapshot materializes the ledger (every region's loads and the churn
+// capacity factors) as a standalone Network.
 func (s *ShardedFleet) Snapshot() *model.Network {
 	var snap *model.Network
 	s.composed(func(rn *model.ResidualNetwork) { snap = rn.Snapshot() })
@@ -791,10 +778,9 @@ func (s *ShardedFleet) Rebalance(opt RebalanceOptions) Report {
 	return rep
 }
 
-// ApplyChurn commits the events to the fleet's one churn ledger under
-// every lock, all or nothing: model.ResidualNetwork.ApplyChurn validates
-// the whole batch before it commits any of it, and every region's view
-// shares the ledger. An error names the first invalid event by its index
+// ApplyChurn commits the events to the fleet's one ledger under every lock,
+// all or nothing: model.ResidualNetwork.ApplyChurn validates the whole
+// batch before it commits any of it. An error names the first invalid event by its index
 // in events, at every shard count.
 func (s *ShardedFleet) ApplyChurn(events []model.ChurnEvent) error {
 	s.lockAll()
@@ -823,7 +809,7 @@ func (s *ShardedFleet) Affected(events []model.ChurnEvent) []string {
 
 // Repair routes each ID to its owning shard's incremental Repair pass —
 // regions repair independently, holding only their own lock — and runs the
-// same pass over coordinator-owned deployments against the composed view,
+// same pass over coordinator-owned deployments against the whole ledger,
 // under every lock (cross-region repair is the rare, global tail of a churn
 // cycle) and sequentially. Unknown IDs are skipped. The merged report lists
 // shard outcomes first, coordinator outcomes last.

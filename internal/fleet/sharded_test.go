@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -335,12 +336,64 @@ func TestShardedFallback(t *testing.T) {
 	}
 }
 
+// TestShardedWithPartitionValidates checks that a caller-supplied partition
+// is rebuilt from its assignment: an assignment outside [0, K) is an error
+// rather than a fleet that panics on its first deploy there, and regions,
+// link owners and boundary that disagree with the assignment give way to
+// the ones it implies.
+func TestShardedWithPartitionValidates(t *testing.T) {
+	net := testNetwork(t)
+	good, err := model.PartitionNetwork(net, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, region := range []int{7, 2, -1} {
+		bad := *good
+		bad.PartOf = slices.Clone(good.PartOf)
+		bad.PartOf[3] = region
+		if sf, err := NewShardedWithPartition(net, &bad); err == nil {
+			t.Fatalf("PartOf[3] = %d: built a %d-shard fleet, want an error", region, sf.Shards())
+		}
+	}
+	short := *good
+	short.PartOf = good.PartOf[:net.N()-1]
+	noRegions := *good
+	noRegions.K = 0
+	for name, part := range map[string]*model.Partition{"short assignment": &short, "k = 0": &noRegions, "nil": nil} {
+		if _, err := NewShardedWithPartition(net, part); err == nil {
+			t.Fatalf("%s partition: built a fleet, want an error", name)
+		}
+	}
+
+	doctored := *good
+	doctored.Regions = [][]model.NodeID{good.Regions[1], good.Regions[0]}
+	doctored.LinkOwner = make([]int, net.M())
+	doctored.Boundary = nil
+	sf, err := NewShardedWithPartition(net, &doctored)
+	if err != nil {
+		t.Fatalf("doctored partition: %v", err)
+	}
+	want, err := model.NewPartitionFromAssignment(net, good.K, good.PartOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sf.Partition(), want) {
+		t.Fatalf("fleet partition %+v, want the one its assignment implies %+v", sf.Partition(), want)
+	}
+	req := Request{Pipeline: testPipeline(t, 4, 1), Src: 3, Dst: 3, Objective: model.MinDelay}
+	if _, err := sf.Deploy(req); err != nil && !errors.Is(err, ErrRejected) {
+		t.Fatalf("deploy on the rebuilt partition: %v", err)
+	}
+}
+
 // TestShardedReservationInvariant hammers a four-shard fleet with
 // concurrent intra- and cross-region deploys and releases (run under -race)
-// and then verifies the cross-shard accounting invariants: the composed
-// load equals the recomputed sum of live reservations, boundary-link load
-// comes only from coordinator deployments, and releasing everything
-// restores the composed view to exactly zero.
+// and then verifies the cross-shard accounting invariants: the ledger's
+// load equals the recomputed sum of live reservations — within summation
+// tolerance, and bit for bit when summed in the order a composed view and
+// per-shard views summed it — boundary-link load comes only from
+// coordinator deployments, and releasing everything restores the ledger to
+// exactly zero.
 func TestShardedReservationInvariant(t *testing.T) {
 	spec := gen.ClusterSpec{Clusters: 4, Nodes: 6, Links: 16, InterLinks: 10}
 	net, err := gen.ClusteredNetwork(spec, gen.DefaultRanges(), gen.RNG(3))
@@ -418,9 +471,10 @@ func TestShardedReservationInvariant(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Invariant 1: composed load equals the recomputed sum of the live
+	// Invariant 1: the ledger's load equals the recomputed sum of the live
 	// deployments' reservations (tolerance for summation order).
 	var all, cross []model.Reservation
+	own := make([][]model.Reservation, part.K)
 	for _, d := range sf.List() {
 		res, err := model.MappingReservation(net, pipes[d.ID], model.NewMapping(d.Assignment), d.ReservedFPS)
 		if err != nil {
@@ -429,6 +483,8 @@ func TestShardedReservationInvariant(t *testing.T) {
 		all = append(all, res)
 		if strings.HasPrefix(d.ID, "x-") {
 			cross = append(cross, res)
+		} else {
+			own[shardOfID(d.ID)] = append(own[shardOfID(d.ID)], res)
 		}
 	}
 	want := model.NewResidualNetwork(net)
@@ -443,6 +499,45 @@ func TestShardedReservationInvariant(t *testing.T) {
 	for l := range gotLink {
 		if w := want.LinkLoad(l); math.Abs(gotLink[l]-w) > tol {
 			t.Fatalf("link %d load %v, want %v", l, gotLink[l], w)
+		}
+	}
+
+	// Invariant 1, exact: every load is, bit for bit, the sum a composed
+	// view held — every shard's reservations in shard order, then the
+	// coordinator's merged in admission order — and each region's elements
+	// hold what a per-shard view held: the shard's own reservations, then
+	// the merged overlay.
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	overlay := model.MergeReservations(cross)
+	var regional []model.Reservation
+	for _, rs := range own {
+		regional = append(regional, rs...)
+	}
+	composed := model.NewResidualNetwork(net)
+	composed.SetLoad(append(regional, overlay))
+	for v := range gotNode {
+		if w := composed.NodeLoad(model.NodeID(v)); !same(gotNode[v], w) {
+			t.Fatalf("node %d load %v, want the composed sum %v bit for bit", v, gotNode[v], w)
+		}
+	}
+	for l := range gotLink {
+		if w := composed.LinkLoad(l); !same(gotLink[l], w) {
+			t.Fatalf("link %d load %v, want the composed sum %v bit for bit", l, gotLink[l], w)
+		}
+	}
+	for r, rs := range own {
+		shard := model.NewResidualNetwork(net)
+		shard.SetLoad(rs)
+		shard.AddLoad(overlay)
+		for _, v := range part.Regions[r] {
+			if w := shard.NodeLoad(v); !same(gotNode[v], w) {
+				t.Fatalf("shard %d node %d load %v, want the shard's own sum %v bit for bit", r, v, gotNode[v], w)
+			}
+		}
+		for l, owner := range part.LinkOwner {
+			if w := shard.LinkLoad(l); owner == r && !same(gotLink[l], w) {
+				t.Fatalf("shard %d link %d load %v, want the shard's own sum %v bit for bit", r, l, gotLink[l], w)
+			}
 		}
 	}
 

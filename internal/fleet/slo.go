@@ -9,17 +9,17 @@ import (
 
 // This file is the SLO scoring side of the health engine: SLOReport
 // re-evaluates every live deployment's delivered delay and sustainable rate
-// on the *current* residual network — the network as churn has left it, not
-// as admission saw it — and compares them against the deployment's admission
-// SLO. The service layer runs a report after every mutating request (deploy,
-// deploy-batch, release, rebalance, and each /v1/events batch) and on every
-// GET /v1/health and /v1/debug/dump, and folds the result into /v1/health
-// and the elpc_slo_* metric families.
+// on the *current* residual network — as churn has left it, not as
+// admission saw it — against its admission SLO. The service layer runs a
+// report after every mutating request (deploy, deploy-batch, release,
+// rebalance, and each /v1/events batch) and on every GET /v1/health and
+// /v1/debug/dump, and folds the result into /v1/health and the elpc_slo_*
+// metric families.
 //
-// A report costs one snapshot of the composed view, then O(path) per
+// A report costs one snapshot of the fleet's ledger, then O(path) per
 // deployment: Eq. 1 and Eq. 2 read only the nodes a mapping's groups run on
-// and the links between consecutive groups, so each deployment is scored on
-// the shared snapshot with just those elements rewritten to exclude its own
+// and the links between them, so each deployment is scored on the shared
+// snapshot with just those elements rewritten to exclude its own
 // reservation (model.ResidualNetwork.ScorePath).
 
 // SLOStatus is one deployment's compliance verdict.
@@ -121,10 +121,10 @@ func sloStatusOf(r *model.ResidualNetwork, snap *model.Network, d *Deployment, s
 }
 
 // SLOReport re-scores every live deployment — regional and cross-region —
-// on the composed residual view of the whole network, so a deployment whose
-// path crosses a churned boundary link is judged against the capacity it
-// actually has. Statuses list shard 0's deployments in admission order, then
-// shard 1's, and so on, with coordinator deployments last.
+// on the whole ledger, so a deployment whose path crosses a churned
+// boundary link is judged against the capacity it actually has. Statuses
+// list shard 0's deployments in admission order, then shard 1's, and so
+// on, with coordinator deployments last.
 func (s *ShardedFleet) SLOReport() SLOReport {
 	var rep SLOReport
 	s.composed(func(rn *model.ResidualNetwork) {

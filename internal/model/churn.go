@@ -189,12 +189,10 @@ func clampCap(f float64) float64 {
 // commit at once, or the first invalid event in batch order (unknown
 // target, conflicting state, bad factor) aborts the whole batch and the
 // view is left exactly as it was; the error names that event by its index
-// in events. The commit copies into the factor slices in place, so every
-// view sharing them (ShareEmpty) sees the batch. Outstanding loads are
-// untouched — churn changes what the network can carry, not what tenants
-// have reserved — so after a capacity-reducing batch, Fits may report
-// elements over capacity until the caller repairs or evicts the touching
-// reservations.
+// in events. Outstanding loads are untouched — churn changes what the
+// network can carry, not what tenants have reserved — so after a
+// capacity-reducing batch, Fits may report elements over capacity until the
+// caller repairs or evicts the touching reservations.
 func (r *ResidualNetwork) ApplyChurn(events []ChurnEvent) error {
 	nodeCap := append([]float64(nil), r.nodeCap...)
 	linkCap := append([]float64(nil), r.linkCap...)

@@ -14,7 +14,8 @@ import (
 // paper's solvers run against unchanged.
 
 // Partition is a K-way region partition of a network's nodes and links.
-// Build one with PartitionNetwork; the zero value is not usable.
+// Build one (or rebuild a decoded one) with PartitionNetwork or
+// NewPartitionFromAssignment; no other value is usable.
 type Partition struct {
 	// K is the number of regions (>= 1).
 	K int `json:"k"`
@@ -30,6 +31,10 @@ type Partition struct {
 	// links belong to no region; only the sharded coordinator path reserves
 	// capacity on them.
 	Boundary []int `json:"boundary"`
+
+	// local maps every node to its index in its region's Regions list, the
+	// local ID RegionView.Local returns.
+	local []int
 }
 
 // BoundaryOwner is the LinkOwner value of boundary (cross-region) links.
@@ -41,13 +46,10 @@ const BoundaryOwner = -1
 // → boundary refinement) and derives the link ownership and boundary sets.
 // It requires 1 <= k <= net.N().
 //
-// A sharded fleet pays for it on every install and every durable restart.
-// Every step of the partitioner reads one flat undirected adjacency built
-// per call in O(N+M), and every BFS reuses one set of work arrays, so a
-// call allocates O(N+M) memory. Its time goes mostly to the medoid rounds:
-// up to four, each running one BFS inside its region from every node. On
-// the 8-cluster n504/l4896 network at k = 8 a call takes ~12 ms and 450
-// allocations on a 2-vCPU VM (BenchmarkPartitionNetwork).
+// A sharded fleet pays for it on every install and every durable restart:
+// O(N+M) memory, and time mostly in up to four medoid rounds, each running
+// one BFS inside its region from every node (~12 ms at k = 8 on the
+// 8-cluster n504/l4896 network on a 2-vCPU VM, BenchmarkPartitionNetwork).
 func PartitionNetwork(net *Network, k int) (*Partition, error) {
 	if net == nil {
 		return nil, fmt.Errorf("model: partition of nil network")
@@ -65,6 +67,9 @@ func PartitionNetwork(net *Network, k int) (*Partition, error) {
 // partitioner on top; generators with known layouts (gen.ClusterSpec) call
 // it directly.
 func NewPartitionFromAssignment(net *Network, k int, partOf []int) (*Partition, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("model: partition needs k >= 1, got k=%d", k)
+	}
 	if len(partOf) != net.N() {
 		return nil, fmt.Errorf("model: assignment covers %d nodes, network has %d", len(partOf), net.N())
 	}
@@ -73,11 +78,13 @@ func NewPartitionFromAssignment(net *Network, k int, partOf []int) (*Partition, 
 		PartOf:    partOf,
 		Regions:   make([][]NodeID, k),
 		LinkOwner: make([]int, net.M()),
+		local:     make([]int, net.N()),
 	}
 	for v, r := range partOf {
 		if r < 0 || r >= k {
 			return nil, fmt.Errorf("model: node %d assigned to region %d, want [0,%d)", v, r, k)
 		}
+		p.local[v] = len(p.Regions[r])
 		p.Regions[r] = append(p.Regions[r], NodeID(v))
 	}
 	for i, l := range net.Links {
@@ -99,7 +106,8 @@ func (p *Partition) SameRegion(u, v NodeID) bool { return p.PartOf[u] == p.PartO
 
 // RegionView is the index translation between a network and one region's
 // sub-network: region nodes and internal links are renumbered densely in
-// ascending global-ID order. Build one with Partition.View.
+// ascending global-ID order. Build one with Partition.View; it holds
+// O(region), and Local reads the partition's per-node tables.
 type RegionView struct {
 	// Region is the region index this view covers.
 	Region int
@@ -107,10 +115,9 @@ type RegionView struct {
 	Nodes []NodeID
 	// Links maps local link index -> global link ID (ascending).
 	Links []int
-	// LocalNode maps global NodeID -> local index, or -1 for nodes outside
-	// the region.
-	LocalNode []int
 
+	// part is the partition the view was built from.
+	part *Partition
 	// topo is the region sub-network's topology index, built once in View
 	// (local edge i corresponds to Links[i]). Every RegionSnapshot shares
 	// it, so regional snapshots carry a stable Topology() pointer — the
@@ -121,17 +128,7 @@ type RegionView struct {
 
 // View builds the index translation for region r of net.
 func (p *Partition) View(net *Network, r int) *RegionView {
-	v := &RegionView{
-		Region:    r,
-		Nodes:     p.Regions[r],
-		LocalNode: make([]int, net.N()),
-	}
-	for i := range v.LocalNode {
-		v.LocalNode[i] = -1
-	}
-	for local, g := range v.Nodes {
-		v.LocalNode[g] = local
-	}
+	v := &RegionView{Region: r, Nodes: p.Regions[r], part: p}
 	for i := range net.Links {
 		if p.LinkOwner[i] == r {
 			v.Links = append(v.Links, i)
@@ -139,17 +136,26 @@ func (p *Partition) View(net *Network, r int) *RegionView {
 	}
 	v.topo = graph.NewFor(len(v.Nodes), len(v.Links), func(i int) (int, int) {
 		l := net.Links[v.Links[i]]
-		return v.LocalNode[l.From], v.LocalNode[l.To]
+		return v.Local(l.From), v.Local(l.To)
 	})
 	for _, g := range v.Links {
 		l := net.Links[g]
-		if _, err := v.topo.AddEdge(v.LocalNode[l.From], v.LocalNode[l.To]); err != nil {
+		if _, err := v.topo.AddEdge(v.Local(l.From), v.Local(l.To)); err != nil {
 			// The link set was validated when net was built and the view
 			// renumbers densely; this cannot fail.
 			panic(fmt.Sprintf("model: region %d view topology: %v", r, err))
 		}
 	}
 	return v
+}
+
+// Local returns node g's local index in the view's region, or -1 when g is
+// outside the region or not a node of the network.
+func (v *RegionView) Local(g NodeID) int {
+	if g < 0 || int(g) >= len(v.part.PartOf) || v.part.PartOf[g] != v.Region {
+		return -1
+	}
+	return v.part.local[g]
 }
 
 // RegionSnapshot materializes one region's residual-scaled sub-network
@@ -163,24 +169,19 @@ func (p *Partition) View(net *Network, r int) *RegionView {
 func (r *ResidualNetwork) RegionSnapshot(v *RegionView) *Network {
 	nodes := make([]Node, len(v.Nodes))
 	for local, g := range v.Nodes {
-		n := r.base.Nodes[g]
-		n.ID = NodeID(local)
-		n.Power = r.nodePower(int(g), 0)
-		nodes[local] = n
+		nodes[local] = r.base.Nodes[g]
+		nodes[local].ID = NodeID(local)
 	}
 	links := make([]Link, len(v.Links))
 	for local, gid := range v.Links {
 		l := r.base.Links[gid]
-		l.ID = local
-		l.From = NodeID(v.LocalNode[l.From])
-		l.To = NodeID(v.LocalNode[l.To])
-		l.BWMbps = r.linkBandwidth(gid, 0)
+		l.ID, l.From, l.To = local, NodeID(v.Local(l.From)), NodeID(v.Local(l.To))
 		links[local] = l
 	}
 	// The view's cached sub-topology describes exactly these renumbered
 	// links; sharing it keeps regional snapshots O(region) with no graph
 	// rebuild and gives them a stable Topology() pointer.
-	return sharedTopoNetwork(nodes, links, v.topo)
+	return r.RegionSnapshotInto(v, sharedTopoNetwork(nodes, links, v.topo))
 }
 
 // RegionSnapshotInto is RegionSnapshot materializing into buf when buf is a
@@ -217,10 +218,11 @@ func (v *RegionView) ToGlobal(m *Mapping) *Mapping {
 func (v *RegionView) ToLocal(m *Mapping) (local *Mapping, ok bool) {
 	assign := make([]NodeID, len(m.Assign))
 	for j, g := range m.Assign {
-		if g < 0 || int(g) >= len(v.LocalNode) || v.LocalNode[g] < 0 {
+		l := v.Local(g)
+		if l < 0 {
 			return nil, false
 		}
-		assign[j] = NodeID(v.LocalNode[g])
+		assign[j] = NodeID(l)
 	}
 	return &Mapping{Assign: assign}, true
 }

@@ -111,7 +111,7 @@ func TestRegionViewToGlobal(t *testing.T) {
 		t.Fatalf("ToLocal(ToGlobal(%v)) = %v, %v", m.Assign, back, ok)
 	}
 	outside := NodeID(0)
-	for view.LocalNode[outside] >= 0 {
+	for view.Local(outside) >= 0 {
 		outside++
 	}
 	if _, ok := view.ToLocal(NewMapping([]NodeID{gm.Assign[0], outside})); ok {
@@ -276,7 +276,7 @@ func TestRegionSnapshotMatchesFull(t *testing.T) {
 				}
 			}
 			if len(v.Nodes) < net.N() {
-				outside := NodeID(slices.IndexFunc(v.LocalNode, func(l int) bool { return l < 0 }))
+				outside := NodeID(slices.IndexFunc(p.PartOf, func(r int) bool { return r != reg }))
 				if _, ok := v.ToLocal(&Mapping{Assign: []NodeID{v.Nodes[0], outside}}); ok {
 					t.Fatalf("seed %d region %d: ToLocal accepted node %d outside the region", seed, reg, outside)
 				}
@@ -290,4 +290,164 @@ func TestRegionSnapshotMatchesFull(t *testing.T) {
 		}
 	}
 	t.Logf("coverage: %v", cover)
+}
+
+// TestSetRegionLoadMatchesSetLoad is the property test behind a sharded
+// fleet's one ledger, where every region rewrites only its own elements of
+// one shared view. Over random networks, random partitions (k from 1 to 6),
+// per-region reservations from walks inside each region (node reuse
+// included) and an overlay merged from walks across regions, it requires,
+// bit for bit, that:
+//   - SetRegionLoad for region r leaves every element outside r unchanged
+//     and sets r's elements to a private view's SetLoad(own_r ++ [overlay]);
+//   - starting from SetLoad(every region's reservations in region order ++
+//     [overlay]), SetRegionLoad for every region in random order leaves
+//     that same load;
+//   - a nil view is SetLoad;
+//   - Local inverts Nodes, and is -1 outside the region and for IDs that
+//     are not nodes.
+func TestSetRegionLoadMatchesSetLoad(t *testing.T) {
+	cover := map[string]int{}
+	for seed := uint64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 47))
+		net := randomTestNetwork(t, 2+rng.IntN(14), rng)
+		k := 1 + rng.IntN(min(6, net.N()))
+		partOf := make([]int, net.N())
+		for v := range partOf {
+			partOf[v] = rng.IntN(k)
+		}
+		p, err := NewPartitionFromAssignment(net, k, partOf)
+		if err != nil {
+			t.Fatalf("seed %d: partition: %v", seed, err)
+		}
+		views := make([]*RegionView, k)
+		for r := range views {
+			views[r] = p.View(net, r)
+		}
+		_, pl, _ := randomValidInstance(rng)
+		out := make([][]NodeID, net.N())
+		for _, l := range net.Links {
+			out[l.From] = append(out[l.From], l.To)
+		}
+		// walk reserves a mapping of pl that starts at start and steps along
+		// links to nodes for which inside holds, staying put now and then.
+		walk := func(start NodeID, inside func(NodeID) bool) Reservation {
+			assign := make([]NodeID, pl.N())
+			cur := start
+			for j := range assign {
+				if j > 0 && rng.IntN(4) != 0 {
+					next := slices.DeleteFunc(slices.Clone(out[cur]), func(w NodeID) bool { return !inside(w) })
+					if len(next) > 0 {
+						cur = next[rng.IntN(len(next))]
+					}
+				}
+				assign[j] = cur
+			}
+			m := &Mapping{Assign: assign}
+			if m.UsesReuse() {
+				cover["node reuse"]++
+			}
+			res, err := MappingReservation(net, pl, m, 0.5+5*rng.Float64())
+			if err != nil {
+				t.Fatalf("seed %d: reservation of %v: %v", seed, assign, err)
+			}
+			return res
+		}
+		own := make([][]Reservation, k)
+		var all []Reservation
+		for r, v := range views {
+			for i := rng.IntN(4); i > 0 && len(v.Nodes) > 0; i-- {
+				own[r] = append(own[r], walk(v.Nodes[rng.IntN(len(v.Nodes))], func(w NodeID) bool { return p.PartOf[w] == r }))
+			}
+			all = append(all, own[r]...)
+		}
+		var cross []Reservation
+		for i := rng.IntN(4); i > 0; i-- {
+			cross = append(cross, walk(NodeID(rng.IntN(net.N())), func(NodeID) bool { return true }))
+		}
+		overlay := MergeReservations(cross)
+		all = append(all, overlay)
+		for _, s := range overlay.links {
+			if p.LinkOwner[s.id] == BoundaryOwner {
+				cover["overlay on a boundary link"]++
+				break
+			}
+		}
+		composed := NewResidualNetwork(net)
+		composed.SetLoad(all)
+
+		shared := NewResidualNetwork(net)
+		shared.SetLoad([]Reservation{randomReservation(rng, net, 0.7)})
+		for r, v := range views {
+			beforeNode, beforeLink := slices.Clone(shared.nodeLoad), slices.Clone(shared.linkLoad)
+			mine := append(slices.Clone(own[r]), overlay)
+			shared.SetRegionLoad(v, mine)
+			private := NewResidualNetwork(net)
+			private.SetLoad(mine)
+			for g, got := range shared.nodeLoad {
+				want := beforeNode[g]
+				if p.PartOf[g] == r {
+					want = private.nodeLoad[g]
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d region %d: node %d (region %d) load %v, want %v", seed, r, g, p.PartOf[g], got, want)
+				}
+			}
+			for l, got := range shared.linkLoad {
+				want := beforeLink[l]
+				if p.LinkOwner[l] == r {
+					want = private.linkLoad[l]
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d region %d: link %d (owner %d) load %v, want %v", seed, r, l, p.LinkOwner[l], got, want)
+				}
+			}
+		}
+
+		ledger := NewResidualNetwork(net)
+		ledger.SetLoad(all)
+		for _, r := range rng.Perm(k) {
+			ledger.SetRegionLoad(views[r], append(slices.Clone(own[r]), overlay))
+		}
+		whole := NewResidualNetwork(net)
+		whole.SetLoad([]Reservation{randomReservation(rng, net, 0.7)})
+		whole.SetRegionLoad(nil, all)
+		for name, got := range map[string]*ResidualNetwork{"every region rewritten": ledger, "nil view": whole} {
+			if !sameBits(got.nodeLoad, composed.nodeLoad) || !sameBits(got.linkLoad, composed.linkLoad) {
+				t.Fatalf("seed %d %s: loads %v %v, want SetLoad's %v %v", seed, name, got.nodeLoad, got.linkLoad, composed.nodeLoad, composed.linkLoad)
+			}
+		}
+
+		for r, v := range views {
+			for local, g := range v.Nodes {
+				if got := v.Local(g); got != local {
+					t.Fatalf("seed %d region %d: Local(%d) = %d, want %d", seed, r, g, got, local)
+				}
+			}
+			for g := range net.N() {
+				if p.PartOf[g] != r && v.Local(NodeID(g)) != -1 {
+					t.Fatalf("seed %d region %d: Local(%d) = %d for a node of region %d", seed, r, g, v.Local(NodeID(g)), p.PartOf[g])
+				}
+			}
+			for _, g := range []NodeID{-1, NodeID(net.N()), NodeID(net.N() + 7)} {
+				if got := v.Local(g); got != -1 {
+					t.Fatalf("seed %d region %d: Local(%d) = %d for an ID that is no node", seed, r, g, got)
+				}
+			}
+		}
+		if k > 1 {
+			cover["k > 1"]++
+		}
+	}
+	for _, regime := range []string{"node reuse", "overlay on a boundary link", "k > 1"} {
+		if cover[regime] == 0 {
+			t.Errorf("no seed covered %q (coverage %v)", regime, cover)
+		}
+	}
+	t.Logf("coverage: %v", cover)
+}
+
+// sameBits reports whether a and b hold the same floats, bit for bit.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }

@@ -119,20 +119,18 @@ func mergeShares(dst []share, at map[int]int, src []share) []share {
 // fractions of *nominal* capacity, so a factor drop can leave an element
 // over capacity until its reservations are repaired.
 //
-// Views built by ShareEmpty share one set of capacity factors, each with
-// loads of its own: a factor written through any of them (ApplyChurn,
-// SetCapacityFactors) is what all of them read.
-//
 // ResidualNetwork performs no synchronization; callers that share one across
-// goroutines (internal/fleet does) must serialize access, and a factor write
-// must be serialized against every reader of every view sharing the factors.
+// goroutines must serialize access to each element. SetRegionLoad writes,
+// and RegionSnapshot and Fits of a regional reservation read, only one
+// region's nodes and internal links, so a sharded fleet
+// (internal/fleet.ShardedFleet) lets each region work on its own elements
+// of one shared view under its own lock.
 type ResidualNetwork struct {
 	base     *Network
 	nodeLoad []float64
 	linkLoad []float64
 	// nodeCap and linkCap are the churn capacity factors in [0, 1]
-	// (1 = nominal), possibly shared with other views; see ApplyChurn in
-	// churn.go. Writes copy into them and never replace them.
+	// (1 = nominal); see ApplyChurn in churn.go.
 	nodeCap []float64
 	linkCap []float64
 }
@@ -174,25 +172,12 @@ func (r *ResidualNetwork) CloneEmpty() *ResidualNetwork {
 	}
 }
 
-// ShareEmpty returns a new residual view of the same base network with zero
-// outstanding load that shares r's churn capacity factors: churn committed
-// through either view is seen by both. The sharded fleet builds every
-// shard's view this way, so the whole fleet holds one set of factors.
-func (r *ResidualNetwork) ShareEmpty() *ResidualNetwork {
-	return &ResidualNetwork{
-		base:     r.base,
-		nodeLoad: make([]float64, r.base.N()),
-		linkLoad: make([]float64, r.base.M()),
-		nodeCap:  r.nodeCap,
-		linkCap:  r.linkCap,
-	}
-}
-
-// SetLoad replaces the outstanding load with the exact sum of the given
-// reservations, accumulated in slice order. Recomputing from the outstanding
-// set — rather than incrementally adding and subtracting — makes Release
-// exact: the empty set restores every load to precisely zero, with no
-// floating-point residue. Each element sums only the shares held on it.
+// SetLoad replaces the outstanding load of every node and link with the
+// exact sum of the given reservations, accumulated in slice order.
+// Recomputing from the outstanding set — rather than incrementally adding
+// and subtracting — makes Release exact: the empty set restores every load
+// to precisely zero, with no floating-point residue. Each element sums only
+// the shares held on it.
 func (r *ResidualNetwork) SetLoad(outstanding []Reservation) {
 	clear(r.nodeLoad)
 	clear(r.linkLoad)
@@ -201,11 +186,40 @@ func (r *ResidualNetwork) SetLoad(outstanding []Reservation) {
 	}
 }
 
-// AddLoad adds res on top of the current outstanding load. The sharded
-// fleet uses it to overlay cross-region reservations onto a shard's own
-// recomputed load; the sum stays exact because every recompute replays the
-// same additions in the same order. res must have been built against this
-// view's base network.
+// SetRegionLoad is SetLoad confined to region v: it zeroes v's nodes and
+// internal links, then adds every outstanding share that falls on them, in
+// slice order, and leaves every other element untouched. Each of v's
+// elements ends up bit for bit where SetLoad(outstanding) would put it,
+// whatever the reservations hold elsewhere. A nil v is SetLoad.
+func (r *ResidualNetwork) SetRegionLoad(v *RegionView, outstanding []Reservation) {
+	if v == nil {
+		r.SetLoad(outstanding)
+		return
+	}
+	for _, g := range v.Nodes {
+		r.nodeLoad[g] = 0
+	}
+	for _, id := range v.Links {
+		r.linkLoad[id] = 0
+	}
+	for _, res := range outstanding {
+		for _, s := range res.nodes {
+			if v.part.PartOf[s.id] == v.Region {
+				r.nodeLoad[s.id] += s.frac
+			}
+		}
+		for _, s := range res.links {
+			if v.part.LinkOwner[s.id] == v.Region {
+				r.linkLoad[s.id] += s.frac
+			}
+		}
+	}
+}
+
+// AddLoad adds res on top of the current outstanding load. Repair proposals
+// use it to overlay cross-region reservations onto a shard's own load; the
+// sum stays exact because every recompute replays the same additions in the
+// same order. res must have been built against this view's base network.
 func (r *ResidualNetwork) AddLoad(res Reservation) {
 	for _, s := range res.nodes {
 		r.nodeLoad[s.id] += s.frac
@@ -221,11 +235,10 @@ func (r *ResidualNetwork) CapacityFactors() (node, link []float64) {
 	return append([]float64(nil), r.nodeCap...), append([]float64(nil), r.linkCap...)
 }
 
-// SetCapacityFactors replaces the churn capacity factors wholesale, in
-// place, so every view sharing them sees the new values. Factors must be in
-// [0, 1] and shaped like the base network; loads are untouched. It does not
-// commit churn — ApplyChurn does; snapshot restore uses it to put back the
-// factors a snapshot recorded.
+// SetCapacityFactors replaces the churn capacity factors wholesale. Factors
+// must be in [0, 1] and shaped like the base network; loads are untouched.
+// It does not commit churn — ApplyChurn does; snapshot restore uses it to
+// put back the factors a snapshot recorded.
 func (r *ResidualNetwork) SetCapacityFactors(node, link []float64) error {
 	if len(node) != r.base.N() || len(link) != r.base.M() {
 		return fmt.Errorf("model: capacity factors shape (%d nodes, %d links) does not match network (%d, %d)",
@@ -263,6 +276,12 @@ func (r *ResidualNetwork) Fits(res Reservation) bool {
 		}
 	}
 	return true
+}
+
+// Loads returns copies of the outstanding load fraction per node and per
+// link (indices match the base network).
+func (r *ResidualNetwork) Loads() (node, link []float64) {
+	return append([]float64(nil), r.nodeLoad...), append([]float64(nil), r.linkLoad...)
 }
 
 // NodeLoad returns the outstanding load fraction on node v.

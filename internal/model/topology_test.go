@@ -117,7 +117,7 @@ func appendBuilt(n int, links []Link, view *RegionView) *graph.Graph {
 	}
 	for _, id := range view.Links {
 		l := links[id]
-		g.MustAddEdge(view.LocalNode[l.From], view.LocalNode[l.To])
+		g.MustAddEdge(view.Local(l.From), view.Local(l.To))
 	}
 	return g
 }
