@@ -826,3 +826,30 @@ func BenchmarkNewSharded(b *testing.B) {
 		})
 	}
 }
+
+// shardStatsSink keeps BenchmarkShardStats' result live.
+var shardStatsSink fleet.ShardedStats
+
+// BenchmarkShardStats measures one ShardStats call, which GET /v1/stats and
+// every GET /v1/health run, on a 4000-node, 12000-link random network at
+// k = 8 and 1000 shards. Each shard walks only its own nodes and internal
+// links, so a call costs O(N+M) whatever k is.
+func BenchmarkShardStats(b *testing.B) {
+	net, err := gen.Network(4000, 12000, gen.DefaultRanges(), gen.RNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []int{8, 1000} {
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			sf, err := fleet.NewSharded(net, k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				shardStatsSink = sf.ShardStats()
+			}
+		})
+	}
+}

@@ -457,8 +457,8 @@ type (
 	// only deployments touching mutated elements are re-solved; what no
 	// longer fits is parked and re-queued when capacity returns.
 	Reconciler = churn.Reconciler
-	// ReconcilerOptions tunes a Reconciler (repair parallelism, requeue
-	// pacing).
+	// ReconcilerOptions tunes a Reconciler (requeue pacing, the journal it
+	// records into).
 	ReconcilerOptions = churn.Options
 	// ChurnRecord summarizes one applied event batch (affected, migrated,
 	// parked, requeued counts and repair latency).
@@ -471,8 +471,6 @@ type (
 	TimedChurnEvent = gen.ChurnEvent
 	// RepairReport summarizes one incremental fleet Repair pass.
 	RepairReport = fleet.RepairReport
-	// RepairOptions tunes a fleet Repair pass.
-	RepairOptions = fleet.RepairOptions
 )
 
 // Churn event kinds.

@@ -12,9 +12,9 @@
 //     placements touch a mutated node or link; everything else is provably
 //     untouched and never examined.
 //  2. Repair — fleet.Repair keeps still-valid placements without a solve,
-//     re-solves only the broken ones (optionally fanning the re-solves out
-//     over the shared engine pool), migrates what fits, and parks what no
-//     longer has a feasible placement.
+//     re-solves only the broken ones, one at a time on the live residual
+//     state, migrates what fits, and parks what no longer has a feasible
+//     placement.
 //  3. Requeue — parked deployments are displaced, not lost: the Reconciler
 //     holds their reconstructed admission requests and re-admits them when
 //     capacity returns, either on a later capacity-raising event batch or
@@ -45,27 +45,26 @@ import (
 // attempts to re-admit parked deployments.
 const DefaultRequeueInterval = 2 * time.Second
 
-// DefaultLogCapacity bounds the in-memory event log (oldest records are
-// dropped first).
+// DefaultLogCapacity bounds the private journal a standalone reconciler
+// creates when Options.Journal is nil (oldest records are dropped first).
 const DefaultLogCapacity = 1024
 
 // Options tunes a Reconciler.
 type Options struct {
-	// Workers > 1 lets each repair pass precompute its broken candidates'
-	// re-solves concurrently (see fleet.RepairOptions.Workers).
+	// Workers is read by nothing.
+	//
+	// Deprecated: repair re-solves one candidate at a time on the caller's
+	// goroutine. bench/trace.go is the last caller that sets it; the field
+	// goes with it.
 	Workers int
 	// RequeueInterval paces the background requeue loop; <= 0 selects
 	// DefaultRequeueInterval.
 	RequeueInterval time.Duration
-	// LogCapacity bounds the private journal a standalone reconciler
-	// creates when Journal is nil; <= 0 selects DefaultLogCapacity. Ignored
-	// when Journal is set (the shared journal's capacity governs).
-	LogCapacity int
 	// Journal, when non-nil, receives the reconciler's records (their
 	// churn_batch summaries) — normally the service-wide journal the fleet
 	// also records into, so batch summaries follow the repair outcomes they
-	// caused. When nil, New creates a private journal so Log keeps working
-	// standalone.
+	// caused. When nil, New creates a private journal of DefaultLogCapacity
+	// records so Log keeps working standalone.
 	Journal *journal.Journal
 }
 
@@ -136,12 +135,9 @@ func New(f fleet.Manager, opt Options) *Reconciler {
 	if opt.RequeueInterval <= 0 {
 		opt.RequeueInterval = DefaultRequeueInterval
 	}
-	if opt.LogCapacity <= 0 {
-		opt.LogCapacity = DefaultLogCapacity
-	}
 	jr := opt.Journal
 	if jr == nil {
-		jr = journal.New(opt.LogCapacity)
+		jr = journal.New(DefaultLogCapacity)
 	}
 	return &Reconciler{f: f, opt: opt, jr: jr}
 }
@@ -217,7 +213,7 @@ func (r *Reconciler) Apply(events []model.ChurnEvent) (Record, error) {
 		return Record{}, fmt.Errorf("churn: %w", err)
 	}
 	affected := r.f.Affected(events)
-	rep := r.f.Repair(affected, fleet.RepairOptions{Workers: r.opt.Workers})
+	rep := r.f.Repair(affected)
 	r.parked = append(r.parked, rep.Parked...)
 
 	requeued := 0

@@ -209,7 +209,7 @@ func TestBackgroundRequeueLoop(t *testing.T) {
 func TestChurnRebalanceRaceStress(t *testing.T) {
 	f := testFleet(t)
 	deployN(t, f, 6)
-	r := New(f, Options{Workers: 2, RequeueInterval: time.Millisecond})
+	r := New(f, Options{RequeueInterval: time.Millisecond})
 	r.Start()
 	defer r.Stop()
 

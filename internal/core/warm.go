@@ -78,8 +78,8 @@ const (
 )
 
 // WarmState retains DP grids across solves of one logical problem. It is
-// not safe for concurrent use; internal/fleet keys one per deployment so
-// parallel repair/rebalance phases touch disjoint states.
+// not safe for concurrent use; internal/fleet keys one per deployment and
+// solves with it one solve at a time, under the fleet lock.
 type WarmState struct {
 	// Problem signature the grids belong to. The pipeline is compared by
 	// pointer: fleet requests carry stable *Pipeline values, and a new

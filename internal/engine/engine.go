@@ -1,16 +1,15 @@
 // Package engine is the parallel solve substrate shared by the planning
-// service, the fleet manager, and the benchmark harness: a bounded pool of
-// helper goroutines that steal iterations from fork-join jobs submitted via
-// ParallelFor, plus parallel drivers for the solver sweeps built on it
-// (ParetoFront, batch solving).
+// service and the benchmark harness: a bounded pool of helper goroutines
+// that steal iterations from fork-join jobs submitted via ParallelFor, plus
+// parallel drivers for the solver sweeps built on it (ParetoFront, batch
+// solving).
 //
 // Two properties make the pool safe to share across subsystems:
 //
 //   - The submitting goroutine always participates: ParallelFor executes
 //     items on the caller even when every helper is busy, so nested jobs
 //     (a batch solve whose items each fan out a Pareto sweep) can never
-//     deadlock, and fleet re-solves can never starve planning requests of
-//     forward progress — helpers only add parallelism.
+//     deadlock — helpers only add parallelism.
 //   - Work distribution is dynamic: helpers steal the next unclaimed
 //     iteration from a shared atomic cursor, so uneven item costs (DP
 //     solves vary wildly with the budget) balance automatically, like a
@@ -140,25 +139,10 @@ func (j *job) runOne(i int) {
 // and safe on a nil or closed pool (sequential). If any fn panics, the
 // first panic is rethrown on the caller after the job drains.
 func (p *Pool) ParallelFor(n int, fn func(int)) {
-	p.ParallelForN(0, n, fn)
-}
-
-// ParallelForN is ParallelFor with the job's parallelism additionally
-// capped at width (caller + at most width-1 helpers; width <= 0 means the
-// pool's full parallelism). Callers that must honor a client-requested
-// concurrency bound narrower than the shared pool use this.
-func (p *Pool) ParallelForN(width, n int, fn func(int)) {
 	if n <= 0 {
 		return
 	}
-	limit := 0
-	if p != nil {
-		limit = p.parallelism
-	}
-	if width > 0 && width < limit {
-		limit = width
-	}
-	if p == nil || limit <= 1 || n == 1 {
+	if p == nil || p.parallelism <= 1 || n == 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
@@ -170,7 +154,7 @@ func (p *Pool) ParallelForN(width, n int, fn func(int)) {
 	// a full announcement queue (or a closed pool) costs nothing — the
 	// caller picks up whatever is not stolen. Each announcement admits at
 	// most one helper, so the announcement count is the concurrency cap.
-	announce := limit - 1
+	announce := p.parallelism - 1
 	if announce > n-1 {
 		announce = n - 1
 	}

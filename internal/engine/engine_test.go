@@ -96,29 +96,6 @@ func TestParallelForPanicPropagates(t *testing.T) {
 	})
 }
 
-func TestParallelForNWidthCap(t *testing.T) {
-	p := NewPool(8)
-	defer p.Close()
-	// width=1 must run inline on the caller in index order (no helpers).
-	var order []int
-	p.ParallelForN(1, 20, func(i int) { order = append(order, i) })
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("width=1 executed out of order: %v", order)
-		}
-	}
-	// Larger widths still cover every index exactly once.
-	for _, w := range []int{2, 8, 100} {
-		counts := make([]atomic.Int32, 50)
-		p.ParallelForN(w, 50, func(i int) { counts[i].Add(1) })
-		for i := range counts {
-			if counts[i].Load() != 1 {
-				t.Fatalf("width=%d: index %d ran %d times", w, i, counts[i].Load())
-			}
-		}
-	}
-}
-
 func TestPoolWorkers(t *testing.T) {
 	p := NewPool(6)
 	defer p.Close()

@@ -70,7 +70,7 @@ func TestCoordinatorRequeueRecovers(t *testing.T) {
 	if err := sf.ApplyChurn(down); err != nil {
 		t.Fatal(err)
 	}
-	rep := sf.Repair(sf.Affected(down), RepairOptions{})
+	rep := sf.Repair(sf.Affected(down))
 	if len(rep.Parked) != 1 || rep.Parked[0].ID != d.ID {
 		t.Fatalf("repair parked %+v, want %s", rep.Parked, d.ID)
 	}
@@ -120,7 +120,7 @@ func TestCoordinatorRepairClassOrder(t *testing.T) {
 	if err := sf.ApplyChurn(down); err != nil {
 		t.Fatal(err)
 	}
-	rep := sf.Repair(sf.Affected(down), RepairOptions{})
+	rep := sf.Repair(sf.Affected(down))
 	if len(rep.Outcomes) != 2 {
 		t.Fatalf("repair outcomes %+v, want 2", rep.Outcomes)
 	}

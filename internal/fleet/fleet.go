@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"elpc/internal/core"
-	"elpc/internal/engine"
 	"elpc/internal/model"
 	"elpc/internal/telemetry"
 	"elpc/internal/wal"
@@ -190,7 +189,7 @@ type Deployment struct {
 	// rebalance re-solves after churn recompute only the cells the capacity
 	// delta invalidated. Nil when warm-start is disabled or the deployment was
 	// recovered from the WAL (it re-warms on its first re-solve). Owned by the
-	// fleet lock; parallel proposal goroutines touch disjoint deployments.
+	// fleet lock.
 	warm *core.WarmState
 }
 
@@ -255,7 +254,6 @@ type region struct {
 	deps     map[string]*Deployment
 	order    []string // admission order; recompute accumulates in this order
 	seq      uint64
-	pool     *engine.Pool // shared parallel substrate for repair re-solves
 
 	// scope names the region in the WAL ("s3" on shard 3, wal.ScopeCross on
 	// the coordinator, "" on the only shard of a one-shard fleet); idPrefix
@@ -319,10 +317,10 @@ type region struct {
 	resScratch []model.Reservation
 
 	// solves counts every objective solve run on the fleet's behalf
-	// (admission, rebalance proposals, repair re-solves). Atomic because
-	// parallel proposal phases increment it from pool goroutines while the
-	// coordinating call holds mu. Tests use it to assert repair is
-	// incremental: an event touching k deployments costs exactly k solves.
+	// (admission, rebalance proposals, repair re-solves). Solves run under
+	// mu; the counter is atomic because SolveCount reads it without the
+	// lock. Tests use it to assert repair is incremental: an event touching
+	// k deployments costs exactly k solves.
 	solves atomic.Uint64
 
 	// warmOff disables warm-start incremental solving (SetWarmStart); the
@@ -332,8 +330,8 @@ type region struct {
 	// for retained-grid memory. The coordinator is built with it set and
 	// never toggled: its solves always run cold.
 	warmOff bool
-	// Warm solve outcome counters (see core.WarmOutcome), atomic for the
-	// same reason as solves.
+	// Warm solve outcome counters (see core.WarmOutcome), atomic because
+	// WarmSolveStats reads them without the lock.
 	warmRebuilds atomic.Uint64
 	warmPartials atomic.Uint64
 	warmHits     atomic.Uint64
@@ -359,17 +357,6 @@ func newRegion(rn *model.ResidualNetwork, scope string) *region {
 		f.idPrefix = scope + "-"
 	}
 	return f
-}
-
-// UsePool installs the engine pool that parallel repair passes fan their
-// re-solves out over. Sharing the planning service's pool keeps fleet and
-// planning solves on one bounded concurrency budget, so neither can starve
-// the other. A nil pool (the default) makes parallel passes spin up a
-// transient pool per call.
-func (f *region) UsePool(p *engine.Pool) {
-	f.mu.Lock()
-	f.pool = p
-	f.mu.Unlock()
 }
 
 // recomputeLocked rebuilds the loads of the region's elements as the exact

@@ -168,7 +168,7 @@ func runRecoveryWorkload(t *testing.T, m Manager, net *model.Network, seed uint6
 		if err := m.ApplyChurn(evs); err != nil {
 			t.Fatalf("churn event %d (%s): %v", i, ev.Event, err)
 		}
-		rep := m.Repair(affected, RepairOptions{})
+		rep := m.Repair(affected)
 		evicted = append(evicted, rep.Parked...)
 	}
 	if err := m.ApplyChurn(gen.Heal(trace)); err != nil {

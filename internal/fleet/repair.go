@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"elpc/internal/engine"
 	"elpc/internal/model"
 	"elpc/internal/wal"
 )
@@ -99,17 +98,6 @@ func (f *region) placementScoreLocked(d *Deployment, snap *model.Network, saved 
 	return delay, rate, valid
 }
 
-// RepairOptions tunes a Repair pass.
-type RepairOptions struct {
-	// Workers > 1 precomputes the broken candidates' re-solves concurrently
-	// over the installed engine pool (UsePool; a transient pool of Workers
-	// when none is installed) before the sequential application loop, each
-	// on the view the sequential pass would solve it on. <= 1 solves each
-	// candidate inline against the live residual state. The service sets
-	// it to the size of the engine pool it installs (churn.Options.Workers).
-	Workers int `json:"workers,omitempty"`
-}
-
 // Repair actions.
 const (
 	// RepairKept means the placement survived the churn unchanged.
@@ -163,44 +151,6 @@ type RepairReport struct {
 // Displaced is the number of deployments the pass moved or evicted.
 func (r *RepairReport) Displaced() int { return r.Migrated + len(r.Parked) }
 
-// proposal is one precomputed repair re-solve from the concurrent proposal
-// phase.
-type proposal struct {
-	m   *model.Mapping
-	err error
-}
-
-// proposeLocked concurrently re-solves the candidates ids, writing out[i]
-// for ids[i]. Each candidate is solved on its own view of the committed
-// state without its reservation, loaded by recomputeLocked's rule — the
-// other reservations in admission order, then the external overlay — so a
-// proposal is the mapping a sequential pass would solve on the same state.
-// Concurrency is capped at width on top of the pool's own bound. Caller
-// holds f.mu, which is exactly what makes the unlocked reads inside the
-// workers safe: nothing can mutate deployments or reservations while the
-// candidates solve. Per-goroutine views and solver scratch make the phase
-// embarrassingly parallel.
-func (f *region) proposeLocked(ids []string, out []proposal, width int, pool *engine.Pool) {
-	pool.ParallelForN(width, len(ids), func(i int) {
-		d := f.deps[ids[i]]
-		others := make([]model.Reservation, 0, len(f.order)-1)
-		for _, oid := range f.order {
-			if oid != ids[i] {
-				others = append(others, f.deps[oid].reservation)
-			}
-		}
-		// CloneEmpty keeps the churn capacity factors: a view built with
-		// NewResidualNetwork would see every down node at full nominal power.
-		rn := f.residual.CloneEmpty()
-		rn.SetLoad(others)
-		rn.AddLoad(f.external)
-		// Safe off the coordinating goroutine: each worker solves a distinct
-		// deployment, so the warm states never alias.
-		m, _, _, err := f.solveCounted(rn, requestOf(d), d.cost, f.warmFor(d))
-		out[i] = proposal{m: m, err: err}
-	})
-}
-
 // Repair is the incremental post-churn reconciliation pass: it examines
 // exactly the given deployments (normally Affected(events)), keeps every
 // placement that is still valid under the new capacity factors without
@@ -208,19 +158,12 @@ func (f *region) proposeLocked(ids []string, out []proposal, width int, pool *en
 // network (their own reservation removed, everyone else's kept), migrates
 // those whose re-solve fits, and parks — evicts and returns — those with no
 // feasible placement. Unknown IDs are skipped.
-//
-// With opt.Workers > 1 the broken candidates' re-solves are precomputed
-// concurrently against the pre-repair residual state (proposeLocked); the
-// placement guard then judges each proposal live at application time, so a
-// proposal made stale by an earlier repair of the same pass can park a
-// candidate a sequential pass would have re-fit (the re-queue loop recovers
-// it) but can never corrupt capacity accounting.
-func (f *region) Repair(ids []string, opt RepairOptions) RepairReport {
+func (f *region) Repair(ids []string) RepairReport {
 	t0 := time.Now()
 	defer repairSeconds.ObserveSince(t0)
 	f.mu.Lock()
 	f.beginTxnLocked()
-	rep := f.repairLocked(ids, opt)
+	rep := f.repairLocked(ids)
 	commit := f.endTxnLocked()
 	f.mu.Unlock()
 	commit()
@@ -229,7 +172,7 @@ func (f *region) Repair(ids []string, opt RepairOptions) RepairReport {
 
 // repairLocked is the repair pass body. Caller holds f.mu inside a WAL
 // epoch (the coordinator: every lock, see ShardedFleet.Repair).
-func (f *region) repairLocked(ids []string, opt RepairOptions) RepairReport {
+func (f *region) repairLocked(ids []string) RepairReport {
 	// Keep admission order and drop stale IDs, then lift higher SLO classes
 	// to the front: on a degraded network the candidates repaired first
 	// claim the surviving residual, so guaranteed deployments must re-fit
@@ -250,48 +193,7 @@ func (f *region) repairLocked(ids []string, opt RepairOptions) RepairReport {
 		return f.deps[live[i]].SLO.Class.Rank() > f.deps[live[j]].SLO.Class.Rank()
 	})
 
-	rep := RepairReport{}
-	if len(live) == 0 {
-		return rep
-	}
-
-	// Phases 1+2 exist only for the parallel path: classify candidates on
-	// the pre-repair state, then precompute the broken ones' re-solves
-	// concurrently. The sequential path skips both — phase 3 classifies
-	// and solves inline, so nothing is computed twice.
-	var proposals map[string]proposal
-	if opt.Workers > 1 && len(live) > 1 {
-		broken := make([]string, 0, len(live))
-		for _, id := range live {
-			d := f.deps[id]
-			saved := d.reservation
-			d.reservation = model.Reservation{}
-			f.recomputeLocked()
-			_, _, valid := f.placementScoreLocked(d, f.scoringSnapshotLocked(), saved)
-			d.reservation = saved
-			if !valid {
-				broken = append(broken, id)
-			}
-		}
-		f.recomputeLocked()
-		if len(broken) > 1 {
-			pool := f.pool
-			if pool == nil {
-				transient := engine.NewPool(opt.Workers)
-				defer transient.Close()
-				pool = transient
-			}
-			out := make([]proposal, len(broken))
-			f.proposeLocked(broken, out, opt.Workers, pool)
-			proposals = make(map[string]proposal, len(broken))
-			for i, id := range broken {
-				proposals[id] = out[i]
-			}
-		}
-	}
-
-	// Phase 3: apply sequentially in admission order, every guard against
-	// the live residual state.
+	var rep RepairReport
 	for _, id := range live {
 		d := f.deps[id]
 		f.repaired++
@@ -317,16 +219,9 @@ func (f *region) repairLocked(ids []string, opt RepairOptions) RepairReport {
 			continue
 		}
 
-		// Broken: take the precomputed proposal, or solve inline (a phase-1
-		// "valid" can turn broken once earlier repairs shifted load).
+		// Broken: re-solve on the live residual state.
 		rep.Resolved++
-		prop, ok := proposals[id]
-		if !ok {
-			var m *model.Mapping
-			var err error
-			m, _, _, err = f.solveCounted(f.residual, requestOf(d), d.cost, f.warmFor(d))
-			prop = proposal{m: m, err: err}
-		}
+		m, _, _, err := f.solveCounted(f.residual, requestOf(d), d.cost, f.warmFor(d))
 
 		park := func(reason string) {
 			parked := ParkedDeployment{ID: id, Tenant: d.Tenant, Reason: reason, Req: requestOf(d)}
@@ -341,11 +236,10 @@ func (f *region) repairLocked(ids []string, opt RepairOptions) RepairReport {
 			rep.Outcomes = append(rep.Outcomes, RepairOutcome{ID: id, Action: RepairParked, Reason: reason})
 		}
 
-		if prop.err != nil {
-			park(fmt.Sprintf("re-solve failed: %v", prop.err))
+		if err != nil {
+			park(fmt.Sprintf("re-solve failed: %v", err))
 			continue
 		}
-		m := prop.m
 		newDelay, newRate := f.scoreLocked(snap, d.pipe, m, d.cost)
 		res, reason, _, err := f.judgeLocked(d.pipe, m, newDelay, newRate, d.SLO, d.ReservedFPS)
 		if err != nil {

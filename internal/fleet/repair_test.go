@@ -2,12 +2,8 @@ package fleet
 
 import (
 	"errors"
-	"fmt"
-	"reflect"
 	"testing"
 
-	"elpc/internal/engine"
-	"elpc/internal/gen"
 	"elpc/internal/model"
 )
 
@@ -86,7 +82,7 @@ func TestRepairIsIncremental(t *testing.T) {
 	}
 
 	before := f.SolveCount()
-	rep := f.Repair(affected, RepairOptions{})
+	rep := f.Repair(affected)
 	solves := f.SolveCount() - before
 
 	// Every affected placement is broken (its node lost all capacity), so
@@ -166,7 +162,7 @@ func TestRepairKeepsValidPlacements(t *testing.T) {
 		t.Fatalf("affected = %v, want [%s]", affected, d.ID)
 	}
 	before := f.SolveCount()
-	rep := f.Repair(affected, RepairOptions{})
+	rep := f.Repair(affected)
 	if f.SolveCount() != before {
 		t.Errorf("still-valid placement re-solved (%d calls); validity check must be solve-free", f.SolveCount()-before)
 	}
@@ -202,7 +198,7 @@ func TestRepairParksWhenInfeasible(t *testing.T) {
 	if err := f.ApplyChurn(events); err != nil {
 		t.Fatal(err)
 	}
-	rep := f.Repair(f.Affected(events), RepairOptions{})
+	rep := f.Repair(f.Affected(events))
 	if len(rep.Parked) != 1 || rep.Migrated != 0 {
 		t.Fatalf("report = %+v, want exactly one parked", rep)
 	}
@@ -342,7 +338,7 @@ func TestRepairMigratesBesideOverloadedNode(t *testing.T) {
 			movable++
 		}
 	}
-	rep := f.Repair(ids, RepairOptions{})
+	rep := f.Repair(ids)
 	if rep.Migrated != movable || movable == 0 {
 		t.Errorf("migrated %d of %d affected, want the %d whose endpoints avoid v%d (outcomes %+v)",
 			rep.Migrated, len(ids), movable, overloadedNode, rep.Outcomes)
@@ -361,133 +357,48 @@ func TestRepairMigratesBesideOverloadedNode(t *testing.T) {
 	}
 }
 
-// TestRepairParallelInvariants runs the same broken fleet through a
-// sequential and a parallel repair pass. Both must leave the fleet
-// consistent — full accounting of the affected set, no survivor on a down
-// node, every surviving reservation within the degraded capacity — and
-// the parallel pass must reach the same kept/migrated/parked outcomes and
-// surviving mappings as the sequential one (parallel proposals see the
-// churned capacity factors via CloneEmpty; resetting them to nominal
-// would make Workers>1 park migratable deployments and fail this test).
-func TestRepairParallelInvariants(t *testing.T) {
-	type outcome struct {
-		rep       RepairReport
-		survivors []string
+// TestRepairInvariants runs a broken fleet through a repair pass, which
+// must leave it consistent: full accounting of the affected set, no
+// survivor on a down node, every surviving reservation within the degraded
+// capacity.
+func TestRepairInvariants(t *testing.T) {
+	net := testNetwork(t)
+	f, err := New(net)
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func(workers int) outcome {
-		net := testNetwork(t)
-		f, err := New(net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		deployN(t, f, 8)
-		events := []model.ChurnEvent{
-			{Kind: model.NodeDown, Node: 3},
-			{Kind: model.LinkDegrade, Link: 7, Factor: 0.2},
-		}
-		if err := f.ApplyChurn(events); err != nil {
-			t.Fatal(err)
-		}
-		affected := f.Affected(events)
-		rep := f.Repair(affected, RepairOptions{Workers: workers})
-		if rep.Checked != len(affected) || rep.Kept+rep.Migrated+len(rep.Parked) != rep.Checked {
-			t.Errorf("workers=%d: inconsistent accounting %+v for %d affected", workers, rep, len(affected))
-		}
-		var survivors []string
-		for _, d := range f.List() {
-			survivors = append(survivors, d.ID+":"+d.Mapping)
-			for _, v := range d.Assignment {
-				if v == 3 {
-					t.Errorf("workers=%d: survivor %s still on down node", workers, d.ID)
-				}
+	deployN(t, f, 8)
+	events := []model.ChurnEvent{
+		{Kind: model.NodeDown, Node: 3},
+		{Kind: model.LinkDegrade, Link: 7, Factor: 0.2},
+	}
+	if err := f.ApplyChurn(events); err != nil {
+		t.Fatal(err)
+	}
+	affected := f.Affected(events)
+	rep := f.Repair(affected)
+	if rep.Checked != len(affected) || rep.Kept+rep.Migrated+len(rep.Parked) != rep.Checked {
+		t.Errorf("inconsistent accounting %+v for %d affected", rep, len(affected))
+	}
+	for _, d := range f.List() {
+		for _, v := range d.Assignment {
+			if v == 3 {
+				t.Errorf("survivor %s still on down node", d.ID)
 			}
 		}
-		nodeU, linkU := f.Utilization()
-		nodeCap, linkCap := f.Capacity()
-		const eps = 1e-9
-		for v, u := range nodeU {
-			if u > nodeCap[v]+eps {
-				t.Errorf("workers=%d: node %d load %v exceeds capacity %v", workers, v, u, nodeCap[v])
-			}
-		}
-		for l, u := range linkU {
-			if u > linkCap[l]+eps {
-				t.Errorf("workers=%d: link %d load %v exceeds capacity %v", workers, l, u, linkCap[l])
-			}
-		}
-		return outcome{rep: rep, survivors: survivors}
 	}
-
-	seq := run(1)
-	par := run(4)
-	if seq.rep.Kept != par.rep.Kept || seq.rep.Migrated != par.rep.Migrated ||
-		len(seq.rep.Parked) != len(par.rep.Parked) {
-		t.Errorf("parallel repair diverged: sequential kept/migrated/parked = %d/%d/%d, parallel = %d/%d/%d",
-			seq.rep.Kept, seq.rep.Migrated, len(seq.rep.Parked),
-			par.rep.Kept, par.rep.Migrated, len(par.rep.Parked))
-	}
-	if len(seq.survivors) != len(par.survivors) {
-		t.Fatalf("survivor sets differ: %v vs %v", seq.survivors, par.survivors)
-	}
-	for i := range seq.survivors {
-		if seq.survivors[i] != par.survivors[i] {
-			t.Errorf("survivor %d differs: seq %s, par %s", i, seq.survivors[i], par.survivors[i])
+	nodeU, linkU := f.Utilization()
+	nodeCap, linkCap := f.Capacity()
+	const eps = 1e-9
+	for v, u := range nodeU {
+		if u > nodeCap[v]+eps {
+			t.Errorf("node %d load %v exceeds capacity %v", v, u, nodeCap[v])
 		}
 	}
-}
-
-// TestShardProposalsSeeOverlay: on a shard, a parallel repair proposal must
-// be the mapping the sequential pass would solve on the live view with the
-// candidate's reservation freed — which includes the coordinator's
-// cross-region overlay. A proposal view missing the overlay solves as if
-// cross-region deployments held nothing on the shard, and the live guard
-// can then park a deployment the sequential pass would have migrated.
-func TestShardProposalsSeeOverlay(t *testing.T) {
-	pool := engine.NewPool(2)
-	defer pool.Close()
-	compared, overlaid := 0, 0
-	for seed := uint64(1); seed <= 20; seed++ {
-		sf, net, _ := testClusteredFleet(t, 2, seed)
-		rng := gen.RNG(seed)
-		for i, cross := 0, 0; cross < 12; i++ {
-			req := randomRequest(t, net, rng, i)
-			if sf.part.SameRegion(req.Src, req.Dst) {
-				continue
-			}
-			cross++
-			_, _ = sf.Deploy(req) // rejections just thin the population
+	for l, u := range linkU {
+		if u > linkCap[l]+eps {
+			t.Errorf("link %d load %v exceeds capacity %v", l, u, linkCap[l])
 		}
-		for i := 0; i < 28; i++ {
-			_, _ = sf.Deploy(randomRequest(t, net, rng, 100+i))
-		}
-		if len(sf.coord.deps) > 0 {
-			overlaid++
-		}
-		for _, sh := range sf.shards {
-			sh.mu.Lock()
-			ids := append([]string(nil), sh.order...)
-			props := make([]proposal, len(ids))
-			sh.proposeLocked(ids, props, 2, pool)
-			for i, id := range ids {
-				d := sh.deps[id]
-				saved := d.reservation
-				d.reservation = model.Reservation{}
-				sh.recomputeLocked()
-				m, _, _, err := sh.solveCounted(sh.residual, requestOf(d), d.cost, nil)
-				d.reservation = saved
-				sh.recomputeLocked()
-				got, want := fmt.Sprint(props[i].err), fmt.Sprint(err)
-				if got != want || (err == nil && !reflect.DeepEqual(props[i].m.Assign, m.Assign)) {
-					t.Errorf("seed %d %s: proposal %v (err %s), sequential re-solve %v (err %s)",
-						seed, id, props[i].m, got, m, want)
-				}
-				compared++
-			}
-			sh.mu.Unlock()
-		}
-	}
-	if compared == 0 || overlaid == 0 {
-		t.Fatalf("compared %d proposals on %d fleets with a cross-region overlay: nothing exercised", compared, overlaid)
 	}
 }
 
@@ -505,7 +416,7 @@ func TestRebalanceSeesChurnedCapacity(t *testing.T) {
 	if err := f.ApplyChurn(events); err != nil {
 		t.Fatal(err)
 	}
-	f.Repair(f.Affected(events), RepairOptions{})
+	f.Repair(f.Affected(events))
 	// Free capacity so rebalance has migrations to propose.
 	for i, d := range f.List() {
 		if i%2 == 0 {

@@ -56,11 +56,15 @@ type Manager interface {
 	// Affected returns the IDs of deployments whose placements touch any
 	// element the events mutate.
 	Affected([]model.ChurnEvent) []string
-	// Repair re-solves exactly the given deployments after churn.
-	Repair([]string, RepairOptions) RepairReport
+	// Repair keeps the given deployments' still-valid placements and
+	// re-solves, one at a time, only the ones the churn broke.
+	Repair([]string) RepairReport
 	// Network returns the shared base network.
 	Network() *model.Network
-	// UsePool installs the engine pool parallel repair passes fan out over.
+	// UsePool does nothing.
+	//
+	// Deprecated: repair solves on the caller's goroutine and uses no pool.
+	// bench/trace.go is the last caller; the method goes with it.
 	UsePool(*engine.Pool)
 	// UseJournal installs the event journal state transitions are recorded
 	// into (nil disables recording).
@@ -225,13 +229,11 @@ func (s *ShardedFleet) Partition() *model.Partition { return s.part }
 // Shards returns the number of regions.
 func (s *ShardedFleet) Shards() int { return s.part.K }
 
-// UsePool installs the engine pool on every region (see
-// RepairOptions.Workers).
-func (s *ShardedFleet) UsePool(p *engine.Pool) {
-	for _, f := range s.regions {
-		f.UsePool(p)
-	}
-}
+// UsePool does nothing.
+//
+// Deprecated: repair solves on the caller's goroutine and uses no pool.
+// bench/trace.go is the last caller; the method goes with it.
+func (s *ShardedFleet) UsePool(*engine.Pool) {}
 
 // SolveCount returns the objective solves run across all regions.
 func (s *ShardedFleet) SolveCount() uint64 {
@@ -708,13 +710,19 @@ func (s *ShardedFleet) ShardStats() ShardedStats {
 				stat.MaxNodeUtil = u
 			}
 		}
-		for l, owner := range s.part.LinkOwner {
-			if owner != r {
-				continue
-			}
+		link := func(l int) {
 			stat.Links++
 			if u := sh.residual.LinkLoad(l); u > stat.MaxLinkUtil {
 				stat.MaxLinkUtil = u
+			}
+		}
+		if sh.view != nil {
+			for _, l := range sh.view.Links {
+				link(l)
+			}
+		} else { // the only shard of a one-shard fleet owns every link
+			for l := range s.base.Links {
+				link(l)
 			}
 		}
 		out.Shards = append(out.Shards, stat)
@@ -811,11 +819,11 @@ func (s *ShardedFleet) Affected(events []model.ChurnEvent) []string {
 // regions repair independently, holding only their own lock — and runs the
 // same pass over coordinator-owned deployments against the whole ledger,
 // under every lock (cross-region repair is the rare, global tail of a churn
-// cycle) and sequentially. Unknown IDs are skipped. The merged report lists
-// shard outcomes first, coordinator outcomes last.
-func (s *ShardedFleet) Repair(ids []string, opt RepairOptions) RepairReport {
+// cycle). Unknown IDs are skipped. The merged report lists shard outcomes
+// first, coordinator outcomes last.
+func (s *ShardedFleet) Repair(ids []string) RepairReport {
 	if s.part.K == 1 {
-		return s.shards[0].Repair(ids, opt)
+		return s.shards[0].Repair(ids)
 	}
 	perRegion := make([][]string, len(s.regions))
 	for _, id := range ids {
@@ -830,9 +838,9 @@ func (s *ShardedFleet) Repair(ids []string, opt RepairOptions) RepairReport {
 		}
 		var sr RepairReport
 		if r < s.part.K {
-			sr = s.shards[r].Repair(sub, opt)
+			sr = s.shards[r].Repair(sub)
 		} else {
-			s.coordEpoch(func(x *region) { sr = x.repairLocked(sub, RepairOptions{}) })
+			s.coordEpoch(func(x *region) { sr = x.repairLocked(sub) })
 		}
 		rep.Checked += sr.Checked
 		rep.Resolved += sr.Resolved

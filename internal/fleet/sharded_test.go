@@ -158,8 +158,8 @@ func TestShardedK1Equivalence(t *testing.T) {
 		if !reflect.DeepEqual(a1, a2) {
 			t.Fatalf("seed %d affected mismatch: %v vs %v", seed, a1, a2)
 		}
-		r1 := bare.Repair(a1, RepairOptions{})
-		r2 := sharded.Repair(a2, RepairOptions{})
+		r1 := bare.Repair(a1)
+		r2 := sharded.Repair(a2)
 		j1, _ := json.Marshal(r1)
 		j2, _ := json.Marshal(r2)
 		if string(j1) != string(j2) {
@@ -333,6 +333,54 @@ func TestShardedFallback(t *testing.T) {
 	}
 	if st.Rejected != ss.Coordinator.Rejected {
 		t.Fatalf("Stats.Rejected = %d, want coordinator rejections only (%d)", st.Rejected, ss.Coordinator.Rejected)
+	}
+}
+
+// TestShardStatsMatchesLedger holds each shard's ShardStats gauges, which
+// walk only the shard's own nodes and internal links, to the partition and
+// the fleet's one ledger on a loaded clustered fleet, the one-shard fleet
+// (whose shard owns every link) included.
+func TestShardStatsMatchesLedger(t *testing.T) {
+	for _, k := range []int{1, 3, 8} {
+		sf, net, _ := testClusteredFleet(t, k, 11)
+		rng := gen.RNG(uint64(k))
+		for i := 0; i < 40; i++ {
+			_, _ = sf.Deploy(randomRequest(t, net, rng, i)) // rejections just thin the population
+		}
+		ss := sf.ShardStats()
+		node, link := sf.Utilization()
+		if len(ss.Shards) != k {
+			t.Fatalf("k=%d: %d shard blocks", k, len(ss.Shards))
+		}
+		if ss.Coordinator.BoundaryLinks != len(sf.part.Boundary) {
+			t.Errorf("k=%d: %d boundary links, partition has %d", k, ss.Coordinator.BoundaryLinks, len(sf.part.Boundary))
+		}
+		loaded := false
+		for r, st := range ss.Shards {
+			var links int
+			var maxNode, maxLink float64
+			for _, v := range sf.part.Regions[r] {
+				maxNode = max(maxNode, node[v])
+			}
+			for l, owner := range sf.part.LinkOwner {
+				if owner == r {
+					links++
+					maxLink = max(maxLink, link[l])
+				}
+			}
+			if st.Shard != r || st.Nodes != len(sf.part.Regions[r]) || st.Links != links {
+				t.Errorf("k=%d shard %d: shard %d with %d nodes and %d links, want %d and %d",
+					k, r, st.Shard, st.Nodes, st.Links, len(sf.part.Regions[r]), links)
+			}
+			if st.MaxNodeUtil != maxNode || st.MaxLinkUtil != maxLink {
+				t.Errorf("k=%d shard %d: max node/link util %v/%v, ledger %v/%v",
+					k, r, st.MaxNodeUtil, st.MaxLinkUtil, maxNode, maxLink)
+			}
+			loaded = loaded || maxNode > 0
+		}
+		if !loaded {
+			t.Fatalf("k=%d: no load on any shard; nothing compared", k)
+		}
 	}
 }
 
@@ -623,7 +671,7 @@ func TestShardedChurnRouting(t *testing.T) {
 	}
 
 	pre := sf.SolveCount()
-	rep := sf.Repair(affected, RepairOptions{})
+	rep := sf.Repair(affected)
 	if got := sf.SolveCount() - pre; got != uint64(rep.Resolved) {
 		t.Fatalf("repair cost %d solves for %d broken deployments; repair must stay incremental", got, rep.Resolved)
 	}
@@ -823,7 +871,7 @@ func TestShardedChurnUnderConcurrentTraffic(t *testing.T) {
 					t.Errorf("churn %v: %v", batch, err)
 					return
 				}
-				sf.Repair(sf.Affected(batch), RepairOptions{})
+				sf.Repair(sf.Affected(batch))
 			}
 		}
 	}()

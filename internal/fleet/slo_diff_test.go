@@ -225,7 +225,7 @@ func TestSLOReportDifferential(t *testing.T) {
 				}
 				check(step)
 				if repair {
-					m.Repair(m.Affected(batch), RepairOptions{})
+					m.Repair(m.Affected(batch))
 					check(step + " repair")
 				}
 			}

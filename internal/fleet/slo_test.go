@@ -132,7 +132,7 @@ func TestSLOReportDetectsChurnViolations(t *testing.T) {
 
 	// Repair resolves the gap: afterwards every surviving deployment is
 	// compliant again (parked ones are no longer evaluated).
-	f.Repair(f.Affected([]model.ChurnEvent{{Kind: model.NodeDown, Node: victim}}), RepairOptions{})
+	f.Repair(f.Affected([]model.ChurnEvent{{Kind: model.NodeDown, Node: victim}}))
 	rep = f.SLOReport()
 	if rep.Violating != 0 {
 		t.Errorf("report after repair still has %d violating: %+v", rep.Violating, rep.Statuses)
@@ -230,7 +230,7 @@ func TestJournalUnderConcurrentFleetOps(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			batch := []model.ChurnEvent{{Kind: model.CapacityDrift, Target: model.TargetNode, Node: model.NodeID(i % 10), Factor: 0.95}}
 			if err := f.ApplyChurn(batch); err == nil {
-				f.Repair(f.Affected(batch), RepairOptions{})
+				f.Repair(f.Affected(batch))
 			}
 		}
 	}()

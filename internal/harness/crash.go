@@ -220,7 +220,7 @@ func buildCrashOps(net *model.Network, cs gen.ChurnSpec, sessions int, seed uint
 				return parked, f.ApplyChurn(evs)
 			},
 			func(f *fleet.ShardedFleet, parked []fleet.ParkedDeployment) ([]fleet.ParkedDeployment, error) {
-				rep := f.Repair(f.Affected(evs), fleet.RepairOptions{})
+				rep := f.Repair(f.Affected(evs))
 				return append(parked, rep.Parked...), nil
 			})
 	}

@@ -10,7 +10,7 @@ package harness
 // mappings included), fleet stats, reconciler stats, the final residual
 // network, and a Pareto front solved on that residual. Plain fleets run the
 // full suite; one-shard and three-shard sharded fleets run a spread subset.
-// The whole suite is -race clean (repair runs with Workers: 2).
+// The whole suite is -race clean.
 
 import (
 	"fmt"
@@ -95,7 +95,7 @@ func runEquivalenceTrace(t *testing.T, mk func(*model.Network) (*fleet.ShardedFl
 		t.Fatalf("trace: %v", err)
 	}
 
-	rec := churn.New(m, churn.Options{Workers: 2})
+	rec := churn.New(m, churn.Options{})
 	fp := &equivFingerprint{}
 	for i, ev := range trace {
 		r, err := rec.Apply([]model.ChurnEvent{ev.Event})

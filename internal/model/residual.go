@@ -157,21 +157,6 @@ func NewResidualNetwork(base *Network) *ResidualNetwork {
 // Base returns the underlying full-capacity network.
 func (r *ResidualNetwork) Base() *Network { return r.base }
 
-// CloneEmpty returns a new residual view of the same base network carrying
-// a copy of the churn capacity factors but zero outstanding load. Parallel
-// proposal phases use it to build per-goroutine views that still see the
-// churned network — a plain NewResidualNetwork would silently reset every
-// down node to full capacity.
-func (r *ResidualNetwork) CloneEmpty() *ResidualNetwork {
-	return &ResidualNetwork{
-		base:     r.base,
-		nodeLoad: make([]float64, r.base.N()),
-		linkLoad: make([]float64, r.base.M()),
-		nodeCap:  append([]float64(nil), r.nodeCap...),
-		linkCap:  append([]float64(nil), r.linkCap...),
-	}
-}
-
 // SetLoad replaces the outstanding load of every node and link with the
 // exact sum of the given reservations, accumulated in slice order.
 // Recomputing from the outstanding set — rather than incrementally adding
@@ -216,10 +201,10 @@ func (r *ResidualNetwork) SetRegionLoad(v *RegionView, outstanding []Reservation
 	}
 }
 
-// AddLoad adds res on top of the current outstanding load. Repair proposals
-// use it to overlay cross-region reservations onto a shard's own load; the
-// sum stays exact because every recompute replays the same additions in the
-// same order. res must have been built against this view's base network.
+// AddLoad adds res on top of the current outstanding load; SetLoad is one
+// AddLoad per reservation, so a recompute that replays the same additions in
+// the same order sums bit for bit alike. res must have been built against
+// this view's base network.
 func (r *ResidualNetwork) AddLoad(res Reservation) {
 	for _, s := range res.nodes {
 		r.nodeLoad[s.id] += s.frac

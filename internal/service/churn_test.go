@@ -1,10 +1,12 @@
 package service
 
 import (
+	"fmt"
 	"net/http"
 	"testing"
 
 	"elpc/internal/churn"
+	"elpc/internal/gen"
 	"elpc/internal/model"
 	"elpc/internal/service/wire"
 )
@@ -137,5 +139,77 @@ func TestEventsWithoutFleet(t *testing.T) {
 	resp = postGet(t, ts.URL+"/v1/events/log", &log)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("events/log without fleet: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestRepairSolvesOnlyBroken holds elpcd's churn repair to "one solve per
+// re-solved candidate": on a server built as elpcd builds one (an engine
+// pool of two workers), every event batch may solve once per deployment its
+// repair pass re-solved plus once per requeue attempt, and never for a
+// candidate the pass keeps. The background requeue loop is stopped so no
+// requeue lands between the counter reads.
+func TestRepairSolvesOnlyBroken(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Workers: 2})
+	t.Cleanup(srv.Close)
+	spec := gen.Suite20()[7] // case 8: 50 nodes, 1000 links
+	net, err := gen.Network(spec.Nodes, spec.Links, gen.DefaultRanges(), gen.RNG(spec.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	installFleetNetwork(t, ts.URL, net)
+	srv.fleet.rec.Stop()
+
+	rng := gen.RNG(7)
+	admitted := 0
+	for i := 0; i < 300; i++ {
+		pl, err := gen.Pipeline(4+rng.IntN(5), gen.DefaultRanges(), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := model.NodeID(rng.IntN(net.N()))
+		dst := model.NodeID(rng.IntN(net.N() - 1))
+		if dst >= src {
+			dst++
+		}
+		resp := postJSON(t, ts.URL+"/v1/fleet/deploy", wire.FleetDeploy{
+			Tenant:     fmt.Sprintf("t%d", i),
+			Pipeline:   pl,
+			Src:        src,
+			Dst:        dst,
+			Op:         string(OpMaxFrameRate),
+			MinRateFPS: 2 + 6*rng.Float64(),
+		}, nil)
+		if resp.StatusCode == http.StatusOK {
+			admitted++
+		}
+	}
+	if admitted == 0 {
+		t.Fatal("no deploy admitted; churn has nothing to repair")
+	}
+
+	cs := gen.DefaultChurnSpec()
+	cs.Events, cs.NodeShare, cs.LinkShare = 400, 0.5, 0.4
+	trace, err := gen.Churn(cs, net, gen.RNG(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, rec := srv.fleet.f, srv.fleet.rec
+	resolved := 0
+	for i, ev := range trace {
+		solves, attempts := f.SolveCount(), rec.Stats().RequeueAttempts
+		var r churn.Record
+		resp := postJSON(t, ts.URL+"/v1/events", wire.Events{Events: []model.ChurnEvent{ev.Event}}, &r)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("event %d (%s): status %d", i, ev.Event, resp.StatusCode)
+		}
+		resolved += r.Resolved
+		attempts = rec.Stats().RequeueAttempts - attempts
+		if got, want := f.SolveCount()-solves, uint64(r.Resolved)+attempts; got != want {
+			t.Errorf("event %d (%s): %d solves for %d re-solved of %d affected plus %d requeue attempts",
+				i, ev.Event, got, r.Resolved, r.Affected, attempts)
+		}
+	}
+	if resolved == 0 {
+		t.Fatal("no batch re-solved a candidate; the trace never broke a placement")
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"log/slog"
 	"time"
 
-	"elpc/internal/churn"
-	"elpc/internal/engine"
 	"elpc/internal/fleet"
 	"elpc/internal/journal"
 	"elpc/internal/wal"
@@ -42,7 +40,7 @@ func NewDurableServer(opt Options) (*Server, error) {
 		return nil, fmt.Errorf("service: recovering fleet state: %w", err)
 	}
 	if recovered.Manager != nil {
-		s.fleet.adopt(recovered, s.solver.Pool(), s.journal, l)
+		s.fleet.adopt(recovered, s.journal, l)
 		slog.Info("fleet state recovered",
 			"dir", o.DataDir,
 			"snapshot_seq", l.SnapshotSeq(),
@@ -59,18 +57,12 @@ func NewDurableServer(opt Options) (*Server, error) {
 
 // adopt installs a recovered manager and its reconciler state, replacing
 // nothing (it only runs on a fresh server, before any traffic).
-func (s *fleetState) adopt(rec *fleet.Recovered, pool *engine.Pool, jr *journal.Journal, l *wal.Log) {
-	f := rec.Manager
-	f.UsePool(pool)
-	f.UseJournal(jr)
-	f.UseWAL(l)
-	r := churn.New(f, churn.Options{Workers: pool.Workers(), Journal: jr})
-	r.UseWAL(l)
+func (s *fleetState) adopt(rec *fleet.Recovered, jr *journal.Journal, l *wal.Log) {
+	r := attach(rec.Manager, jr, l)
 	r.Restore(rec.Parked, rec.Churn)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.f = f
-	s.rec = r
+	s.f, s.rec = rec.Manager, r
 	r.Start()
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"elpc/internal/churn"
-	"elpc/internal/engine"
 	"elpc/internal/fleet"
 	"elpc/internal/journal"
 	"elpc/internal/model"
@@ -77,18 +76,13 @@ func (s *fleetState) withSolve(fn func(fleet.Manager) error) error {
 // install replaces the shared network, one shard for shards <= 1 and
 // region-partitioned otherwise. Replacing is refused while deployments are
 // outstanding — their reservations reference the old topology. The write
-// lock waits out every in-flight fleet operation. The fleet shares the
-// solver's engine pool so parallel rebalance passes, churn repairs, and
-// planning requests draw from one concurrency budget; the old
-// reconciliation loop is stopped before the new one starts.
-func (s *fleetState) install(net *model.Network, shards int, pool *engine.Pool, jr *journal.Journal) error {
+// lock waits out every in-flight fleet operation; the old reconciliation
+// loop is stopped before the new one starts.
+func (s *fleetState) install(net *model.Network, shards int, jr *journal.Journal) error {
 	f, err := fleet.NewSharded(net, shards)
 	if err != nil {
 		return err
 	}
-	f.UsePool(pool)
-	f.UseJournal(jr)
-	rec := churn.New(f, churn.Options{Workers: pool.Workers(), Journal: jr})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f != nil {
@@ -106,13 +100,23 @@ func (s *fleetState) install(net *model.Network, shards int, pool *engine.Pool, 
 		if err := s.wal.Commit(lsn); err != nil {
 			return err
 		}
-		f.UseWAL(s.wal)
-		rec.UseWAL(s.wal)
 	}
-	s.f = f
-	s.rec = rec
-	rec.Start()
+	s.f, s.rec = f, attach(f, jr, s.wal)
+	s.rec.Start()
 	return nil
+}
+
+// attach wires a manager into the service: f and a new reconciler over it
+// record into jr and, when l is non-nil, log to l. The reconciler is
+// returned unstarted.
+func attach(f fleet.Manager, jr *journal.Journal, l *wal.Log) *churn.Reconciler {
+	f.UseJournal(jr)
+	rec := churn.New(f, churn.Options{Journal: jr})
+	if l != nil {
+		f.UseWAL(l)
+		rec.UseWAL(l)
+	}
+	return rec
 }
 
 // close stops the reconciliation loop (if any). The fleet remains usable —
@@ -235,7 +239,7 @@ func (s *Server) handleFleetNetwork(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("shards must be non-negative, got %d", body.Shards))
 		return
 	}
-	if err := s.fleet.install(body.Network, body.Shards, s.solver.Pool(), s.journal); err != nil {
+	if err := s.fleet.install(body.Network, body.Shards, s.journal); err != nil {
 		writeError(w, err)
 		return
 	}

@@ -334,7 +334,7 @@ func TestHealthRedOnUnrepairedViolations(t *testing.T) {
 
 	// Repairing the frontier migrates the tenant and clears the verdict.
 	_ = srv.fleet.withFleet(func(f fleet.Manager) error {
-		f.Repair(f.Affected(batch), fleet.RepairOptions{})
+		f.Repair(f.Affected(batch))
 		return nil
 	})
 	if h := getHealth(t, ts.URL); h.Status != HealthGreen || h.SLO.Violating != 0 {

@@ -12,11 +12,10 @@ import (
 	"elpc/internal/model"
 )
 
-// TestConcurrentFrontAndFleetStress drives the shared engine pool from both
-// sides at once — planning requests fanning out Pareto sweeps and batches
-// while fleet deploys, releases, and parallel rebalance passes run against
-// the same solver — so the race detector sees the full cross-subsystem
-// interleaving. Functional checks are deliberately loose (no deadlock, no
+// TestConcurrentFrontAndFleetStress runs planning requests fanning out
+// Pareto sweeps and batches on the engine pool while fleet deploys,
+// releases, and rebalance passes run beside them, so the race detector sees
+// the full cross-subsystem interleaving. Functional checks are deliberately loose (no deadlock, no
 // unexpected errors, deterministic front results); -race does the heavy
 // lifting.
 func TestConcurrentFrontAndFleetStress(t *testing.T) {
@@ -35,7 +34,6 @@ func TestConcurrentFrontAndFleetStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.UsePool(s.Pool())
 
 	pipe, err := gen.Pipeline(5, gen.DefaultRanges(), gen.RNG(7))
 	if err != nil {

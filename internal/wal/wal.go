@@ -12,12 +12,13 @@ import (
 	"elpc/internal/telemetry"
 )
 
-// Defaults for Options fields left zero.
+// Log defaults.
 const (
 	// DefaultFlushInterval bounds how long a committed-but-unsynced record
 	// can sit in the OS page cache before the background fsync.
 	DefaultFlushInterval = 5 * time.Millisecond
-	// DefaultSnapshotRetain keeps the newest snapshot plus one fallback.
+	// DefaultSnapshotRetain keeps the newest snapshot plus one fallback
+	// (Options.SnapshotRetain zero).
 	DefaultSnapshotRetain = 2
 )
 
@@ -38,9 +39,6 @@ var (
 
 // Options tunes a Log opened with Open.
 type Options struct {
-	// FlushInterval bounds the delay between a commit and its fsync when
-	// Sync is false (zero selects DefaultFlushInterval).
-	FlushInterval time.Duration
 	// Sync makes Commit wait for fsync instead of just the buffered write:
 	// group commit still batches concurrent committers behind one fsync,
 	// but every acknowledgment is then durable against power loss, not just
@@ -97,9 +95,6 @@ type Log struct {
 // newest valid snapshot and the replay suffix, truncates any torn tail, and
 // returns the log positioned to append after the last durable record.
 func Open(dir string, opt Options) (*Log, *Recovery, error) {
-	if opt.FlushInterval <= 0 {
-		opt.FlushInterval = DefaultFlushInterval
-	}
 	if opt.SnapshotRetain == 0 {
 		opt.SnapshotRetain = DefaultSnapshotRetain
 	}
@@ -332,12 +327,13 @@ func (l *Log) flushLocked(sync bool) {
 	l.cond.Broadcast()
 }
 
-// flushLoop is the background fsync batcher: every FlushInterval it pushes
-// buffered frames to the file and fsyncs anything written-but-unsynced, so
-// the window of acknowledged state a power loss can take is bounded.
+// flushLoop is the background fsync batcher: every DefaultFlushInterval it
+// pushes buffered frames to the file and fsyncs anything
+// written-but-unsynced, so the window of acknowledged state a power loss can
+// take is bounded.
 func (l *Log) flushLoop() {
 	defer close(l.flushDone)
-	t := time.NewTicker(l.opt.FlushInterval)
+	t := time.NewTicker(DefaultFlushInterval)
 	defer t.Stop()
 	for {
 		select {
