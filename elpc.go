@@ -315,10 +315,13 @@ type (
 	// and per-link outstanding load over a base Network, materializable as
 	// a scaled Network snapshot.
 	ResidualNetwork = model.ResidualNetwork
-	// Reservation is the fractional capacity a deployment holds: one share
+	// Reservation is the fractional capacity a deployment holds — one share
 	// per node its mapping's module groups run on and per link between
-	// consecutive groups, O(path). It is opaque; pass it to a
-	// ResidualNetwork's SetLoad, AddLoad, Fits or ScorePath.
+	// consecutive groups, O(path) — and the mapping's path, which
+	// ResidualNetwork.ScorePath scores straight off the view. A zero-rate
+	// reservation holds no share but still records its path. It is
+	// opaque; pass it to a ResidualNetwork's SetLoad, AddLoad, Fits or
+	// ScorePath.
 	Reservation = model.Reservation
 	// ArrivalEvent is one event of a generated multi-tenant workload.
 	ArrivalEvent = gen.ArrivalEvent
@@ -429,8 +432,9 @@ func GenerateClusteredNetwork(spec ClusterSpec, r Ranges, rng *rand.Rand) (*Netw
 func NewResidualNetwork(base *Network) *ResidualNetwork { return model.NewResidualNetwork(base) }
 
 // MappingReservation computes the fractional capacity a mapping consumes
-// when streaming at rateFPS frames per second: a share on every node and
-// link of its path, none elsewhere in net.
+// when streaming at rateFPS frames per second — a share on every node and
+// link of its path, none elsewhere in net — and records the path itself. A
+// non-positive rate holds no share but still records the path.
 func MappingReservation(net *Network, pl *Pipeline, m *Mapping, rateFPS float64) (Reservation, error) {
 	return model.MappingReservation(net, pl, m, rateFPS)
 }

@@ -171,7 +171,8 @@ func streamRequest(t *testing.T, tenant string, src, dst model.NodeID, complexit
 // re-solves on the fresher view. Landing it in the first round only lets
 // the second round commit elsewhere; landing one in each round exhausts
 // the rounds (2pc_abort, deploy_rejected). Both counters recover from the
-// log.
+// log, and CoordinatorStats reads what ShardStats' coordinator block does,
+// live and recovered.
 func TestTwoPhaseRetryAndAbort(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
@@ -232,6 +233,9 @@ func TestTwoPhaseRetryAndAbort(t *testing.T) {
 			if live.TwoPhaseRetries != tc.retries || live.TwoPhaseAborts != tc.aborts {
 				t.Errorf("coordinator stats %+v, want %d retries and %d aborts", live, tc.retries, tc.aborts)
 			}
+			if got := sf.CoordinatorStats(); got != live {
+				t.Errorf("CoordinatorStats %+v, ShardStats' coordinator block %+v", got, live)
+			}
 
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
@@ -239,6 +243,9 @@ func TestTwoPhaseRetryAndAbort(t *testing.T) {
 			r, _ := recoverDir(t, dir)
 			if got := r.Manager.ShardStats().Coordinator; got != live {
 				t.Errorf("recovered coordinator stats %+v, live %+v", got, live)
+			}
+			if got := r.Manager.CoordinatorStats(); got != live {
+				t.Errorf("recovered CoordinatorStats %+v, live %+v", got, live)
 			}
 		})
 	}

@@ -262,10 +262,10 @@ type region struct {
 	scope    string
 	idPrefix string
 	// scoreSnap is the snapshot buffer (scoringSnapshotLocked) rebalance,
-	// repair, two-phase admission and the SLO report score mappings on, and
-	// the coordinator's two-phase proposal solves on: the region's
-	// sub-network with a view, the whole network without. Nothing holds it
-	// past one candidate, proposal or report.
+	// repair and two-phase admission score mappings on, and the
+	// coordinator's two-phase proposal solves on: the region's sub-network
+	// with a view, the whole network without. Nothing holds it past one
+	// candidate or proposal.
 	scoreSnap *model.Network
 	// view, when non-nil, restricts every solve and score to the region's
 	// sub-network (RegionSnapshot), translating mappings back to global

@@ -21,14 +21,16 @@ import (
 // no capacity there), a link when any consecutive module groups traverse
 // it. This is the incremental-repair frontier: deployments not in the set
 // are provably unaffected by the batch (their placements use no mutated
-// element), so Repair never needs to look at them.
+// element), so Repair never needs to look at them. Each deployment is
+// tested on the path its reservation records (model.Reservation.Touches),
+// which a zero-rate reservation records too.
 func (f *region) Affected(events []model.ChurnEvent) []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	nodes, links := churnTargets(events)
 	var out []string
 	for _, id := range f.order {
-		if placementTouches(f.base, f.deps[id], nodes, links) {
+		if f.deps[id].reservation.Touches(nodes, links) {
 			out = append(out, id)
 		}
 	}
@@ -47,23 +49,6 @@ func churnTargets(events []model.ChurnEvent) (nodes map[model.NodeID]bool, links
 		}
 	}
 	return nodes, links
-}
-
-// placementTouches reports whether d's mapping uses any of the given nodes
-// or links of base.
-func placementTouches(base *model.Network, d *Deployment, nodes map[model.NodeID]bool, links map[int]bool) bool {
-	groups := model.NewMapping(d.Assignment).Groups()
-	for gi, g := range groups {
-		if nodes[g.Node] {
-			return true
-		}
-		if gi+1 < len(groups) && len(links) > 0 {
-			if link, ok := base.LinkBetween(g.Node, groups[gi+1].Node); ok && links[link.ID] {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // requestOf reconstructs the admission request of a live deployment so a

@@ -49,6 +49,9 @@ type Manager interface {
 	Shards() int
 	// ShardStats snapshots the per-region and coordinator gauges.
 	ShardStats() ShardedStats
+	// CoordinatorStats snapshots the coordinator's gauges alone, under its
+	// lock alone.
+	CoordinatorStats() CoordinatorStats
 	// Rebalance runs one rebalance pass.
 	Rebalance(RebalanceOptions) Report
 	// ApplyChurn applies a transactional batch of network-mutation events.
@@ -677,24 +680,38 @@ type ShardedStats struct {
 	Coordinator CoordinatorStats `json:"coordinator"`
 }
 
-// ShardStats snapshots the per-region and coordinator gauges.
+// CoordinatorStats snapshots the coordinator's gauges under the
+// coordinator's lock alone: every coordinator counter moves under that
+// lock, so no shard's traffic waits on the read.
+func (s *ShardedFleet) CoordinatorStats() CoordinatorStats {
+	s.coord.mu.Lock()
+	defer s.coord.mu.Unlock()
+	return s.coordinatorStatsLocked()
+}
+
+// coordinatorStatsLocked reads the coordinator's gauges. Caller holds the
+// coordinator's lock.
+func (s *ShardedFleet) coordinatorStatsLocked() CoordinatorStats {
+	x := s.coord
+	return CoordinatorStats{
+		BoundaryLinks:   len(s.part.Boundary),
+		Deployments:     len(x.deps),
+		Admitted:        x.admitted,
+		Rejected:        x.rejected,
+		Released:        x.released,
+		Fallbacks:       x.fallbacks,
+		TwoPhaseRetries: x.tpcRetries,
+		TwoPhaseAborts:  x.tpcAborts,
+		SolverCalls:     x.solves.Load(),
+	}
+}
+
+// ShardStats snapshots the per-region and coordinator gauges, all under
+// every lock, so the coordinator block and every shard's agree.
 func (s *ShardedFleet) ShardStats() ShardedStats {
 	s.lockAll()
 	defer s.unlockAll()
-	x := s.coord
-	out := ShardedStats{
-		Coordinator: CoordinatorStats{
-			BoundaryLinks:   len(s.part.Boundary),
-			Deployments:     len(x.deps),
-			Admitted:        x.admitted,
-			Rejected:        x.rejected,
-			Released:        x.released,
-			Fallbacks:       x.fallbacks,
-			TwoPhaseRetries: x.tpcRetries,
-			TwoPhaseAborts:  x.tpcAborts,
-			SolverCalls:     x.solves.Load(),
-		},
-	}
+	out := ShardedStats{Coordinator: s.coordinatorStatsLocked()}
 	for r, sh := range s.shards {
 		stat := ShardStat{
 			Shard:       r,

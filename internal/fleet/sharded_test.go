@@ -87,9 +87,8 @@ func regionSLOReport(f *region) SLOReport {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var rep SLOReport
-	snap := f.residual.Snapshot()
 	for _, id := range f.order {
-		rep.add(sloStatusOf(f.residual, snap, f.deps[id], shardLabel(f.idPrefix)))
+		rep.add(sloStatusOf(f.residual, f.deps[id], shardLabel(f.idPrefix)))
 	}
 	return rep
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"math"
 
 	"elpc/internal/model"
@@ -16,11 +15,13 @@ import (
 // /v1/debug/dump, and folds the result into /v1/health and the elpc_slo_*
 // metric families.
 //
-// A report costs one snapshot of the fleet's ledger, then O(path) per
-// deployment: Eq. 1 and Eq. 2 read only the nodes a mapping's groups run on
-// and the links between them, so each deployment is scored on the shared
-// snapshot with just those elements rewritten to exclude its own
-// reservation (model.ResidualNetwork.ScorePath).
+// A report costs O(path) per deployment and nothing per network element:
+// Eq. 1 and Eq. 2 read only the nodes a mapping's groups run on and the
+// links between them, and each deployment's reservation records that path,
+// so the report walks it once, reading each element straight off the
+// fleet's ledger with the deployment's own share set aside
+// (model.ResidualNetwork.ScorePath). It takes no snapshot and allocates
+// only its status slice and the reason of each violating deployment.
 
 // SLOStatus is one deployment's compliance verdict.
 type SLOStatus struct {
@@ -85,14 +86,14 @@ func (r SLOReport) ViolatingTenants() []string {
 	return out
 }
 
-// sloStatusOf scores one deployment on the residual view r through snap, a
-// snapshot of r taken since r last changed: the current mapping is
-// re-evaluated with the deployment's own reservation excluded (the network
-// as this tenant sees it) and judged by the placement guard's host and SLO
-// checks (downHost, shortfall) — the report judges but never reserves — so
-// a compliant verdict means the admission placement still delivers its SLO
-// on the churned network. Caller must serialize access to r and snap.
-func sloStatusOf(r *model.ResidualNetwork, snap *model.Network, d *Deployment, shard string) SLOStatus {
+// sloStatusOf scores one deployment on the residual view r: the path its
+// reservation records is re-evaluated with its own reservation excluded
+// (the network as this tenant sees it) and judged by the placement guard's
+// host and SLO checks (downHost, shortfall) — the report judges but never
+// reserves — so a compliant verdict means the admission placement still
+// delivers its SLO on the churned network. Caller must serialize access to
+// r.
+func sloStatusOf(r *model.ResidualNetwork, d *Deployment, shard string) SLOStatus {
 	st := SLOStatus{
 		ID:          d.ID,
 		Tenant:      d.Tenant,
@@ -104,15 +105,7 @@ func sloStatusOf(r *model.ResidualNetwork, snap *model.Network, d *Deployment, s
 		st.DelayMs = math.Inf(1)
 		return st
 	}
-	// The scorer only reads the mapping, so it may share the assignment.
-	delay, bottleneck, err := r.ScorePath(snap, d.pipe, &model.Mapping{Assign: d.Assignment}, d.cost, d.reservation)
-	if err != nil {
-		// ScorePath refuses only a network that is not a snapshot of r,
-		// which SLOReport's snapshot always is: corrupted state, not a user
-		// error.
-		st.Reason = fmt.Sprintf("unscorable: %v", err)
-		return st
-	}
+	delay, bottleneck := r.ScorePath(d.pipe, d.reservation, d.cost)
 	st.DelayMs = delay
 	st.RateFPS = model.FrameRate(bottleneck)
 	st.Reason = shortfall(st.DelayMs, st.RateFPS, d.SLO, d.ReservedFPS)
@@ -128,11 +121,17 @@ func sloStatusOf(r *model.ResidualNetwork, snap *model.Network, d *Deployment, s
 func (s *ShardedFleet) SLOReport() SLOReport {
 	var rep SLOReport
 	s.composed(func(rn *model.ResidualNetwork) {
-		// Every lock is held, so the coordinator's scoring buffer is free.
-		snap := s.coord.scoringSnapshotLocked()
+		n := 0
 		for _, f := range s.regions {
+			n += len(f.order)
+		}
+		if n > 0 {
+			rep.Statuses = make([]SLOStatus, 0, n)
+		}
+		for _, f := range s.regions {
+			shard := shardLabel(f.idPrefix)
 			for _, id := range f.order {
-				rep.add(sloStatusOf(rn, snap, f.deps[id], shardLabel(f.idPrefix)))
+				rep.add(sloStatusOf(rn, f.deps[id], shard))
 			}
 		}
 	})

@@ -11,15 +11,21 @@ import "fmt"
 // mappings that would overcommit them regardless.
 const MinResidualFraction = 1e-9
 
-// Reservation is the fractional capacity a deployment holds. Under the cost
-// model (Eq. 1–2) a mapping loads only the nodes its module groups run on
-// and the links between consecutive groups, so a reservation holds one
-// share per such node and link — O(path), not O(network) — each the
-// fraction of that element's nominal capacity consumed, in [0, 1]. The zero
-// Reservation holds nothing. MappingReservation builds reservations;
-// ResidualNetwork reads them.
+// Reservation is the fractional capacity a deployment holds, and the path
+// it holds it on. Under the cost model (Eq. 1–2) a mapping loads only the
+// nodes its module groups run on and the links between consecutive groups,
+// so a reservation holds one share per such node and link — O(path), not
+// O(network) — each the fraction of that element's nominal capacity
+// consumed, in [0, 1]. Beside the shares it records the mapping's path, so
+// ScorePath can score the mapping without rebuilding its groups or looking
+// up a link. The zero Reservation holds nothing and records no path.
+// MappingReservation builds reservations; ResidualNetwork reads them, and
+// Touches reads the path.
 type Reservation struct {
 	nodes, links []share
+	// path is the mapping's module groups in order; nil for the zero
+	// Reservation and for a merged one.
+	path []step
 }
 
 // share is the fraction of one node's power or one link's bandwidth a
@@ -27,6 +33,19 @@ type Reservation struct {
 type share struct {
 	id   int
 	frac float64
+}
+
+// step is one module group of a recorded path: modules [first, last] run
+// on node, and unless the group is the last, the group's output crosses
+// link to the next group's node (link is -1 after the last group). nodeAt
+// and linkAt number the path's distinct nodes and links in first-visit
+// order; they index the reservation's node and link shares, which list the
+// same elements in the same order whenever the reservation holds any.
+type step struct {
+	node           int
+	first, last    int
+	link           int
+	nodeAt, linkAt int
 }
 
 // shareOf returns the index of id's share in shares, appending a zero share
@@ -43,45 +62,64 @@ func shareOf(shares []share, id int) ([]share, int) {
 
 // MappingReservation computes the reservation a mapping imposes on net when
 // its pipeline streams at rateFPS frames per second: each held resource's
-// busy time per frame (at nominal capacity) times the frame arrival rate. A
-// non-positive rate yields the zero Reservation. Mappings that reuse a node
-// or link accumulate the utilization of every visit, module by module in
-// visit order.
+// busy time per frame (at nominal capacity) times the frame arrival rate,
+// and the mapping's path. Mappings that reuse a node or link accumulate the
+// utilization of every visit, module by module in visit order. A
+// non-positive rate holds no share but still records the path, so a
+// deployment that reserves nothing is scored on the path it runs. A mapping
+// whose consecutive groups have no link between them is refused.
 func MappingReservation(net *Network, pl *Pipeline, m *Mapping, rateFPS float64) (Reservation, error) {
-	if rateFPS <= 0 {
-		return Reservation{}, nil
-	}
 	framesPerMs := rateFPS / 1000.0
 	groups := m.Groups()
 	// A path holds at most one node per group and one link between groups.
 	res := Reservation{
 		nodes: make([]share, 0, len(groups)),
 		links: make([]share, 0, max(len(groups)-1, 0)),
+		path:  make([]step, len(groups)),
 	}
 	for gi, g := range groups {
+		s := &res.path[gi]
+		*s = step{node: int(g.Node), first: g.First, last: g.Last, link: -1}
 		power := net.Power(g.Node)
-		var i int
-		res.nodes, i = shareOf(res.nodes, int(g.Node))
+		res.nodes, s.nodeAt = shareOf(res.nodes, s.node)
 		for j := g.First; j <= g.Last; j++ {
-			res.nodes[i].frac += pl.ComputeTime(j, power) * framesPerMs
+			res.nodes[s.nodeAt].frac += pl.ComputeTime(j, power) * framesPerMs
 		}
 		if gi+1 < len(groups) {
 			link, ok := net.LinkBetween(g.Node, groups[gi+1].Node)
 			if !ok {
 				return Reservation{}, fmt.Errorf("model: reservation: no link %d->%d", g.Node, groups[gi+1].Node)
 			}
-			res.links, i = shareOf(res.links, link.ID)
-			res.links[i].frac += link.TransferTime(pl.OutBytes(g.Last), false) * framesPerMs
+			s.link = link.ID
+			res.links, s.linkAt = shareOf(res.links, link.ID)
+			res.links[s.linkAt].frac += link.TransferTime(pl.OutBytes(g.Last), false) * framesPerMs
 		}
 	}
+	if rateFPS <= 0 {
+		res.nodes, res.links = nil, nil
+	}
 	return res, nil
+}
+
+// Touches reports whether the path res records runs a module on any of
+// nodes or crosses any of links — a zero-cost module's node included, and
+// whether or not res holds shares. A reservation without a path touches
+// nothing.
+func (res Reservation) Touches(nodes map[NodeID]bool, links map[int]bool) bool {
+	for _, s := range res.path {
+		if nodes[NodeID(s.node)] || (s.link >= 0 && links[s.link]) {
+			return true
+		}
+	}
+	return false
 }
 
 // MergeReservations returns one reservation holding, on every element any
 // of rs holds, the sum of their fractions accumulated in slice order — bit
 // for bit the load SetLoad(rs) puts there. The sharded fleet merges its
 // cross-region reservations into the overlay every shard adds on top of its
-// own load.
+// own load. The merged reservation records no path: it is load, not a
+// deployment, and is never scored.
 func MergeReservations(rs []Reservation) Reservation {
 	var out Reservation
 	nodeAt, linkAt := make(map[int]int), make(map[int]int)
@@ -341,39 +379,67 @@ func (r *ResidualNetwork) SnapshotInto(buf *Network) *Network {
 	return buf
 }
 
-// ScorePath evaluates mapping m of pipeline pl as the holder of exclude sees
-// the network — the residual view with exclude's load set aside — and
-// returns its Eq. 1 delay (TotalDelay under opt) and its shared Eq. 2
-// bottleneck (SharedBottleneck). snap must be a snapshot of r (Snapshot or
-// SnapshotInto) taken since r last changed. ScorePath rewrites in snap only
-// the elements exclude holds — every other element already has its value
-// with nothing excluded — scores m on snap, and writes those elements back.
-// So the scores equal, bit for bit, the scores on a full materialization
-// with exclude subtracted from every load, and on return snap equals
-// Snapshot() again. For a deployment's own reservation the cost is O(path);
-// nothing is allocated in proportion to the network. The caller must
-// serialize use of snap.
-func (r *ResidualNetwork) ScorePath(snap *Network, pl *Pipeline, m *Mapping, opt CostOptions, exclude Reservation) (delayMs, bottleneckMs float64, err error) {
-	if snap == r.base || len(snap.Nodes) != len(r.base.Nodes) ||
-		len(snap.Links) != len(r.base.Links) || snap.topo != r.base.topo {
-		return 0, 0, fmt.Errorf("model: path score: network is not a snapshot of this residual view")
-	}
-	r.setShares(snap, exclude, 1)
-	delayMs = TotalDelay(snap, pl, m, opt)
-	bottleneckMs = SharedBottleneck(snap, pl, m)
-	r.setShares(snap, exclude, 0)
-	return delayMs, bottleneckMs, nil
-}
+// pathScratch is how many per-element busy times ScorePath keeps on the
+// stack: a path of up to pathScratch/2 module groups scores without
+// allocating.
+const pathScratch = 64
 
-// setShares writes into snap the materialized value of every element res
-// holds with scale times res's share of its load set aside: scale 1
-// excludes res, scale 0 restores the snapshot's own value (shares are
-// finite and non-negative, so both products are exact).
-func (r *ResidualNetwork) setShares(snap *Network, res Reservation, scale float64) {
-	for _, s := range res.nodes {
-		snap.Nodes[s.id].Power = r.nodePower(s.id, scale*s.frac)
+// ScorePath evaluates the mapping res records, of pipeline pl, as the holder
+// of res sees the network — the residual view with res's own shares set
+// aside — and returns its Eq. 1 delay (TotalDelay under opt) and its shared
+// Eq. 2 bottleneck (SharedBottleneck). It walks the recorded path once,
+// reading each element straight off the view through the expressions a
+// snapshot materializes (nodePower, linkBandwidth) with the element's share
+// excluded, and adds compute and transfer times in the order TotalDelay and
+// SharedBottleneck add them: module by module, each element's busy time
+// summed over its own visits. So the scores equal, bit for bit, the scores
+// on a full materialization with res subtracted from every load. It takes
+// no snapshot and allocates nothing unless the path has more than
+// pathScratch/2 groups. pl must be the pipeline res was built for; a
+// reservation that records no path scores (0, 0). The caller must serialize
+// access to r.
+func (r *ResidualNetwork) ScorePath(pl *Pipeline, res Reservation, opt CostOptions) (delayMs, bottleneckMs float64) {
+	// Node busy times fill busy[:n] and link busy times busy[n:]: a path of
+	// n groups visits at most n distinct nodes and n-1 distinct links.
+	n := len(res.path)
+	var buf [pathScratch]float64
+	busy := buf[:]
+	if 2*n > len(busy) {
+		busy = make([]float64, 2*n)
 	}
-	for _, s := range res.links {
-		snap.Links[s.id].BWMbps = r.linkBandwidth(s.id, scale*s.frac)
+	for _, s := range res.path {
+		excluded := 0.0
+		if s.nodeAt < len(res.nodes) {
+			excluded = res.nodes[s.nodeAt].frac
+		}
+		power := r.nodePower(s.node, excluded)
+		for j := s.first; j <= s.last; j++ {
+			t := pl.ComputeTime(j, power)
+			delayMs += t
+			busy[s.nodeAt] += t
+		}
+		if s.link < 0 {
+			continue
+		}
+		excluded = 0
+		if s.linkAt < len(res.links) {
+			excluded = res.links[s.linkAt].frac
+		}
+		link := r.base.Links[s.link]
+		link.BWMbps = r.linkBandwidth(s.link, excluded)
+		// Eq. 2 occupies the link for the bandwidth term alone; Eq. 1
+		// adds the MLD to it as TransferTime(bytes, true) does.
+		t := link.TransferTime(pl.OutBytes(s.last), false)
+		busy[n+s.linkAt] += t
+		if opt.IncludeMLDInDelay {
+			t += link.MLDms
+		}
+		delayMs += t
 	}
+	for _, t := range busy[:max(2*n-1, 0)] {
+		if t > bottleneckMs {
+			bottleneckMs = t
+		}
+	}
+	return delayMs, bottleneckMs
 }

@@ -179,27 +179,16 @@ func TestResidualSetLoadExactRestore(t *testing.T) {
 
 // referenceSnapshotExcluding is the full materialization path scoring
 // replaced, kept as ScorePath's reference: every node and link of the view,
-// with exclude's load subtracted first when it is non-nil.
-func referenceSnapshotExcluding(r *ResidualNetwork, exclude *Reservation) *Network {
-	var ex denseReservation
-	if exclude != nil {
-		ex = exclude.dense(r.base)
-	}
+// with exclude's load subtracted first.
+func referenceSnapshotExcluding(r *ResidualNetwork, exclude Reservation) *Network {
+	ex := exclude.dense(r.base)
 	nodes := append([]Node(nil), r.base.Nodes...)
 	for i := range nodes {
-		load := r.nodeLoad[i]
-		if exclude != nil {
-			load -= ex.node[i]
-		}
-		nodes[i].Power = r.base.Nodes[i].Power * residualFraction(r.nodeCap[i], load)
+		nodes[i].Power = r.base.Nodes[i].Power * residualFraction(r.nodeCap[i], r.nodeLoad[i]-ex.node[i])
 	}
 	links := append([]Link(nil), r.base.Links...)
 	for i := range links {
-		load := r.linkLoad[i]
-		if exclude != nil {
-			load -= ex.link[i]
-		}
-		links[i].BWMbps = r.base.Links[i].BWMbps * residualFraction(r.linkCap[i], load)
+		links[i].BWMbps = r.base.Links[i].BWMbps * residualFraction(r.linkCap[i], r.linkLoad[i]-ex.link[i])
 	}
 	return sharedTopoNetwork(nodes, links, r.base.topo)
 }
@@ -267,58 +256,132 @@ func randomChurn(rng *rand.Rand, net *Network) []ChurnEvent {
 	return evs
 }
 
+// scoredPath is one reservation TestScorePathMatchesFullMaterialization
+// scores: the pipeline and mapping it was built for, and the reservation.
+type scoredPath struct {
+	pl  *Pipeline
+	m   *Mapping
+	res Reservation
+}
+
+// longPath draws a pipeline with more module groups than ScorePath keeps
+// busy times for on the stack, walked around net's ring one node per
+// module, so every module is its own group and the walk revisits every
+// node and ring link.
+func longPath(rng *rand.Rand, net *Network) (*Pipeline, *Mapping) {
+	n := pathScratch/2 + 1 + rng.IntN(8)
+	mods := make([]Module, n)
+	prev := 1e3 + rng.Float64()*1e6
+	mods[0] = Module{ID: 0, OutBytes: prev}
+	for j := 1; j < n; j++ {
+		out := 0.0
+		if j < n-1 {
+			out = 1e3 + rng.Float64()*1e6
+		}
+		mods[j] = Module{ID: j, Complexity: 1 + rng.Float64()*100, InBytes: prev, OutBytes: out}
+		prev = out
+	}
+	pl, err := NewPipeline(mods)
+	if err != nil {
+		panic(err)
+	}
+	assign := make([]NodeID, n)
+	cur := rng.IntN(net.N())
+	for j := range assign {
+		assign[j] = NodeID(cur)
+		cur = (cur + 1) % net.N()
+	}
+	return pl, NewMapping(assign)
+}
+
+// randomScoredPath draws a path mapping — randomPath's walks, or a long
+// one now and then — and reserves it with MappingReservation at a rate
+// that puts its busiest element at a random fraction of nominal capacity
+// up to peak, or at rate zero one time in six.
+func randomScoredPath(t *testing.T, rng *rand.Rand, net *Network, peak float64) scoredPath {
+	t.Helper()
+	pl, m := randomPath(rng, net)
+	if rng.IntN(10) == 0 {
+		pl, m = longPath(rng, net)
+	}
+	unit, err := MappingReservation(net, pl, m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	busiest := 0.0
+	for _, s := range unit.nodes {
+		busiest = math.Max(busiest, s.frac)
+	}
+	for _, s := range unit.links {
+		busiest = math.Max(busiest, s.frac)
+	}
+	rate := 0.0
+	if busiest > 0 && rng.IntN(6) != 0 {
+		rate = peak * rng.Float64() / busiest
+	}
+	res, err := MappingReservation(net, pl, m, rate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scoredPath{pl: pl, m: m, res: res}
+}
+
 // TestScorePathMatchesFullMaterialization is ScorePath's property test:
-// over random networks, loads, churned capacity factors, and mappings —
-// node-reusing walks and arbitrary assignments with missing links among
-// them — scoring through one shared snapshot must equal, bit for bit,
-// scoring on a full materialization with the reservation excluded, for
-// several reservations in turn, and must leave the snapshot equal to
-// Snapshot() bit for bit. The coverage tally fails the test if a regime the
-// per-element expression distinguishes never reached a scored path.
+// over random networks, loads, churned capacity factors, and path mappings
+// (node- and link-reusing walks, zero-cost modules and transfers, paths
+// longer than ScorePath's stack scratch), scoring the path a
+// MappingReservation records must equal, bit for bit, scoring its mapping
+// on a full materialization with that reservation excluded. Each seed
+// scores reservations the view's load holds and reservations it does not
+// (so an exclusion can exceed the load it is taken from), some at rate
+// zero, which hold nothing but still record their path. The coverage tally
+// fails the test if a regime the per-element expression distinguishes
+// never reached a scored path.
 func TestScorePathMatchesFullMaterialization(t *testing.T) {
 	cover := map[string]int{}
 	for seed := uint64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 41))
-		net, pl, m := randomValidInstance(rng)
-		if rng.IntN(5) == 0 {
-			for j := range m.Assign {
-				m.Assign[j] = NodeID(rng.IntN(net.N()))
-			}
+		net, _, _ := randomValidInstance(rng)
+		var held, free []scoredPath
+		for n := 1 + rng.IntN(4); n > 0; n-- {
+			held = append(held, randomScoredPath(t, rng, net, 0.5))
+		}
+		for n := 1 + rng.IntN(2); n > 0; n-- {
+			free = append(free, randomScoredPath(t, rng, net, 1.5))
 		}
 		r := NewResidualNetwork(net)
-		held := []Reservation{
-			randomReservation(rng, net, 0.5),
-			randomReservation(rng, net, 0.5),
-			randomReservation(rng, net, 0.5),
+		var load []Reservation
+		for _, sp := range held {
+			load = append(load, sp.res)
 		}
-		r.SetLoad(held)
+		r.SetLoad(load)
 		if err := r.ApplyChurn(randomChurn(rng, net)); err != nil {
 			t.Fatalf("seed %d: churn: %v", seed, err)
 		}
-		if m.UsesReuse() {
-			cover["node reuse"]++
+		if merged := MergeReservations(load); merged.path != nil {
+			t.Fatalf("seed %d: a merged reservation records a path", seed)
 		}
 
-		snap := r.Snapshot()
-		// The held reservations, then one the load does not carry, so the
-		// exclusion exceeds the recorded load.
-		for i, ex := range append(held, randomReservation(rng, net, 1.5)) {
+		for i, sp := range append(held, free...) {
 			opt := CostOptions{IncludeMLDInDelay: rng.IntN(2) == 0}
-			delay, bott, err := r.ScorePath(snap, pl, m, opt, ex)
-			if err != nil {
-				t.Fatalf("seed %d reservation %d: %v", seed, i, err)
+			delay, bott := r.ScorePath(sp.pl, sp.res, opt)
+			ref := referenceSnapshotExcluding(r, sp.res)
+			if want := TotalDelay(ref, sp.pl, sp.m, opt); math.Float64bits(delay) != math.Float64bits(want) {
+				t.Fatalf("seed %d reservation %d %v: delay %v, full materialization %v", seed, i, sp.m, delay, want)
 			}
-			ref := referenceSnapshotExcluding(r, &ex)
-			if want := TotalDelay(ref, pl, m, opt); math.Float64bits(delay) != math.Float64bits(want) {
-				t.Fatalf("seed %d reservation %d %v: delay %v, full materialization %v", seed, i, m, delay, want)
-			}
-			if want := SharedBottleneck(ref, pl, m); math.Float64bits(bott) != math.Float64bits(want) {
-				t.Fatalf("seed %d reservation %d %v: bottleneck %v, full materialization %v", seed, i, m, bott, want)
-			}
-			if d := networkBitsDiff(snap, r.Snapshot()); d != "" {
-				t.Fatalf("seed %d reservation %d: snapshot not restored: %s", seed, i, d)
+			if want := SharedBottleneck(ref, sp.pl, sp.m); math.Float64bits(bott) != math.Float64bits(want) {
+				t.Fatalf("seed %d reservation %d %v: bottleneck %v, full materialization %v", seed, i, sp.m, bott, want)
 			}
 
+			if sp.m.UsesReuse() {
+				cover["node reuse"]++
+			}
+			if len(sp.res.nodes)+len(sp.res.links) == 0 {
+				cover["zero rate"]++
+			}
+			if 2*len(sp.res.path) > pathScratch {
+				cover["path beyond the stack scratch"]++
+			}
 			regime := func(capFactor, load, excluded float64) {
 				switch f := capFactor - (load - excluded); {
 				case f < MinResidualFraction:
@@ -333,54 +396,25 @@ func TestScorePathMatchesFullMaterialization(t *testing.T) {
 					cover["exclusion above load"]++
 				}
 			}
-			exd := ex.dense(net)
-			groups := m.Groups()
+			exd := sp.res.dense(net)
+			groups := sp.m.Groups()
 			for gi, g := range groups {
 				if r.NodeIsDown(g.Node) {
 					cover["down node"]++
 				}
 				regime(r.nodeCap[g.Node], r.nodeLoad[g.Node], exd.node[g.Node])
-				if gi+1 == len(groups) {
-					break
-				}
-				if l, ok := net.LinkBetween(g.Node, groups[gi+1].Node); ok {
+				if gi+1 < len(groups) {
+					l, _ := net.LinkBetween(g.Node, groups[gi+1].Node)
 					regime(r.linkCap[l.ID], r.linkLoad[l.ID], exd.link[l.ID])
-				} else {
-					cover["missing link"]++
 				}
 			}
 		}
 	}
-	for _, regime := range []string{"node reuse", "down node", "over capacity", "residual floor",
-		"exclusion above load", "residual clamped at 1", "missing link"} {
+	for _, regime := range []string{"node reuse", "zero rate", "path beyond the stack scratch", "down node",
+		"over capacity", "residual floor", "exclusion above load", "residual clamped at 1"} {
 		if cover[regime] == 0 {
 			t.Errorf("no scored path covered %q (coverage %v)", regime, cover)
 		}
 	}
 	t.Logf("coverage: %v", cover)
-}
-
-// TestScorePathRejectsMismatches checks ScorePath refuses any network that
-// is not a snapshot of the view — the base network above all, which a
-// rewrite would corrupt — and leaves the snapshot untouched when it refuses.
-func TestScorePathRejectsMismatches(t *testing.T) {
-	net := residualTestNet(t)
-	pl := residualTestPipe(t)
-	m := NewMapping([]NodeID{0, 1, 2})
-	r := NewResidualNetwork(net)
-	ok := reservationOf(denseReservation{node: []float64{0.1, 0.2, 0.3}, link: []float64{0.1, 0.2}})
-	r.SetLoad([]Reservation{ok})
-	snap := r.Snapshot()
-	if _, _, err := r.ScorePath(net, pl, m, DefaultCostOptions(), ok); err == nil {
-		t.Error("ScorePath accepted the base network as a snapshot")
-	}
-	if _, _, err := r.ScorePath(net.Clone(), pl, m, DefaultCostOptions(), ok); err == nil {
-		t.Error("ScorePath accepted a network with its own topology")
-	}
-	if d := networkBitsDiff(snap, r.Snapshot()); d != "" {
-		t.Errorf("refused score changed the snapshot: %s", d)
-	}
-	if net.Power(0) != 1000 || net.Links[0].BWMbps != 80 {
-		t.Error("refused score mutated the base network")
-	}
 }

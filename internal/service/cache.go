@@ -69,6 +69,17 @@ func (s *lruShard) get(k cacheKey) (*solution, bool) {
 	return el.Value.(*lruEntry).sol, true
 }
 
+// peek is get without counting a hit or a miss or refreshing k's recency.
+func (s *lruShard) peek(k cacheKey) (*solution, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.items[k]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*lruEntry).sol, true
+}
+
 func (s *lruShard) put(k cacheKey, sol *solution) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -175,6 +186,16 @@ func (c *cache) get(k cacheKey) (*solution, bool) {
 		return nil, false
 	}
 	return c.shardFor(k).get(k)
+}
+
+// peek is get without counting a hit, a miss or a disabled lookup: the
+// solver's second look, under its flight lock, for a solution a flight
+// cached after the request's counted lookup missed.
+func (c *cache) peek(k cacheKey) (*solution, bool) {
+	if len(c.shards) == 0 {
+		return nil, false
+	}
+	return c.shardFor(k).peek(k)
 }
 
 func (c *cache) put(k cacheKey, sol *solution) {

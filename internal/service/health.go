@@ -190,17 +190,14 @@ type sloSummaryWire struct {
 	Burn10m float64 `json:"burn_10m"`
 }
 
-// twoPhaseAbortRate computes the coordinator abort fraction from sharded
-// stats (0 for unsharded fleets and idle coordinators).
-func twoPhaseAbortRate(st *fleet.ShardedStats) float64 {
-	if st == nil {
-		return 0
-	}
-	attempts := st.Coordinator.Admitted + st.Coordinator.Rejected
+// twoPhaseAbortRate computes the coordinator abort fraction from its
+// counters (0 for an idle coordinator, which a one-shard fleet's always is).
+func twoPhaseAbortRate(st fleet.CoordinatorStats) float64 {
+	attempts := st.Admitted + st.Rejected
 	if attempts == 0 {
 		return 0
 	}
-	return float64(st.Coordinator.TwoPhaseAborts) / float64(attempts)
+	return float64(st.TwoPhaseAborts) / float64(attempts)
 }
 
 // handleHealth evaluates fleet health live and reports the verdict:
@@ -218,9 +215,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	if st := s.churnStats(); st != nil {
 		out.Parked = st.ParkedNow
 	}
-	out.TwoPhaseAbortRate = twoPhaseAbortRate(s.fleetShardStats())
-
-	configured := s.fleet.withFleet(func(fleet.Manager) error { return nil }) == nil
+	configured := s.fleet.withFleet(func(f fleet.Manager) error {
+		out.TwoPhaseAbortRate = twoPhaseAbortRate(f.CoordinatorStats())
+		return nil
+	}) == nil
 	if configured {
 		out.SLO = &sloSummaryWire{
 			Evaluated:        rep.Evaluated,

@@ -227,6 +227,15 @@ func (s *Solver) Solve(ctx context.Context, req Request) (*Result, error) {
 				return nil, fmt.Errorf("service: solve %s: %w", req.Op, ctx.Err())
 			}
 		}
+		// A leader caches its solution before it retires its flight, so a
+		// flight that finished since the lookup above left its solution in
+		// the cache: serve it as that flight's follower instead of solving
+		// again.
+		if sol, ok := s.cache.peek(key); ok {
+			s.flightMu.Unlock()
+			s.coalesced.Add(1)
+			return sol.result(req.Op, hash, true, 0), nil
+		}
 		f = &flight{done: make(chan struct{})}
 		s.flights[key] = f
 		s.flightMu.Unlock()
