@@ -52,7 +52,11 @@ func MaxFrameRateWithBudget(p *model.Problem, opt TradeoffOptions) (*model.Mappi
 //
 // Cells retain Pareto-nondominated (bottleneck, delay) pairs, capped at
 // Beam entries (kept in ascending bottleneck order), so the algorithm is a
-// heuristic like the paper's single-criterion DP.
+// heuristic like the paper's single-criterion DP. The candidate loop skips
+// the in-edges and parent entries whose every candidate the budget or the
+// cell would refuse, by the label-dominance bounds of multicriteria
+// label-setting (Martins 1984). The skips are exact: every cell ends with
+// the entries, in the order, that evaluating every candidate leaves.
 func (sc *SolveContext) MaxFrameRateWithBudget(p *model.Problem, opt TradeoffOptions) (*model.Mapping, error) {
 	t0 := time.Now()
 	defer tradeoffSeconds.ObserveSince(t0)
@@ -90,6 +94,7 @@ func (sc *SolveContext) MaxFrameRateWithBudget(p *model.Problem, opt TradeoffOpt
 	for j := 1; j < n; j++ {
 		inBytes := p.Pipe.Modules[j].InBytes
 		remaining := n - 1 - j
+		prev := cells[j-1]
 		for v := 0; v < k; v++ {
 			if toDst[v] == graph.Unreachable || toDst[v] > remaining {
 				continue
@@ -100,11 +105,38 @@ func (sc *SolveContext) MaxFrameRateWithBudget(p *model.Problem, opt TradeoffOpt
 			compute := p.Pipe.ComputeTime(j, p.Net.Power(model.NodeID(v)))
 			entries := cells[j][v]
 			for _, eid := range topo.InEdges(v) {
+				// No candidate's bottleneck is below compute, and a full
+				// cell refuses every bottleneck above its last one.
+				if len(entries) == beam && compute > entries[beam-1].val {
+					break
+				}
 				u := topo.Edge(int(eid)).From
-				link := p.Net.Links[eid]
-				transferBusy := link.TransferTime(inBytes, false)
-				transferDelay := link.TransferTime(inBytes, p.Cost.IncludeMLDInDelay)
-				for idx, pe := range cells[j-1][u] {
+				pes := prev[u]
+				if len(pes) == 0 {
+					continue
+				}
+				link := &p.Net.Links[eid]
+				busy := inBytes / link.BytesPerMs()
+				transferDelay := busy
+				if p.Cost.IncludeMLDInDelay {
+					transferDelay += link.MLDms
+				}
+				// The edge's corner pairs the least bottleneck of its parents
+				// (the first) with the least delay (the last), summed as a
+				// candidate's delay is: every candidate is no better in
+				// either, so when the budget or the cell refuses the corner
+				// it refuses them all.
+				cornerDelay := pes[len(pes)-1].delay + compute + transferDelay
+				if cornerDelay > budget || refuses(entries, bottleneck(pes[0].val, compute, busy), cornerDelay, beam) {
+					continue
+				}
+				for idx := range pes {
+					pe := &pes[idx]
+					// Parents ascend by bottleneck: once a full cell refuses
+					// this one's, it refuses every later one's.
+					if len(entries) == beam && pe.val > entries[beam-1].val {
+						break
+					}
 					if pe.used.Has(v) {
 						continue
 					}
@@ -112,21 +144,14 @@ func (sc *SolveContext) MaxFrameRateWithBudget(p *model.Problem, opt TradeoffOpt
 					if delay > budget {
 						continue
 					}
-					val := pe.val
-					if compute > val {
-						val = compute
-					}
-					if transferBusy > val {
-						val = transferBusy
-					}
 					entries = insertPareto(entries, tradeEntry{
-						val: val, delay: delay, parent: int32(u), parentIdx: int16(idx),
+						val: bottleneck(pe.val, compute, busy), delay: delay, parent: int32(u), parentIdx: int16(idx),
 					}, beam)
 				}
 			}
 			for i := range entries {
 				e := &entries[i]
-				e.used = sc.cloneBitset(cells[j-1][e.parent][e.parentIdx].used)
+				e.used = sc.cloneBitset(prev[e.parent][e.parentIdx].used)
 				e.used.Set(v)
 			}
 			cells[j][v] = entries
@@ -152,36 +177,88 @@ func (sc *SolveContext) MaxFrameRateWithBudget(p *model.Problem, opt TradeoffOpt
 	return model.NewMapping(assign), nil
 }
 
-// insertPareto inserts e keeping only (val, delay)-nondominated entries in
-// ascending val order, capped at beam. Dominance is strict (better in one
-// criterion, no worse in the other): entries with identical costs are kept
-// as separate candidates because they may consume different node sets, and
-// that path diversity is what protects the DP from dead ends. The list may
-// momentarily hold beam+1 entries before truncation, which slab-backed
-// cells size for so the append never reallocates.
-func insertPareto(list []tradeEntry, e tradeEntry, beam int) []tradeEntry {
-	dominates := func(a, b tradeEntry) bool {
-		return (a.val < b.val && a.delay <= b.delay) || (a.val <= b.val && a.delay < b.delay)
+// bottleneck is a candidate's Eq. 2 period: the largest of its parent's,
+// its module's compute time and its hop's transfer time.
+func bottleneck(parent, compute, busy float64) float64 {
+	val := parent
+	if compute > val {
+		val = compute
 	}
-	for _, x := range list {
-		if dominates(x, e) {
-			return list
-		}
+	if busy > val {
+		val = busy
 	}
-	// Remove entries strictly dominated by e.
-	out := list[:0]
-	for _, x := range list {
-		if !dominates(e, x) {
-			out = append(out, x)
-		}
-	}
-	list = out
-	pos := len(list)
-	for i, x := range list {
-		if e.val < x.val {
+	return val
+}
+
+// A cell's list holds only (val, delay)-nondominated entries in ascending
+// val order. Dominance is strict (better in one criterion, no worse in the
+// other): entries with identical costs are kept as separate candidates
+// because they may consume different node sets, and that path diversity is
+// what protects the DP from dead ends. So delays descend along the list,
+// strictly between distinct vals, and entries with equal vals hold equal
+// delays. The functions below lean on that invariant; none of it holds for
+// a NaN cost, which no problem of finite non-negative inputs produces.
+
+// paretoPos returns where a candidate (val, delay) goes in list, after
+// every entry whose val is no greater, and whether an entry dominates it.
+// The entry just before pos has the least delay among the entries that
+// could, so it alone is tested.
+func paretoPos(list []tradeEntry, val, delay float64) (pos int, dominated bool) {
+	pos = len(list)
+	for i := range list {
+		if val < list[i].val {
 			pos = i
 			break
 		}
+	}
+	if pos > 0 {
+		y := &list[pos-1]
+		dominated = y.delay < delay || (y.val < val && y.delay <= delay)
+	}
+	return pos, dominated
+}
+
+// refuses reports whether insertPareto would leave list as it is for a
+// candidate (val, delay): it is dominated, or it goes past the end of a
+// full list without dominating the last entry. Both are upward closed, so
+// list refuses every candidate no better in either criterion too.
+func refuses(list []tradeEntry, val, delay float64, beam int) bool {
+	pos, dominated := paretoPos(list, val, delay)
+	if dominated {
+		return true
+	}
+	if pos < beam {
+		return false
+	}
+	last := &list[pos-1]
+	return val > last.val || delay >= last.delay
+}
+
+// insertPareto inserts e into list, dropping the entries e dominates, and
+// caps the list at beam. The dominated entries are contiguous: the equal-val
+// entries just before e's position when e has less delay, and the entries
+// from that position on whose delay is no less than e's. The list may
+// momentarily hold beam+1 entries before truncation, which slab-backed
+// cells size for so the append never reallocates.
+func insertPareto(list []tradeEntry, e tradeEntry, beam int) []tradeEntry {
+	pos, dominated := paretoPos(list, e.val, e.delay)
+	if dominated {
+		return list
+	}
+	lo := pos
+	for lo > 0 && list[lo-1].val == e.val && e.delay < list[lo-1].delay {
+		lo--
+	}
+	hi := pos
+	for hi < len(list) && e.delay <= list[hi].delay {
+		hi++
+	}
+	if lo < hi {
+		list[lo] = e
+		return list[:lo+1+copy(list[lo+1:], list[hi:])]
+	}
+	if pos == beam {
+		return list // past the end of a full list
 	}
 	list = append(list, tradeEntry{})
 	copy(list[pos+1:], list[pos:])

@@ -11,9 +11,9 @@ import (
 	"elpc/internal/model"
 )
 
-// benchFrontCase indexes Suite20: case 11 (35 modules, 90 nodes, 3200
-// links) makes each budget point a substantial bicriteria DP, so the sweep
-// parallelizes with little overhead.
+// benchFrontCase indexes Suite20: index 11 is case 12 (35 modules, 90
+// nodes, 3200 links), which makes each budget point a substantial
+// bicriteria DP, so the sweep parallelizes with little overhead.
 const benchFrontCase = 11
 
 // benchFrontPoints matches the service's default sweep resolution.

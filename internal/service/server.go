@@ -32,6 +32,12 @@ const (
 	MaxRequestBytes = 32 << 20
 	// MaxBatchRequests bounds the number of problems in one /v1/batch call.
 	MaxBatchRequests = 256
+	// MaxFrontPoints bounds a request's "points": a front solves one
+	// budgeted DP per point, plus one.
+	MaxFrontPoints = 256
+	// MaxSimFrames bounds a request's "frames": the simulator keeps one
+	// completion time per frame.
+	MaxSimFrames = 100000
 )
 
 // wireRequest is the JSON body shared by every planning endpoint: the
@@ -63,6 +69,12 @@ type wireRequest struct {
 func (w *wireRequest) request(op Op) (Request, error) {
 	if w.Network == nil || w.Pipeline == nil {
 		return Request{}, fmt.Errorf("request missing network or pipeline")
+	}
+	if w.Points > MaxFrontPoints {
+		return Request{}, fmt.Errorf("points %d exceeds limit %d", w.Points, MaxFrontPoints)
+	}
+	if w.Frames > MaxSimFrames {
+		return Request{}, fmt.Errorf("frames %d exceeds limit %d", w.Frames, MaxSimFrames)
 	}
 	cost := model.DefaultCostOptions()
 	if w.Cost != nil {

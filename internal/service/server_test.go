@@ -13,6 +13,7 @@ import (
 
 	"elpc/internal/core"
 	"elpc/internal/model"
+	"elpc/internal/service/wire"
 	"elpc/internal/sim"
 )
 
@@ -202,6 +203,58 @@ func TestServerBatchLimit(t *testing.T) {
 	resp := postJSON(t, ts.URL+"/v1/batch", batchWire{Requests: reqs}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversized batch: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestServerPointsAndFramesLimits holds "points" to MaxFrontPoints and
+// "frames" to MaxSimFrames: /v1/front and /v1/simulate answer a request at
+// the limit and refuse one past it with the 400 envelope, and a /v1/batch
+// item past the limit fails alone.
+func TestServerPointsAndFramesLimits(t *testing.T) {
+	p := buildSuiteProblem(t, 0)
+	_, ts := newTestServer(t, Options{})
+	refused := func(path string, body wireRequest, want string) {
+		t.Helper()
+		var env wire.ErrorEnvelope
+		resp := postJSON(t, ts.URL+path, body, &env)
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != wire.CodeInvalidRequest ||
+			env.Error.Message != want {
+			t.Errorf("%s: status %d, error %+v, want 400 %q", path, resp.StatusCode, env.Error, want)
+		}
+	}
+
+	front := wireFor(p)
+	front.Points = MaxFrontPoints
+	var res Result
+	if resp := postJSON(t, ts.URL+"/v1/front", front, &res); resp.StatusCode != http.StatusOK || len(res.Front) == 0 {
+		t.Errorf("/v1/front at the limit: status %d, %d points", resp.StatusCode, len(res.Front))
+	}
+	front.Points++
+	refused("/v1/front", front, fmt.Sprintf("points %d exceeds limit %d", MaxFrontPoints+1, MaxFrontPoints))
+
+	replay := wireFor(p)
+	replay.Frames = MaxSimFrames
+	var sr simResponse
+	if resp := postJSON(t, ts.URL+"/v1/simulate", replay, &sr); resp.StatusCode != http.StatusOK || sr.Frames != MaxSimFrames {
+		t.Errorf("/v1/simulate at the limit: status %d, %d frames", resp.StatusCode, sr.Frames)
+	}
+	replay.Frames++
+	refused("/v1/simulate", replay, fmt.Sprintf("frames %d exceeds limit %d", MaxSimFrames+1, MaxSimFrames))
+
+	at, past := wireFor(p), wireFor(p)
+	at.Op, past.Op = OpFront, OpFront
+	at.Points, past.Points = MaxFrontPoints, MaxFrontPoints+1
+	var out struct {
+		Results []batchItemWire `json:"results"`
+	}
+	if resp := postJSON(t, ts.URL+"/v1/batch", batchWire{Requests: []wireRequest{at, past}}, &out); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/batch: status %d", resp.StatusCode)
+	}
+	if len(out.Results) != 2 || out.Results[0].Result == nil || out.Results[0].Error != "" {
+		t.Fatalf("/v1/batch item at the limit: %+v", out.Results)
+	}
+	if want := fmt.Sprintf("points %d exceeds limit %d", MaxFrontPoints+1, MaxFrontPoints); out.Results[1].Result != nil || out.Results[1].Error != want {
+		t.Errorf("/v1/batch item past the limit: %+v, want error %q", out.Results[1], want)
 	}
 }
 
