@@ -105,11 +105,6 @@ func (sc *SolveContext) MaxFrameRateWithBudget(p *model.Problem, opt TradeoffOpt
 			compute := p.Pipe.ComputeTime(j, p.Net.Power(model.NodeID(v)))
 			entries := cells[j][v]
 			for _, eid := range topo.InEdges(v) {
-				// No candidate's bottleneck is below compute, and a full
-				// cell refuses every bottleneck above its last one.
-				if len(entries) == beam && compute > entries[beam-1].val {
-					break
-				}
 				u := topo.Edge(int(eid)).From
 				pes := prev[u]
 				if len(pes) == 0 {

@@ -139,6 +139,68 @@ func TestNewPipelineValidation(t *testing.T) {
 	}
 }
 
+// nonFinite are the values no model field may hold. -Inf already fails the
+// sign checks; NaN and +Inf pass every comparison those make.
+var nonFinite = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+
+// checkNonFiniteErr fails unless err names the element, and, for NaN and
+// +Inf, the field as non-finite.
+func checkNonFiniteErr(t *testing.T, err error, element, field string, x float64) {
+	t.Helper()
+	if err == nil {
+		t.Errorf("%s %s = %v: accepted", element, field, x)
+		return
+	}
+	if !strings.Contains(err.Error(), element+" ") ||
+		(!math.IsInf(x, -1) && !strings.Contains(err.Error(), "non-finite "+field)) {
+		t.Errorf("%s %s = %v: error %q does not name it", element, field, x, err)
+	}
+}
+
+func TestNewNetworkRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		element, field string
+		set            func(n []Node, l []Link, x float64)
+	}{
+		{"node 1", "power", func(n []Node, _ []Link, x float64) { n[1].Power = x }},
+		{"link 2", "bandwidth", func(_ []Node, l []Link, x float64) { l[2].BWMbps = x }},
+		{"link 2", "MLD", func(_ []Node, l []Link, x float64) { l[2].MLDms = x }},
+	}
+	base := fixtureNetwork(t)
+	for _, f := range fields {
+		for _, x := range nonFinite {
+			nodes := append([]Node(nil), base.Nodes...)
+			links := append([]Link(nil), base.Links...)
+			f.set(nodes, links, x)
+			_, err := NewNetwork(nodes, links)
+			checkNonFiniteErr(t, err, f.element, f.field, x)
+		}
+	}
+}
+
+func TestNewPipelineRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		element, field string
+		set            func(m []Module, x float64)
+	}{
+		{"module 1", "complexity", func(m []Module, x float64) { m[1].Complexity = x }},
+		{"module 2", "complexity", func(m []Module, x float64) { m[2].Complexity = x }},
+		{"module 0", "input size", func(m []Module, x float64) { m[0].InBytes = x }},
+		// A chain edge keeps the flow consistent, so only the value is wrong.
+		{"module 0", "output size", func(m []Module, x float64) { m[0].OutBytes, m[1].InBytes = x, x }},
+		{"module 2", "output size", func(m []Module, x float64) { m[2].OutBytes = x }},
+	}
+	base := fixturePipeline(t)
+	for _, f := range fields {
+		for _, x := range nonFinite {
+			modules := append([]Module(nil), base.Modules...)
+			f.set(modules, x)
+			_, err := NewPipeline(modules)
+			checkNonFiniteErr(t, err, f.element, f.field, x)
+		}
+	}
+}
+
 func TestPipelineCostHelpers(t *testing.T) {
 	p := fixturePipeline(t)
 	if p.N() != 3 {

@@ -19,6 +19,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 
 	"elpc/internal/graph"
 )
@@ -74,9 +75,10 @@ type Network struct {
 }
 
 // NewNetwork validates the node and link sets and builds the topology index.
-// Nodes must be densely numbered (Nodes[i].ID == i) with positive power;
-// links must reference valid distinct endpoints, be unique per direction, be
-// densely numbered, and have positive bandwidth and non-negative MLD.
+// Nodes must be densely numbered (Nodes[i].ID == i) with finite positive
+// power; links must reference valid distinct endpoints, be unique per
+// direction, be densely numbered, and have finite positive bandwidth and
+// finite non-negative MLD.
 func NewNetwork(nodes []Node, links []Link) (*Network, error) {
 	for i, n := range nodes {
 		if int(n.ID) != i {
@@ -84,6 +86,9 @@ func NewNetwork(nodes []Node, links []Link) (*Network, error) {
 		}
 		if n.Power <= 0 {
 			return nil, fmt.Errorf("model: node %d has non-positive power %v", i, n.Power)
+		}
+		if !finite(n.Power) {
+			return nil, fmt.Errorf("model: node %d has non-finite power %v", i, n.Power)
 		}
 	}
 	topo := graph.NewFor(len(nodes), len(links), func(i int) (int, int) {
@@ -96,8 +101,14 @@ func NewNetwork(nodes []Node, links []Link) (*Network, error) {
 		if l.BWMbps <= 0 {
 			return nil, fmt.Errorf("model: link %d has non-positive bandwidth %v", i, l.BWMbps)
 		}
+		if !finite(l.BWMbps) {
+			return nil, fmt.Errorf("model: link %d has non-finite bandwidth %v", i, l.BWMbps)
+		}
 		if l.MLDms < 0 {
 			return nil, fmt.Errorf("model: link %d has negative MLD %v", i, l.MLDms)
+		}
+		if !finite(l.MLDms) {
+			return nil, fmt.Errorf("model: link %d has non-finite MLD %v", i, l.MLDms)
 		}
 		if _, err := topo.AddEdge(int(l.From), int(l.To)); err != nil {
 			return nil, fmt.Errorf("model: link %d: %w", i, err)
@@ -105,6 +116,10 @@ func NewNetwork(nodes []Node, links []Link) (*Network, error) {
 	}
 	return &Network{Nodes: nodes, Links: links, topo: topo}, nil
 }
+
+// finite reports whether x is neither NaN nor infinite: the comparisons
+// that bound a model value are all false for NaN.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // sharedTopoNetwork builds a Network over a pre-validated node/link set,
 // reusing an existing topology index instead of rebuilding it edge by edge.

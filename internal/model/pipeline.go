@@ -22,9 +22,9 @@ type Pipeline struct {
 
 // NewPipeline validates the module chain: at least two modules (source and
 // sink — the paper notes a two-module pipeline reduces to client/server),
-// dense IDs, non-negative complexities and sizes, a zero-complexity source
-// module, and consistent data flow (module j's InBytes equals module j-1's
-// OutBytes).
+// dense IDs, finite non-negative complexities and sizes, a zero-complexity
+// source module, and consistent data flow (module j's InBytes equals module
+// j-1's OutBytes).
 func NewPipeline(modules []Module) (*Pipeline, error) {
 	if len(modules) < 2 {
 		return nil, fmt.Errorf("model: pipeline needs at least 2 modules (source and sink), got %d", len(modules))
@@ -35,6 +35,14 @@ func NewPipeline(modules []Module) (*Pipeline, error) {
 		}
 		if m.Complexity < 0 || m.InBytes < 0 || m.OutBytes < 0 {
 			return nil, fmt.Errorf("model: module %d has negative attribute", j)
+		}
+		switch {
+		case !finite(m.Complexity):
+			return nil, fmt.Errorf("model: module %d has non-finite complexity %v", j, m.Complexity)
+		case !finite(m.InBytes):
+			return nil, fmt.Errorf("model: module %d has non-finite input size %v", j, m.InBytes)
+		case !finite(m.OutBytes):
+			return nil, fmt.Errorf("model: module %d has non-finite output size %v", j, m.OutBytes)
 		}
 		if j == 0 {
 			if m.Complexity != 0 {

@@ -113,41 +113,75 @@ func BenchmarkSolverCacheHitParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkPlanHandlerCacheHit measures one /v1/mindelay request through
-// Server.Handler() that the solution cache answers: body read and decode,
-// problem validation, canonical hash, cache lookup and response encoding,
-// with the telemetry middleware in front. The body is the json.Marshal of
-// the Suite20 benchmark case (about 220 KB, almost all of it the network),
-// the shape a client sends.
+// BenchmarkPlanHandlerCacheHit measures one planning request through
+// Server.Handler() that the solution cache answers, with the telemetry
+// middleware in front, on each planning route: /v1/mindelay,
+// /v1/maxframerate with a delay budget, and /v1/front. The body is the
+// json.Marshal of the Suite20 benchmark case (about 220 KB, almost all of
+// it the network), the shape a client sends.
+//   - repeat sends the same bytes every iteration, which the body tier
+//     answers: body read, one SHA-256 of it, two lookups and the encode.
+//   - respelled sends a fresh spelling of the same problem every iteration
+//     (its leading whitespace spells the iteration number), which takes the
+//     decode path to a canonical hit: body read and digest, decode,
+//     validation, canonical hash, cache lookup and the encode.
 func BenchmarkPlanHandlerCacheHit(b *testing.B) {
 	p := buildSuiteProblem(b, benchCase)
-	body, err := json.Marshal(struct {
-		Network  *model.Network  `json:"network"`
-		Pipeline *model.Pipeline `json:"pipeline"`
-		Src      model.NodeID    `json:"src"`
-		Dst      model.NodeID    `json:"dst"`
-	}{p.Net, p.Pipe, p.Src, p.Dst})
-	if err != nil {
-		b.Fatal(err)
+	routes := []struct{ name, path, extra string }{
+		{"mindelay", "/v1/mindelay", ""},
+		{"maxframerate-budget", "/v1/maxframerate", `,"delay_budget_ms":600`},
+		{"front", "/v1/front", ""},
 	}
-	s := NewServer(Options{})
-	defer s.Close()
-	h := s.Handler()
-	post := func() *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/mindelay", bytes.NewReader(body)))
-		return rec
-	}
-	if rec := post(); rec.Code != http.StatusOK {
-		b.Fatalf("priming request: %d %s", rec.Code, rec.Body)
-	}
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := post()
-		if rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"cached": true`)) {
-			b.Fatalf("expected a cache hit, got %d: %s", rec.Code, rec.Body)
-		}
+	for _, route := range routes {
+		b.Run(route.name, func(b *testing.B) {
+			wire, err := json.Marshal(struct {
+				Network  *model.Network  `json:"network"`
+				Pipeline *model.Pipeline `json:"pipeline"`
+				Src      model.NodeID    `json:"src"`
+				Dst      model.NodeID    `json:"dst"`
+			}{p.Net, p.Pipe, p.Src, p.Dst})
+			if err != nil {
+				b.Fatal(err)
+			}
+			// The body: whitespace to respell, then the object and the route's
+			// extra members.
+			const pad = 24
+			body := append(bytes.Repeat([]byte(" "), pad), wire[:len(wire)-1]...)
+			body = append(append(body, route.extra...), '}')
+			s := NewServer(Options{})
+			defer s.Close()
+			h := s.Handler()
+			post := func() *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route.path, bytes.NewReader(body)))
+				return rec
+			}
+			if rec := post(); rec.Code != http.StatusOK {
+				b.Fatalf("priming request: %d %s", rec.Code, rec.Body)
+			}
+			run := func(b *testing.B, respell func(i int)) {
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					respell(i)
+					rec := post()
+					if rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"cached": true`)) {
+						b.Fatalf("expected a cache hit, got %d: %s", rec.Code, rec.Body)
+					}
+				}
+			}
+			b.Run("repeat", func(b *testing.B) { run(b, func(int) {}) })
+			b.Run("respelled", func(b *testing.B) {
+				// Iteration i writes its base-4 digits as JSON whitespace; the
+				// priming request sent the all-space spelling, so start at 1.
+				const ws = " \t\n\r"
+				run(b, func(i int) {
+					for j, n := 0, i+1; j < pad; j, n = j+1, n/4 {
+						body[j] = ws[n%4]
+					}
+				})
+			})
+		})
 	}
 }

@@ -14,8 +14,8 @@ import (
 // the body is size-bounded before any decoding work happens, and unknown
 // fields are rejected at every level so a misspelled parameter fails
 // loudly as invalid_request instead of being silently dropped. The
-// planning endpoints use decodeRequest, which answers every body exactly
-// as decode would.
+// planning, simulate and batch endpoints use decodeBody, which answers
+// every body exactly as decode would.
 func decode(w http.ResponseWriter, r *http.Request, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
 	return decodeJSON(r.Body, v)
@@ -30,14 +30,21 @@ func decodeJSON(src io.Reader, v any) error {
 	return nil
 }
 
-// decodeRequest decodes a planning body (readPlainRequest) or a /v1/batch
-// body (readPlainBatch): it reads the whole body, bounded by
-// MaxRequestBytes like decode, and decodes it with decodeBody.
+// decodeRequest decodes a /v1/simulate body (readPlainRequest) or a
+// /v1/batch body (readPlainBatch): it reads the whole body with readBody
+// and decodes it with decodeBody.
 func decodeRequest[T any](w http.ResponseWriter, r *http.Request, readPlain plainReader[T]) (*T, error) {
+	body, err := readBody(w, r)
+	return decodeBody(body, err, readPlain)
+}
+
+// readBody reads the whole request body, bounded by MaxRequestBytes like
+// decode; the error is the one that cut it short, if any.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
 	var buf bytes.Buffer
 	_, err := buf.ReadFrom(r.Body)
-	return decodeBody(buf.Bytes(), err, readPlain)
+	return buf.Bytes(), err
 }
 
 // plainReader reads one T at r's cursor in the plain form.

@@ -391,17 +391,8 @@ func writeError(w http.ResponseWriter, err error) {
 // planHandler answers the dedicated planning endpoints.
 func (s *Server) planHandler(op Op) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := decodeRequest(w, r, readPlainRequest)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		req, err := body.request(op)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		res, err := s.solver.Solve(r.Context(), req)
+		body, readErr := readBody(w, r)
+		res, err := s.solver.solveBody(r.Context(), op, body, readErr)
 		if err != nil {
 			writeError(w, err)
 			return

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math"
@@ -155,25 +156,81 @@ func (s *Solver) normalize(req Request) (Request, float64, error) {
 // abandoned by its caller still completes in the background and populates
 // the cache, so an immediate retry hits.
 func (s *Solver) Solve(ctx context.Context, req Request) (*Result, error) {
-	req, param, err := s.normalize(req)
+	req, key, err := s.prepare(ctx, req)
 	if err != nil {
 		return nil, err
+	}
+	return s.solveKeyed(ctx, req, key)
+}
+
+// solveBody answers one planning route's raw body: op is the route's
+// operation and readErr the error that cut the body short, if any. A body
+// the body tier has aliased is answered from the exact tier without
+// decoding it. Any other body takes the decode path — decodeBody,
+// request(op), then Solve — and is aliased once it has its cache key, so
+// a body that fails to read, decode or validate is never aliased.
+func (s *Solver) solveBody(ctx context.Context, op Op, body []byte, readErr error) (*Result, error) {
+	var bk bodyKey
+	// A done context falls through too, so that the decode path answers it
+	// as it answers any valid body then.
+	aliasable := readErr == nil && len(s.cache.bodies) > 0 && ctx.Err() == nil
+	if aliasable {
+		sp := telemetry.SpanFromContext(ctx).Child("body_lookup")
+		bk = bodyKey{op: op, digest: sha256.Sum256(body)}
+		if sol, key, ok := s.cache.getBody(bk); ok {
+			sp.Annotate("hit")
+			sp.End()
+			return sol.result(key.op, key.hash, true, 0), nil
+		}
+		sp.Annotate("miss")
+		sp.End()
+	}
+	w, err := decodeBody(body, readErr, readPlainRequest)
+	if err != nil {
+		return nil, err
+	}
+	req, err := w.request(op)
+	if err != nil {
+		return nil, err
+	}
+	req, key, err := s.prepare(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	if aliasable {
+		s.cache.putBody(bk, key)
+	}
+	return s.solveKeyed(ctx, req, key)
+}
+
+// prepare normalizes req and computes its cache key: the canonical hash
+// of its problem, its operation and the operation's parameter.
+func (s *Solver) prepare(ctx context.Context, req Request) (Request, cacheKey, error) {
+	req, param, err := s.normalize(req)
+	if err != nil {
+		return req, cacheKey{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		s.timeouts.Add(1)
-		return nil, fmt.Errorf("service: solve %s: %w", req.Op, err)
+		return req, cacheKey{}, fmt.Errorf("service: solve %s: %w", req.Op, err)
 	}
-	// parent is the request's trace span (nil without tracing — every child
-	// span below no-ops then, so the solve path never branches on it).
-	parent := telemetry.SpanFromContext(ctx)
-	sp := parent.Child("hash")
+	sp := telemetry.SpanFromContext(ctx).Child("hash")
 	hash, err := Hash(req.Problem)
 	sp.End()
 	if err != nil {
-		return nil, err
+		return req, cacheKey{}, err
 	}
-	key := cacheKey{hash: hash, op: req.Op, param: param}
-	sp = parent.Child("cache_lookup")
+	return req, cacheKey{hash: hash, op: req.Op, param: param}, nil
+}
+
+// solveKeyed answers a prepared request: the exact tier, the similarity
+// tier when the request opts in, then a coalesced solve on a worker slot.
+func (s *Solver) solveKeyed(ctx context.Context, req Request, key cacheKey) (*Result, error) {
+	// parent is the request's trace span (nil without tracing — every child
+	// span below no-ops then, so the solve path never branches on it).
+	parent := telemetry.SpanFromContext(ctx)
+	hash := key.hash
+	sp := parent.Child("cache_lookup")
 	if sol, ok := s.cache.get(key); ok {
 		sp.Annotate("hit")
 		sp.End()
@@ -188,7 +245,7 @@ func (s *Solver) Solve(ctx context.Context, req Request) (*Result, error) {
 	// whose optimality claims cannot be re-validated pointwise.
 	if req.AllowSimilar && req.Op != OpFront {
 		sp = parent.Child("similarity_lookup")
-		if sol, ok := s.similarLookup(req, param); ok {
+		if sol, ok := s.similarLookup(req, key.param); ok {
 			sp.Annotate("hit")
 			sp.End()
 			r := sol.result(req.Op, hash, true, 0)
@@ -284,7 +341,7 @@ func (s *Solver) Solve(ctx context.Context, req Request) (*Result, error) {
 			// structural problem can adapt the mapping (opt-in lookups only).
 			if req.Op != OpFront {
 				if sh, herr := StructuralHash(req.Problem); herr == nil {
-					s.cache.simPut(cacheKey{hash: sh, op: req.Op, param: param}, sol)
+					s.cache.simPut(cacheKey{hash: sh, op: req.Op, param: key.param}, sol)
 				}
 			}
 		}

@@ -172,6 +172,8 @@ func (s *Server) registerGauges() {
 		func() float64 { return float64(s.solver.timeouts.Load()) })
 	reg.CounterFunc("elpc_cache_hits_total", "solution-cache hits",
 		func() float64 { return float64(s.solver.cache.stats().Hits) })
+	reg.CounterFunc("elpc_cache_body_hits_total", "solution-cache hits answered from the body tier without decoding",
+		func() float64 { return float64(s.solver.cache.stats().BodyHits) })
 	reg.CounterFunc("elpc_cache_misses_total", "solution-cache misses",
 		func() float64 { return float64(s.solver.cache.stats().Misses) })
 	reg.CounterFunc("elpc_cache_evictions_total", "solution-cache LRU evictions",
