@@ -3,6 +3,8 @@ package fleet
 import (
 	"errors"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"elpc/internal/gen"
@@ -248,5 +250,82 @@ func TestTwoPhaseRetryAndAbort(t *testing.T) {
 				t.Errorf("recovered CoordinatorStats %+v, live %+v", got, live)
 			}
 		})
+	}
+}
+
+// TestTwoPhaseScoresLiveLedger lands, between a cross-region deployment's
+// phases, a regional admission that runs a module on v1, where the
+// proposal runs its heavy module, at half v1's power, leaving room for the
+// proposal's reservation. Phase 2 must judge the proposal on that loaded
+// ledger, not on phase 1's scores: with no SLO the deployment is admitted
+// with the scores its mapping has on a snapshot taken right after the
+// regional admission, bit for bit; with a delay SLO between its phase-1
+// delay and that loaded delay it is refused for the delay.
+func TestTwoPhaseScoresLiveLedger(t *testing.T) {
+	net := twoPhaseNetwork(t)
+	cost := model.DefaultCostOptions()
+	cross := streamRequest(t, "cross", 0, 3, 5, 1)
+	cross.Objective = model.MinDelay
+	proposal, phase1Delay, _, err := solve(model.NewResidualNetwork(net).Snapshot(), cross, cost, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if proposal.Assign[1] != 1 {
+		t.Fatalf("proposal %v does not run its heavy module on v1", proposal.Assign)
+	}
+	hog := streamRequest(t, "hog-v1", 0, 1, 5)
+	hog.SLO.MinRateFPS = 0.5 * 1000 / hog.Pipeline.ComputeTime(1, net.Nodes[1].Power)
+
+	// deployCross deploys req on a fresh two-shard fleet, landing hog
+	// between the phases of its first round, and returns the outcome and
+	// the ledger materialized right after hog's admission.
+	deployCross := func(req Request) (Deployment, *model.Network, error) {
+		t.Helper()
+		sf, err := NewSharded(net, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sf.Partition().SameRegion(0, 3) || !sf.Partition().SameRegion(0, 1) {
+			t.Fatalf("partition %v does not split the diamond into {v0, v1} and {v2, v3}", sf.Partition().PartOf)
+		}
+		var loaded *model.Network
+		sf.betweenPhases = func() {
+			if loaded != nil {
+				return
+			}
+			if _, err := sf.shards[sf.part.Region(hog.Src)].Deploy(hog); err != nil {
+				t.Errorf("regional admission: %v", err)
+			}
+			sf.lockShards()
+			loaded = sf.coord.residual.Snapshot()
+			sf.unlockShards()
+		}
+		d, err := sf.Deploy(req)
+		return d, loaded, err
+	}
+
+	d, loaded, err := deployCross(cross)
+	if err != nil {
+		t.Fatalf("cross-region deploy without an SLO: %v", err)
+	}
+	if !slices.Equal(d.Assignment, proposal.Assign) {
+		t.Fatalf("admitted mapping %v, phase-1 proposal %v", d.Assignment, proposal.Assign)
+	}
+	m := model.NewMapping(d.Assignment)
+	delay := model.TotalDelay(loaded, cross.Pipeline, m, cost)
+	rate := model.FrameRate(model.SharedBottleneck(loaded, cross.Pipeline, m))
+	if !(delay > phase1Delay) {
+		t.Fatalf("the regional admission left the proposal's delay at %v (phase 1: %v)", delay, phase1Delay)
+	}
+	if !sameBits(d.DelayMs, delay) || !sameBits(d.RateFPS, rate) {
+		t.Errorf("admitted with delay %v rate %v, loaded ledger gives delay %v rate %v (phase-1 delay %v)",
+			d.DelayMs, d.RateFPS, delay, rate, phase1Delay)
+	}
+
+	bounded := cross
+	bounded.SLO.MaxDelayMs = (phase1Delay + delay) / 2
+	if _, _, err := deployCross(bounded); !errors.Is(err, ErrRejected) || !strings.Contains(err.Error(), "exceeds SLO") {
+		t.Errorf("cross-region deploy with delay SLO %v (phase 1 %v, loaded %v): err %v, want a delay-SLO rejection",
+			bounded.SLO.MaxDelayMs, phase1Delay, delay, err)
 	}
 }

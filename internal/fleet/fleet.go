@@ -251,9 +251,12 @@ type region struct {
 	// residual is the fleet's one ledger, shared by every region; see
 	// ShardedFleet for who writes and reads which elements under which lock.
 	residual *model.ResidualNetwork
-	deps     map[string]*Deployment
-	order    []string // admission order; recompute accumulates in this order
-	seq      uint64
+	// deps finds a live deployment by ID; order holds the same deployments
+	// in admission order, the order every walk over them takes and the
+	// recompute accumulates in.
+	deps  map[string]*Deployment
+	order []*Deployment
+	seq   uint64
 
 	// scope names the region in the WAL ("s3" on shard 3, wal.ScopeCross on
 	// the coordinator, "" on the only shard of a one-shard fleet); idPrefix
@@ -261,16 +264,10 @@ type region struct {
 	// stay unique and routable across regions.
 	scope    string
 	idPrefix string
-	// scoreSnap is the snapshot buffer (scoringSnapshotLocked) rebalance,
-	// repair and two-phase admission score mappings on, and the
-	// coordinator's two-phase proposal solves on: the region's sub-network
-	// with a view, the whole network without. Nothing holds it past one
-	// candidate or proposal.
-	scoreSnap *model.Network
-	// view, when non-nil, restricts every solve and score to the region's
-	// sub-network (RegionSnapshot), translating mappings back to global
-	// node IDs. Nil solves on the whole network (a one-shard fleet's shard,
-	// and the coordinator).
+	// view, when non-nil, restricts every solve to the region's sub-network
+	// (RegionSnapshot), translating mappings back to global node IDs. Nil
+	// solves on the whole network (a one-shard fleet's shard, and the
+	// coordinator).
 	view *model.RegionView
 	// external is a static load overlay (the coordinator's merged
 	// cross-region reservations) re-added on the region's elements on every
@@ -374,8 +371,8 @@ func (f *region) recomputeLocked() {
 // appendReservationsLocked appends the region's reservations to dst in
 // admission order. Caller holds f.mu.
 func (f *region) appendReservationsLocked(dst []model.Reservation) []model.Reservation {
-	for _, id := range f.order {
-		dst = append(dst, f.deps[id].reservation)
+	for _, d := range f.order {
+		dst = append(dst, d.reservation)
 	}
 	return dst
 }
@@ -428,12 +425,13 @@ func solve(snap *model.Network, req Request, cost model.CostOptions, ws *core.Wa
 }
 
 // solveCounted is solve plus the fleet's solver-call accounting, on its own
-// snapshot of rn (the coordinator's two-phase proposal solves on its
-// scoring buffer and counts itself). A region with a view solves on its
-// sub-network alone (RegionSnapshot, the O(region) hot path sharding rests
-// on), scaled bit-identically to a full snapshot, so the returned delay and
-// rate match a full-network evaluation and the mapping comes back in global
-// node IDs.
+// snapshot of rn (the coordinator's two-phase proposal solves on the
+// fleet's proposal buffer and counts itself). A region with a view solves
+// on its sub-network alone (RegionSnapshot, the O(region) hot path sharding
+// rests on), scaled bit-identically to a full snapshot, so the returned
+// delay and rate match a full-network evaluation and the mapping comes back
+// in global node IDs. Repair and rebalance keep those scores for the
+// mapping they place.
 func (f *region) solveCounted(rn *model.ResidualNetwork, req Request, cost model.CostOptions, ws *core.WarmState) (*model.Mapping, float64, float64, error) {
 	f.solves.Add(1)
 	if f.warmOff {
@@ -671,7 +669,7 @@ func (f *region) admitLocked(req Request, cost model.CostOptions, m *model.Mappi
 		warm:        ws,
 	}
 	f.deps[d.ID] = d
-	f.order = append(f.order, d.ID)
+	f.order = append(f.order, d)
 	f.recomputeLocked()
 	f.admitted++
 	admittedTotal.Inc()
@@ -693,18 +691,18 @@ const MaxPreemptionVictims = 4
 func (f *region) preemptLocked(req Request, cost model.CostOptions) (Deployment, bool) {
 	var victims []*Deployment
 	for i := len(f.order) - 1; i >= 0 && len(victims) < MaxPreemptionVictims; i-- {
-		if d := f.deps[f.order[i]]; d.SLO.Class == ClassBestEffort {
+		if d := f.order[i]; d.SLO.Class == ClassBestEffort {
 			victims = append(victims, d)
 		}
 	}
 	if len(victims) == 0 {
 		return Deployment{}, false
 	}
-	savedOrder := append([]string(nil), f.order...)
+	savedOrder := append([]*Deployment(nil), f.order...)
 	var removed []*Deployment
 	for _, v := range victims {
 		delete(f.deps, v.ID)
-		f.order = removeID(f.order, v.ID)
+		f.order = removeDep(f.order, v)
 		removed = append(removed, v)
 		f.recomputeLocked()
 		d, reason, err := f.tryAdmitLocked(req, cost)
@@ -907,7 +905,7 @@ func (f *region) releaseLocked(id string) error {
 	delete(f.deps, id)
 	recycleWarm(d.warm)
 	d.warm = nil
-	f.order = removeID(f.order, id)
+	f.order = removeDep(f.order, d)
 	f.recomputeLocked()
 	f.released++
 	f.logOp(wal.Op{Kind: wal.ReleaseDone, Remove: id, Tenant: d.Tenant})
@@ -930,8 +928,8 @@ func (f *region) List() []Deployment {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make([]Deployment, 0, len(f.order))
-	for _, id := range f.order {
-		out = append(out, f.deps[id].clone())
+	for _, d := range f.order {
+		out = append(out, d.clone())
 	}
 	return out
 }
@@ -950,8 +948,7 @@ func (f *region) addStatsLocked(st *Stats) {
 	st.ParkEvictions += f.parkEvicts
 	st.Preemptions += f.preempts
 	st.SolverCalls += f.solves.Load()
-	for _, id := range f.order {
-		d := f.deps[id]
+	for _, d := range f.order {
 		st.ReservedFPS += d.ReservedFPS
 		switch d.SLO.Class.Canon() {
 		case ClassGuaranteed:
@@ -1062,46 +1059,15 @@ func (f *region) Rebalance(opt RebalanceOptions) Report {
 	return rep
 }
 
-// scoringSnapshotLocked materializes the residual view into the region's
-// scoring buffer — its sub-network when the region has a view, the whole
-// network otherwise — and returns it; the next call overwrites it. Caller
-// holds f.mu.
-func (f *region) scoringSnapshotLocked() *model.Network {
-	if f.view != nil {
-		f.scoreSnap = f.residual.RegionSnapshotInto(f.view, f.scoreSnap)
-	} else {
-		f.scoreSnap = f.residual.SnapshotInto(f.scoreSnap)
-	}
-	return f.scoreSnap
-}
-
-// scoreLocked scores mapping m of pl, in global node IDs, on snap, a
-// scoring snapshot of the region (scoringSnapshotLocked): its Eq. 1 delay
-// under cost and its Eq. 2 shared-bottleneck rate. On a region's
-// sub-network m is scored in local IDs; every element a regional mapping
-// reads has the value a full snapshot gives it, so the scores are the
-// full-network ones bit for bit. A mapping with a module outside the
-// region has no path there: +Inf delay, zero rate. Caller holds f.mu.
-func (f *region) scoreLocked(snap *model.Network, pl *model.Pipeline, m *model.Mapping, cost model.CostOptions) (delay, rate float64) {
-	if f.view != nil {
-		local, ok := f.view.ToLocal(m)
-		if !ok {
-			return math.Inf(1), 0
-		}
-		m = local
-	}
-	return model.TotalDelay(snap, pl, m, cost), model.FrameRate(model.SharedBottleneck(snap, pl, m))
-}
-
 // rebalanceLocked is the rebalance pass body. Caller holds f.mu inside a
 // WAL epoch.
 func (f *region) rebalanceLocked(opt RebalanceOptions) Report {
 	// Higher SLO classes are considered first; within a class, deployments
 	// admitted latest first — they were solved against the most contended
 	// network, so freed capacity helps them most.
-	ids := append([]string(nil), f.order...)
-	sort.SliceStable(ids, func(i, j int) bool {
-		di, dj := f.deps[ids[i]], f.deps[ids[j]]
+	cands := append([]*Deployment(nil), f.order...)
+	sort.SliceStable(cands, func(i, j int) bool {
+		di, dj := cands[i], cands[j]
 		if ri, rj := di.SLO.Class.Rank(), dj.SLO.Class.Rank(); ri != rj {
 			return ri > rj
 		}
@@ -1109,21 +1075,19 @@ func (f *region) rebalanceLocked(opt RebalanceOptions) Report {
 	})
 
 	var rep Report
-	for _, id := range ids {
+	for _, d := range cands {
 		if rep.Applied >= opt.MaxMoves {
 			break
 		}
-		d := f.deps[id]
 		rep.Considered++
 
-		// Free the candidate's own reservation for the re-solve and the
-		// scoring snapshot.
+		// Free the candidate's own reservation for the re-solve and for
+		// scoring its current path.
 		saved := d.reservation
 		d.reservation = model.Reservation{}
 		f.recomputeLocked()
-		snap := f.scoringSnapshotLocked()
-		m, _, _, err := f.solveCounted(f.residual, requestOf(d), d.cost, f.warmFor(d))
-		move := Move{ID: id}
+		m, delay, rate, err := f.solveCounted(f.residual, requestOf(d), d.cost, f.warmFor(d))
+		move := Move{ID: d.ID}
 		restore := func(reason string) {
 			d.reservation = saved
 			f.recomputeLocked()
@@ -1135,11 +1099,12 @@ func (f *region) rebalanceLocked(opt RebalanceOptions) Report {
 			restore(fmt.Sprintf("re-solve failed: %v", err))
 			continue
 		}
-		delay, rate := f.scoreLocked(snap, d.pipe, m, d.cost)
 		// Baseline: the existing mapping re-scored on the same freed
-		// snapshot, so gain measures better placement rather than the
-		// freed capacity both mappings would enjoy.
-		curDelay, curRate := f.scoreLocked(snap, d.pipe, &model.Mapping{Assign: d.Assignment}, d.cost)
+		// ledger, so gain measures better placement rather than the freed
+		// capacity both mappings would enjoy. Its path alone: the freed
+		// ledger no longer counts its shares.
+		curDelay, curBottleneck := f.residual.ScorePath(d.pipe, saved.Path(), d.cost)
+		curRate := model.FrameRate(curBottleneck)
 		if d.Objective == model.MinDelay {
 			move.OldValue, move.NewValue = curDelay, delay
 			if curDelay > 0 && !math.IsInf(curDelay, 1) {

@@ -134,9 +134,9 @@ func (f *region) applyOpsLocked(ops []wal.Op, out *Recovered) error {
 				return err
 			}
 		}
-		if op.Remove != "" {
+		if d, ok := f.deps[op.Remove]; ok {
 			delete(f.deps, op.Remove)
-			f.order = removeID(f.order, op.Remove)
+			f.order = removeDep(f.order, d)
 		}
 		if op.Park != nil {
 			out.Parked = append(out.Parked, parkedFromState(*op.Park))
@@ -171,7 +171,7 @@ func (f *region) restoreDeployLocked(ds *wal.DeploymentState, out *Recovered) er
 		return err
 	}
 	f.deps[d.ID] = d
-	f.order = append(f.order, d.ID)
+	f.order = append(f.order, d)
 	if ds.RequeueOf != "" {
 		out.Parked = removeParked(out.Parked, ds.RequeueOf)
 	}
@@ -276,7 +276,7 @@ func (f *region) restoreScopeState(sc *wal.ScopeState) error {
 			return fmt.Errorf("fleet: snapshot scope %q: %w", sc.Scope, err)
 		}
 		f.deps[d.ID] = d
-		f.order = append(f.order, d.ID)
+		f.order = append(f.order, d)
 	}
 	return nil
 }
@@ -323,8 +323,8 @@ func (f *region) captureScopeLocked() wal.ScopeState {
 		LinkFactors: link,
 		Counters:    f.countersLocked(),
 	}
-	for _, id := range f.order {
-		sc.Deploys = append(sc.Deploys, *deployState(f.deps[id], ""))
+	for _, d := range f.order {
+		sc.Deploys = append(sc.Deploys, *deployState(d, ""))
 	}
 	return sc
 }

@@ -29,9 +29,9 @@ func (f *region) Affected(events []model.ChurnEvent) []string {
 	defer f.mu.Unlock()
 	nodes, links := churnTargets(events)
 	var out []string
-	for _, id := range f.order {
-		if f.deps[id].reservation.Touches(nodes, links) {
-			out = append(out, id)
+	for _, d := range f.order {
+		if d.reservation.Touches(nodes, links) {
+			out = append(out, d.ID)
 		}
 	}
 	return out
@@ -69,14 +69,16 @@ func requestOf(d *Deployment) Request {
 	}
 }
 
-// placementScoreLocked evaluates d's current mapping on snap (the region's
-// scoring snapshot with d's own reservation removed) and reports whether the
+// placementScoreLocked scores d's current mapping on the ledger with d's
+// own reservation freed — the path saved records, with no share set aside,
+// since the recomputed ledger no longer counts it — and reports whether the
 // placement is still valid: its reservation fits the (possibly reduced)
 // capacity factors and the placement guard's host and SLO checks (downHost,
 // shortfall) pass. Caller holds f.mu with d's reservation zeroed and loads
 // recomputed; saved is the reservation under test.
-func (f *region) placementScoreLocked(d *Deployment, snap *model.Network, saved model.Reservation) (delay, rate float64, valid bool) {
-	delay, rate = f.scoreLocked(snap, d.pipe, &model.Mapping{Assign: d.Assignment}, d.cost)
+func (f *region) placementScoreLocked(d *Deployment, saved model.Reservation) (delay, rate float64, valid bool) {
+	delay, bottleneck := f.residual.ScorePath(d.pipe, saved.Path(), d.cost)
+	rate = model.FrameRate(bottleneck)
 	valid = f.residual.Fits(saved) &&
 		downHost(f.residual, d.Assignment) == "" &&
 		shortfall(delay, rate, d.SLO, d.ReservedFPS) == ""
@@ -164,32 +166,31 @@ func (f *region) repairLocked(ids []string) RepairReport {
 	// before best-effort ones compete for the same capacity. The sort is
 	// stable, so within a class admission order is preserved (all-standard
 	// fleets see the exact pre-class behavior).
-	live := make([]string, 0, len(ids))
+	live := make([]*Deployment, 0, len(ids))
 	want := make(map[string]bool, len(ids))
 	for _, id := range ids {
 		want[id] = true
 	}
-	for _, id := range f.order {
-		if want[id] {
-			live = append(live, id)
+	for _, d := range f.order {
+		if want[d.ID] {
+			live = append(live, d)
 		}
 	}
 	sort.SliceStable(live, func(i, j int) bool {
-		return f.deps[live[i]].SLO.Class.Rank() > f.deps[live[j]].SLO.Class.Rank()
+		return live[i].SLO.Class.Rank() > live[j].SLO.Class.Rank()
 	})
 
 	var rep RepairReport
-	for _, id := range live {
-		d := f.deps[id]
+	for _, d := range live {
+		id := d.ID
 		f.repaired++
 		rep.Checked++
 
 		saved := d.reservation
 		d.reservation = model.Reservation{}
 		f.recomputeLocked()
-		snap := f.scoringSnapshotLocked()
 
-		delay, rate, valid := f.placementScoreLocked(d, snap, saved)
+		delay, rate, valid := f.placementScoreLocked(d, saved)
 		if valid {
 			d.reservation = saved
 			f.recomputeLocked()
@@ -206,12 +207,12 @@ func (f *region) repairLocked(ids []string) RepairReport {
 
 		// Broken: re-solve on the live residual state.
 		rep.Resolved++
-		m, _, _, err := f.solveCounted(f.residual, requestOf(d), d.cost, f.warmFor(d))
+		m, newDelay, newRate, err := f.solveCounted(f.residual, requestOf(d), d.cost, f.warmFor(d))
 
 		park := func(reason string) {
 			parked := ParkedDeployment{ID: id, Tenant: d.Tenant, Reason: reason, Req: requestOf(d)}
 			delete(f.deps, id)
-			f.order = removeID(f.order, id)
+			f.order = removeDep(f.order, d)
 			f.recomputeLocked()
 			f.parkEvicts++
 			parkEvictionsTotal.Inc()
@@ -225,7 +226,6 @@ func (f *region) repairLocked(ids []string) RepairReport {
 			park(fmt.Sprintf("re-solve failed: %v", err))
 			continue
 		}
-		newDelay, newRate := f.scoreLocked(snap, d.pipe, m, d.cost)
 		res, reason, _, err := f.judgeLocked(d.pipe, m, newDelay, newRate, d.SLO, d.ReservedFPS)
 		if err != nil {
 			reason = fmt.Sprintf("reservation: %v", err)

@@ -124,8 +124,10 @@ const TwoPhaseAttempts = 2
 //   - shard r writes only region r's nodes and internal links
 //     (SetRegionLoad), under its own lock;
 //   - only the coordinator writes boundary links, under every lock;
-//   - a shard reads only its region's elements (RegionSnapshot, and Fits of
-//     a regional reservation);
+//   - a shard reads only its region's elements (RegionSnapshot, Fits of a
+//     regional reservation, and ScorePath of its own deployments' paths:
+//     a shard's deployments and re-solves run only on its region's nodes
+//     and internal links);
 //   - every whole-ledger read holds every shard lock: the SLO report, Stats,
 //     Utilization, Snapshot, both two-phase phases, the coordinator's
 //     release and repair, and snapshot capture;
@@ -147,6 +149,9 @@ type ShardedFleet struct {
 	regions []*region
 	shards  []*region
 	coord   *region
+	// proposal is the snapshot of the whole ledger that phase 1 of
+	// two-phase admission solves on; the coordinator's lock guards it.
+	proposal *model.Network
 	// betweenPhases, when non-nil, runs between a two-phase admission's
 	// solve and its reservation, with only the coordinator's lock held.
 	// Tests set it to land a regional admission there; it is nil otherwise.
@@ -497,7 +502,7 @@ func (s *ShardedFleet) deployCross(req Request, fallback bool) (Deployment, erro
 
 // twoPhaseLocked is the two-phase admission body. Caller holds the
 // coordinator's mutex inside its epoch: that lock alone guards the
-// coordinator's scoring buffer, so phase 1 may solve on it unlocked.
+// proposal buffer, so phase 1 may solve on it unlocked.
 func (s *ShardedFleet) twoPhaseLocked(req Request, fallback bool, cost model.CostOptions) (Deployment, error) {
 	x := s.coord
 	if fallback {
@@ -505,19 +510,25 @@ func (s *ShardedFleet) twoPhaseLocked(req Request, fallback bool, cost model.Cos
 		tpcFallbacksTotal.Inc()
 	}
 	for round := 1; round <= TwoPhaseAttempts; round++ {
-		// Phase 1 — propose: snapshot the ledger into the coordinator's
-		// scoring buffer under the shard locks (shards write their regions
-		// under their own), then solve cold on it with no shard lock held,
-		// so regional traffic keeps flowing underneath the solve.
+		// Phase 1 — propose: snapshot the ledger into the proposal buffer
+		// under the shard locks (shards write their regions under their
+		// own), then solve cold on it with no shard lock held, so regional
+		// traffic keeps flowing underneath the solve.
 		s.lockShards()
-		snap := x.scoringSnapshotLocked()
+		s.proposal = x.residual.SnapshotInto(s.proposal)
 		s.unlockShards()
 		x.solves.Add(1)
-		m, _, _, err := solve(snap, req, cost, nil)
+		m, _, _, err := solve(s.proposal, req, cost, nil)
 		if err != nil {
 			if errors.Is(err, model.ErrInfeasible) {
 				return Deployment{}, x.reject(req, "no feasible mapping on residual network: %v", err)
 			}
+			return Deployment{}, err
+		}
+		// The proposal's path, holding no share, for phase 2 to score on
+		// the live ledger. A solver's mapping always has its links.
+		path, err := model.MappingReservation(s.base, req.Pipeline, m, 0)
+		if err != nil {
 			return Deployment{}, err
 		}
 		x.logOp(wal.Op{
@@ -530,12 +541,12 @@ func (s *ShardedFleet) twoPhaseLocked(req Request, fallback bool, cost model.Cos
 		}
 
 		// Phase 2 — reserve: under every shard lock, re-score the proposed
-		// mapping on the live ledger and run the regional guard-and-commit
+		// path on the live ledger and run the regional guard-and-commit
 		// step, which commits node, internal-link, and boundary-link
 		// capacity in one atomic step.
 		s.lockShards()
-		delay, rate := x.scoreLocked(x.scoringSnapshotLocked(), req.Pipeline, m, cost)
-		d, reason, overcommit, err := x.admitLocked(req, cost, m, delay, rate, nil)
+		delay, bottleneck := x.residual.ScorePath(req.Pipeline, path, cost)
+		d, reason, overcommit, err := x.admitLocked(req, cost, m, delay, model.FrameRate(bottleneck), nil)
 		s.unlockShards()
 		switch {
 		case err != nil:
@@ -580,12 +591,10 @@ func (s *ShardedFleet) Release(id string) error {
 	return err
 }
 
-// removeID deletes the first occurrence of id, preserving order.
-func removeID(order []string, id string) []string {
-	for i, oid := range order {
-		if oid == id {
-			return append(order[:i], order[i+1:]...)
-		}
+// removeDep deletes d from order, preserving the order of the rest.
+func removeDep(order []*Deployment, d *Deployment) []*Deployment {
+	if i := slices.Index(order, d); i >= 0 {
+		return slices.Delete(order, i, i+1)
 	}
 	return order
 }

@@ -87,8 +87,8 @@ func regionSLOReport(f *region) SLOReport {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var rep SLOReport
-	for _, id := range f.order {
-		rep.add(sloStatusOf(f.residual, f.deps[id], shardLabel(f.idPrefix)))
+	for _, d := range f.order {
+		rep.add(sloStatusOf(f.residual, d, shardLabel(f.idPrefix)))
 	}
 	return rep
 }

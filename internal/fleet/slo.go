@@ -130,8 +130,8 @@ func (s *ShardedFleet) SLOReport() SLOReport {
 		}
 		for _, f := range s.regions {
 			shard := shardLabel(f.idPrefix)
-			for _, id := range f.order {
-				rep.add(sloStatusOf(rn, f.deps[id], shard))
+			for _, d := range f.order {
+				rep.add(sloStatusOf(rn, d, shard))
 			}
 		}
 	})

@@ -95,8 +95,8 @@ func referenceSLOReport(t *testing.T, s *ShardedFleet) SLOReport {
 	var rep SLOReport
 	s.composed(func(rn *model.ResidualNetwork) {
 		for _, f := range s.regions {
-			for _, id := range f.order {
-				rep.add(referenceStatus(t, rn, f.deps[id], shardLabel(f.idPrefix)))
+			for _, d := range f.order {
+				rep.add(referenceStatus(t, rn, d, shardLabel(f.idPrefix)))
 			}
 		}
 	})

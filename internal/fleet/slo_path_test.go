@@ -222,9 +222,9 @@ func referenceAffected(s *ShardedFleet, events []model.ChurnEvent) []string {
 	defer s.unlockAll()
 	var out []string
 	for _, f := range s.regions {
-		for _, id := range f.order {
-			if referenceTouches(s.base, f.deps[id], nodes, links) {
-				out = append(out, id)
+		for _, d := range f.order {
+			if referenceTouches(s.base, d, nodes, links) {
+				out = append(out, d.ID)
 			}
 		}
 	}

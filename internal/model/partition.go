@@ -211,18 +211,3 @@ func (v *RegionView) ToGlobal(m *Mapping) *Mapping {
 	}
 	return NewMapping(assign)
 }
-
-// ToLocal translates a mapping in global node IDs to the region
-// sub-network's local IDs, the inverse of ToGlobal; ok is false when a
-// module runs on a node outside the region.
-func (v *RegionView) ToLocal(m *Mapping) (local *Mapping, ok bool) {
-	assign := make([]NodeID, len(m.Assign))
-	for j, g := range m.Assign {
-		l := v.Local(g)
-		if l < 0 {
-			return nil, false
-		}
-		assign[j] = NodeID(l)
-	}
-	return &Mapping{Assign: assign}, true
-}

@@ -20,7 +20,7 @@ const MinResidualFraction = 1e-9
 // ScorePath can score the mapping without rebuilding its groups or looking
 // up a link. The zero Reservation holds nothing and records no path.
 // MappingReservation builds reservations; ResidualNetwork reads them, and
-// Touches reads the path.
+// Touches and Path read the path.
 type Reservation struct {
 	nodes, links []share
 	// path is the mapping's module groups in order; nil for the zero
@@ -101,6 +101,13 @@ func MappingReservation(net *Network, pl *Pipeline, m *Mapping, rateFPS float64)
 	return res, nil
 }
 
+// Path returns the reservation of res's recorded path alone: it holds no
+// share, so ScorePath of it scores the mapping on the view as it stands,
+// with nothing set aside.
+func (res Reservation) Path() Reservation {
+	return Reservation{path: res.path}
+}
+
 // Touches reports whether the path res records runs a module on any of
 // nodes or crosses any of links — a zero-cost module's node included, and
 // whether or not res holds shares. A reservation without a path touches
@@ -159,10 +166,10 @@ func mergeShares(dst []share, at map[int]int, src []share) []share {
 //
 // ResidualNetwork performs no synchronization; callers that share one across
 // goroutines must serialize access to each element. SetRegionLoad writes,
-// and RegionSnapshot and Fits of a regional reservation read, only one
-// region's nodes and internal links, so a sharded fleet
-// (internal/fleet.ShardedFleet) lets each region work on its own elements
-// of one shared view under its own lock.
+// and RegionSnapshot, Fits of a regional reservation and ScorePath of a
+// regional path read, only one region's nodes and internal links, so a
+// sharded fleet (internal/fleet.ShardedFleet) lets each region work on its
+// own elements of one shared view under its own lock.
 type ResidualNetwork struct {
 	base     *Network
 	nodeLoad []float64

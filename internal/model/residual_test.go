@@ -334,9 +334,11 @@ func randomScoredPath(t *testing.T, rng *rand.Rand, net *Network, peak float64) 
 // on a full materialization with that reservation excluded. Each seed
 // scores reservations the view's load holds and reservations it does not
 // (so an exclusion can exceed the load it is taken from), some at rate
-// zero, which hold nothing but still record their path. The coverage tally
-// fails the test if a regime the per-element expression distinguishes
-// never reached a scored path.
+// zero, which hold nothing but still record their path. Every
+// reservation's Path, which holds no share, must score as its mapping does
+// on r.Snapshot(), bit for bit. The coverage tally fails the test if a
+// regime the per-element expression distinguishes never reached a scored
+// path.
 func TestScorePathMatchesFullMaterialization(t *testing.T) {
 	cover := map[string]int{}
 	for seed := uint64(0); seed < 400; seed++ {
@@ -361,6 +363,7 @@ func TestScorePathMatchesFullMaterialization(t *testing.T) {
 		if merged := MergeReservations(load); merged.path != nil {
 			t.Fatalf("seed %d: a merged reservation records a path", seed)
 		}
+		snap := r.Snapshot()
 
 		for i, sp := range append(held, free...) {
 			opt := CostOptions{IncludeMLDInDelay: rng.IntN(2) == 0}
@@ -371,6 +374,15 @@ func TestScorePathMatchesFullMaterialization(t *testing.T) {
 			}
 			if want := SharedBottleneck(ref, sp.pl, sp.m); math.Float64bits(bott) != math.Float64bits(want) {
 				t.Fatalf("seed %d reservation %d %v: bottleneck %v, full materialization %v", seed, i, sp.m, bott, want)
+			}
+			// The path alone sets nothing aside: it scores as the mapping
+			// does on the view as it stands.
+			delay, bott = r.ScorePath(sp.pl, sp.res.Path(), opt)
+			if want := TotalDelay(snap, sp.pl, sp.m, opt); math.Float64bits(delay) != math.Float64bits(want) {
+				t.Fatalf("seed %d reservation %d %v: path-only delay %v, snapshot %v", seed, i, sp.m, delay, want)
+			}
+			if want := SharedBottleneck(snap, sp.pl, sp.m); math.Float64bits(bott) != math.Float64bits(want) {
+				t.Fatalf("seed %d reservation %d %v: path-only bottleneck %v, snapshot %v", seed, i, sp.m, bott, want)
 			}
 
 			if sp.m.UsesReuse() {
